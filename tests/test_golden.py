@@ -1,0 +1,79 @@
+"""Golden CLI outputs: stdout, stderr and exit code of the verification and
+table commands at small n, byte for byte.
+
+The files under tests/golden/ were captured from the CLI itself, so these
+tests pin its present behaviour, not a closed form. To re-capture after a
+deliberate change of output, run from the repo root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hallq.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SMALL_PRIMES = ("--primes", "2,3,5,7")
+
+CASES: dict[str, tuple[str, ...]] = {
+    "lie-table-n2-tsv": ("lie-table", "--n", "2", *SMALL_PRIMES),
+    "lie-table-n2-json": ("lie-table", "--n", "2", *SMALL_PRIMES, "--format", "json"),
+    "lie-table-n2-latex": ("lie-table", "--n", "2", *SMALL_PRIMES, "--latex"),
+    "lie-verify-n2-tsv": ("lie-verify", "--n", "2", *SMALL_PRIMES),
+    "lie-verify-n2-json": ("lie-verify", "--n", "2", *SMALL_PRIMES, "--format", "json"),
+}
+for _n in ("2", "3"):
+    for _fmt in ("tsv", "json"):
+        CASES[f"verify-prop-n{_n}-{_fmt}"] = (
+            "verify-prop", "--n", _n, *SMALL_PRIMES, "--format", _fmt
+        )
+        for _p in ("2", "3"):
+            CASES[f"verify-identities-n{_n}-p{_p}-{_fmt}"] = (
+                "verify-identities", "--n", _n, "--p", _p, "--format", _fmt
+            )
+
+
+def run_cli(argv: tuple[str, ...]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+
+
+def _stdout_path(name: str) -> Path:
+    return GOLDEN / f"{name}.out"
+
+
+def _meta_path(name: str) -> Path:
+    return GOLDEN / f"{name}.json"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    got = run_cli(CASES[name])
+    meta = json.loads(_meta_path(name).read_text(encoding="utf-8"))
+    assert meta["argv"] == got["argv"]
+    assert got["stdout"] == _stdout_path(name).read_text(encoding="utf-8")
+    assert got["stderr"] == meta["stderr"]
+    assert got["exit"] == meta["exit"]
+
+
+def capture() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        got = run_cli(CASES[name])
+        _stdout_path(name).write_text(got.pop("stdout"), encoding="utf-8")
+        _meta_path(name).write_text(json.dumps(got, indent=2) + "\n", encoding="utf-8")
+        print(f"{name}: exit {got['exit']}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    capture()
