@@ -65,7 +65,6 @@ class RunConfig:
     primes: tuple[int, ...]
     dim_ceiling: int | None
     output_format: str
-    parallelism: int
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -79,8 +78,6 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.dim_ceiling is not None and self.dim_ceiling < 1:
             raise ValueError("dimension ceiling must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
 
 
 def _env_ceiling() -> int | None:
@@ -112,21 +109,12 @@ def _parse_primes(raw: str | None) -> tuple[int, ...]:
         raise ValueError(f"could not parse prime list {raw!r}")
 
 
-def _parallelism(raw: str) -> int:
-    # single process either way; the knob is validated and recorded only
-    if raw == "auto":
-        return 1
-    value = int(raw)
-    return value
-
-
 def _config(args, fmt: str | None = None) -> RunConfig:
     return RunConfig(
         n=args.n,
         primes=_parse_primes(getattr(args, "primes", None)),
         dim_ceiling=_resolve_ceiling(args),
         output_format=fmt if fmt is not None else getattr(args, "format", "tsv"),
-        parallelism=_parallelism(getattr(args, "parallelism", "auto")),
     )
 
 
@@ -321,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"refuse composites above this total dimension "
             f"(default {DEFAULT_DIM_CEILING}; env {ENV_CEILING} overrides)",
         )
-        sp.add_argument("--parallelism", default="auto", help="accepted for config "
-                        "compatibility; runs single-process")
 
     sp = sub.add_parser("indec-list", help="list indecomposable labels with dimensions")
     add_common(sp)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 from typing import Iterator, Sequence
 
 SUPPORTED_PRIMES: tuple[int, ...] = (
@@ -113,20 +114,41 @@ def row_reduce(
 
 
 def mat_mul(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int, ncols: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """Product of two tuple-of-rows matrices mod p."""
-    if a and b:
+    """Product of two tuple-of-rows matrices mod p. Pass ncols, the width of
+    b, when b may have no rows: the product is then a zero matrix that
+    width."""
+    if a:
         assert len(a[0]) == len(b), "inner dimensions must agree"
-    bt = tuple(zip(*b)) if b else ()
-    out = []
-    for row in a:
-        out.append(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt))
-    return tuple(out)
+    if not b:
+        return tuple((0,) * (ncols or 0) for _ in a)
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
 
 
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], p: int) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], p: int) -> list[int]:
+    """Image a.v mod p of a column vector."""
+    return [sum(map(mul, row, v)) % p for row in a]
+
+
+def reduce_vector(
+    vec: Sequence[int], rows: Sequence[Sequence[int]], pivots: Sequence[int], p: int
+) -> list[int]:
+    """Reduce vec against echelon rows with the given pivot columns.
+
+    The rows must be in reduced row-echelon form and the entries of vec
+    already reduced mod p. The result is zero exactly when vec lies in the
+    span of rows, and its rank over a set of vectors is their rank modulo
+    that span.
+    """
+    v = list(vec)
+    for row, piv in zip(rows, pivots):
+        f = v[piv]
+        if f:
+            for j in range(piv, len(v)):
+                v[j] = (v[j] - f * row[j]) % p
+    return v
 
 
 class PrimeFieldMatrix:
@@ -202,30 +224,10 @@ class PrimeFieldMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         return PrimeFieldMatrix(
-            self.p, mat_mul(self.entries, other.entries, self.p), shape=(self.rows, other.cols)
+            self.p,
+            mat_mul(self.entries, other.entries, self.p, ncols=other.cols),
+            shape=(self.rows, other.cols),
         )
-
-    def transpose(self) -> PrimeFieldMatrix:
-        flipped = tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols))
-        return PrimeFieldMatrix(self.p, flipped, shape=(self.cols, self.rows))
-
-    def rank(self) -> int:
-        return matrix_rank(self.entries, self.p)
-
-
-def rref(m: PrimeFieldMatrix) -> tuple[PrimeFieldMatrix, int, list[int]]:
-    """Reduced row-echelon form of m, keeping the original shape.
-
-    Returns (reduced, rank, pivot column indices).
-    """
-    reduced, rank, pivots = row_reduce(m.entries, m.p, ncols=m.cols)
-    padded = reduced + tuple((0,) * m.cols for _ in range(m.rows - rank))
-    return PrimeFieldMatrix(m.p, padded, shape=(m.rows, m.cols)), rank, list(pivots)
-
-
-def solve_intertwiner_dim(constraint: PrimeFieldMatrix) -> int:
-    """Dimension of the solution space of constraint @ x = 0."""
-    return constraint.cols - matrix_rank(constraint.entries, constraint.p)
 
 
 @dataclass(frozen=True)
@@ -275,12 +277,7 @@ class SubspaceBasis:
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         v = [x % self.p for x in vec]
-        for row, piv in zip(self.row_basis, self.pivots):
-            f = v[piv]
-            if f:
-                for j in range(piv, self.ambient_dim):
-                    v[j] = (v[j] - f * row[j]) % self.p
-        return not any(v)
+        return not any(reduce_vector(v, self.row_basis, self.pivots, self.p))
 
     def contains(self, other: SubspaceBasis) -> bool:
         return all(self.contains_vector(r) for r in other.row_basis)
@@ -331,15 +328,7 @@ def echelon_supersets(
         # clear lower-bound entries at the lifted pivot columns; the stack
         # is then the RREF of the combined span without a fresh elimination
         lift_pivots = [compl[next(t for t in range(m) if u[t])] for u in quot_rows]
-        adjusted = []
-        for row in lower_rows:
-            new = list(row)
-            for lp, lrow in zip(lift_pivots, lifted):
-                f = new[lp]
-                if f:
-                    for j in range(d):
-                        new[j] = (new[j] - f * lrow[j]) % p
-            adjusted.append(new)
+        adjusted = [reduce_vector(row, lifted, lift_pivots, p) for row in lower_rows]
         merged = sorted(
             list(zip(lower_pivots, adjusted)) + list(zip(lift_pivots, lifted))
         )

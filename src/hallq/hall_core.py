@@ -18,7 +18,15 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CeilingError, HypothesisError
-from .gf import SubspaceBasis, echelon_supersets, matrix_rank, row_reduce
+from .gf import (
+    SubspaceBasis,
+    echelon_supersets,
+    mat_mul,
+    mat_vec,
+    matrix_rank,
+    reduce_vector,
+    row_reduce,
+)
 from .hom_decomp import DecompositionMultiset, hom_dim_raw, hom_table
 from .quiver_rep import (
     AlgebraContext,
@@ -77,23 +85,14 @@ def enumerate_submodules(m: Representation) -> Iterator[SubmoduleWitness]:
             ):
                 space = SubspaceBasis(p, m.dims[v], rows, pivots)
                 if v == n - 1:
-                    stable = all(
-                        space.contains_vector(
-                            [sum(a * b for a, b in zip(row, vec)) % p for row in loop]
-                        )
-                        for vec in rows
-                    )
-                    if not stable:
+                    if not all(space.contains_vector(mat_vec(loop, vec, p)) for vec in rows):
                         continue
                     chosen[v] = space
                     yield SubmoduleWitness(m, tuple(chosen))
                 else:
                     chosen[v] = space
                     arr = m.arrow[v].entries
-                    imgs = [
-                        [sum(a * b for a, b in zip(row, vec)) % p for row in arr]
-                        for vec in rows
-                    ]
+                    imgs = [mat_vec(arr, vec, p) for vec in rows]
                     red, _, red_pivs = row_reduce(imgs, p, ncols=m.dims[v + 1])
                     yield from rec(v + 1, SubspaceBasis(p, m.dims[v + 1], red, red_pivs))
 
@@ -105,22 +104,6 @@ def enumerate_submodules(m: Representation) -> Iterator[SubmoduleWitness]:
 
 def _identity_entries(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def _raw_mul(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], bcols: int, p: int
-) -> tuple[tuple[int, ...], ...]:
-    # like gf.mat_mul but keeps row width bcols even when b has no rows
-    if not a:
-        return ()
-    if not b:
-        return tuple((0,) * bcols for _ in a)
-    bt = list(zip(*b))
-    if not bt:
-        return tuple((0,) * bcols for _ in a)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
 
 
 def _raw_rep(ms: tuple[IndecLabel, ...], ctx: AlgebraContext):
@@ -185,8 +168,8 @@ def _composites(dims, arrows, loop, p: int) -> _Composites:
     for v in range(n):
         path[v][v] = _identity_entries(dims[v])
         for w in range(v + 1, n):
-            path[v][w] = _raw_mul(arrows[w - 1], path[v][w - 1], dims[v], p)
-    loop_path = tuple(_raw_mul(loop, path[v][n - 1], dims[v], p) for v in range(n))
+            path[v][w] = mat_mul(arrows[w - 1], path[v][w - 1], p, ncols=dims[v])
+    loop_path = tuple(mat_mul(loop, path[v][n - 1], p, ncols=dims[v]) for v in range(n))
     return _Composites(tuple(tuple(r) for r in path), loop_path)
 
 
@@ -276,48 +259,12 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
     chosen_rows: list = [None] * n
     chosen_pivs: list = [None] * n
 
-    def in_span(vec, rows, pivs) -> bool:
-        v = list(vec)
-        for row, piv in zip(rows, pivs):
-            f = v[piv]
-            if f:
-                for j2 in range(piv, len(v)):
-                    v[j2] = (v[j2] - f * row[j2]) % p
-        return not any(v)
-
     def image_rank(mat, rows) -> int:
-        imgs = [
-            tuple(sum(a * b for a, b in zip(mrow, vec)) % p for mrow in mat)
-            for vec in rows
-        ]
-        return matrix_rank(imgs, p)
+        return matrix_rank([mat_vec(mat, vec, p) for vec in rows], p)
 
-    def extra_rank_over(rows0, pivs0, rows) -> int:
+    def rank_over(rows0, pivs0, rows) -> int:
         # rank of rows modulo the space spanned by the echelon rows0
-        acc: list = []
-        acc_piv: list = []
-        added = 0
-        for vec in rows:
-            v = list(vec)
-            for row, piv in zip(rows0, pivs0):
-                f = v[piv]
-                if f:
-                    for j2 in range(piv, len(v)):
-                        v[j2] = (v[j2] - f * row[j2]) % p
-            for row, piv in zip(acc, acc_piv):
-                f = v[piv]
-                if f:
-                    for j2 in range(piv, len(v)):
-                        v[j2] = (v[j2] - f * row[j2]) % p
-            piv = next((j2 for j2, x in enumerate(v) if x), None)
-            if piv is not None:
-                inv = pow(v[piv], p - 2, p) if v[piv] != 1 else 1
-                if inv != 1:
-                    v = [x * inv % p for x in v]
-                acc.append(v)
-                acc_piv.append(piv)
-                added += 1
-        return added
+        return matrix_rank([reduce_vector(vec, rows0, pivs0, p) for vec in rows], p)
 
     def screens_ok(v: int, rows) -> bool:
         # sub-side ranks anchored at v (depend only on this choice)
@@ -332,13 +279,13 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
         for u in range(v):
             rows0, pivs0, r0 = md.col[u][v]
             want = xspec.fwd[u][v - u - 1] + kv
-            if r0 + extra_rank_over(rows0, pivs0, rows) != want:
+            if r0 + rank_over(rows0, pivs0, rows) != want:
                 return False
         if v == n - 1:
             for u in range(n):
                 rows0, pivs0, r0 = md.loop_col[u]
                 want = xspec.loopfwd[u] + kv
-                if r0 + extra_rank_over(rows0, pivs0, rows) != want:
+                if r0 + rank_over(rows0, pivs0, rows) != want:
                     return False
         return True
 
@@ -347,16 +294,14 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
         for v in range(n - 1):
             cols = []
             for vec in chosen_rows[v]:
-                img = [
-                    sum(a * b for a, b in zip(mrow, vec)) % p for mrow in md.arrows[v]
-                ]
+                img = mat_vec(md.arrows[v], vec, p)
                 cols.append(tuple(img[piv] for piv in chosen_pivs[v + 1]))
             arrows.append(
                 tuple(zip(*cols)) if cols else tuple(() for _ in range(ky[v + 1]))
             )
         cols = []
         for vec in chosen_rows[n - 1]:
-            img = [sum(a * b for a, b in zip(mrow, vec)) % p for mrow in md.loop]
+            img = mat_vec(md.loop, vec, p)
             cols.append(tuple(img[piv] for piv in chosen_pivs[n - 1]))
         loop = tuple(zip(*cols)) if cols else tuple(() for _ in range(ky[n - 1]))
         return tuple(arrows), loop
@@ -372,12 +317,7 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
             t_rows = chosen_rows[v_tgt]
             t_pivs = chosen_pivs[v_tgt]
             for c in compl[v_src]:
-                img = [mrow[c] for mrow in mat]
-                for row, piv in zip(t_rows, t_pivs):
-                    f = img[piv]
-                    if f:
-                        for j2 in range(piv, len(img)):
-                            img[j2] = (img[j2] - f * row[j2]) % p
+                img = reduce_vector([mrow[c] for mrow in mat], t_rows, t_pivs, p)
                 cols.append(tuple(img[c2] for c2 in compl[v_tgt]))
             return (
                 tuple(zip(*cols))
@@ -411,12 +351,7 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
         last = v == n - 1
         for rows, pivs in echelon_supersets(dims_m[v], p, lower_rows, lower_pivs, r):
             if last and any(
-                not in_span(
-                    [sum(a * b for a, b in zip(mrow, vec)) % p for mrow in md.loop],
-                    rows,
-                    pivs,
-                )
-                for vec in rows
+                any(reduce_vector(mat_vec(md.loop, vec, p), rows, pivs, p)) for vec in rows
             ):
                 continue
             if not screens_ok(v, rows):
@@ -427,10 +362,7 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
                 if leaf_ok():
                     count += 1
             else:
-                imgs = [
-                    [sum(a * b for a, b in zip(mrow, vec)) % p for mrow in md.arrows[v]]
-                    for vec in rows
-                ]
+                imgs = [mat_vec(md.arrows[v], vec, p) for vec in rows]
                 red, _, red_pivs = row_reduce(imgs, p, ncols=dims_m[v + 1])
                 rec(v + 1, red, red_pivs)
 
@@ -599,22 +531,3 @@ def verify_hall_identity(
             if f2:
                 rhs += c * f1 * f2
     return ExpansionCheck(Fraction(lhs) == rhs, lhs, rhs)
-
-
-def verify_compo_instance(
-    x: LabelSet,
-    x1: LabelSet,
-    x2: LabelSet,
-    x3: LabelSet,
-    x4: LabelSet,
-    a: int | Fraction,
-    b: int | Fraction,
-    y: LabelSet,
-    m: LabelSet,
-    ctx: AlgebraContext,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
-) -> bool:
-    """Two-term form of verify_hall_identity:
-    F^M_{XY} = a sum_Z F^M_{X1,Z} F^Z_{X2,Y} + b sum_Z F^M_{X3,Z} F^Z_{X4,Y}."""
-    terms = [(a, x1, x2), (b, x3, x4)]
-    return verify_hall_identity(x, terms, y, m, ctx, dim_ceiling=dim_ceiling).holds

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InterpolationError, LabelError
 from .gf import first_primes, is_supported_prime
@@ -33,6 +33,19 @@ from .quiver_rep import (
     multiset_dims,
     multiset_to_str,
 )
+
+
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Render (coefficient, body) pairs as 'a - b + c', where body already
+    stands for |coefficient| times its term: the first term shows a sign
+    only when negative, and no terms at all give '0'."""
+    out = ""
+    for c, body in terms:
+        if not out:
+            out = body if c > 0 else f"-{body}"
+        else:
+            out += f" + {body}" if c > 0 else f" - {body}"
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -60,23 +73,15 @@ class HallPolynomial:
         return acc
 
     def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[k]
-            if c == 0:
-                continue
+        def body(k: int, c: int) -> str:
             if k == 0:
-                body = str(abs(c))
-            else:
-                power = "T" if k == 1 else f"T^{k}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                return str(abs(c))
+            power = "T" if k == 1 else f"T^{k}"
+            return power if abs(c) == 1 else f"{abs(c)}*{power}"
+
+        return signed_sum(
+            (c, body(k, c)) for k, c in reversed(list(enumerate(self.coefficients))) if c
+        )
 
 
 ZERO_POLY = HallPolynomial(())

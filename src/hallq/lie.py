@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import InternalInvariantError, InterpolationError
 from .gf import first_primes
 from .hall_core import DEFAULT_DIM_CEILING
-from .hall_poly import interpolate_hall_poly
+from .hall_poly import interpolate_hall_poly, signed_sum
 from .quiver_rep import (
     IndecLabel,
     all_labels,
@@ -60,16 +60,9 @@ class LabelCombo:
         return LabelCombo(tuple((lab, -c) for lab, c in self.terms))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for lab, c in self.terms:
-            body = str(lab) if abs(c) == 1 else f"{abs(c)}*{lab}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum(
+            (c, str(lab) if abs(c) == 1 else f"{abs(c)}*{lab}") for lab, c in self.terms
+        )
 
 
 ZERO_COMBO = LabelCombo(())
@@ -329,16 +322,10 @@ def _label_latex(label: IndecLabel) -> str:
 
 
 def _combo_latex(combo: LabelCombo) -> str:
-    if combo.is_zero():
-        return "0"
-    parts: list[str] = []
-    for lab, c in combo.terms:
-        body = _label_latex(lab) if abs(c) == 1 else f"{abs(c)}{_label_latex(lab)}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return signed_sum(
+        (c, _label_latex(lab) if abs(c) == 1 else f"{abs(c)}{_label_latex(lab)}")
+        for lab, c in combo.terms
+    )
 
 
 def bracket_table_to_latex(table: BracketTable) -> str:

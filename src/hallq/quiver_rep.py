@@ -9,7 +9,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import LabelError, RelationError, WitnessError
-from .gf import PrimeFieldMatrix, SubspaceBasis, is_supported_prime
+from .gf import PrimeFieldMatrix, SubspaceBasis, is_supported_prime, mat_vec, reduce_vector
 
 # loop action on a 2-dimensional vertex space: e1 -> e2 -> 0
 M_ALPHA = ((0, 0), (1, 0))
@@ -274,14 +274,12 @@ def validate_witness(w: SubmoduleWitness) -> None:
         a = r.arrow[v].entries
         tgt = w.spaces[v + 1]
         for b in w.spaces[v].row_basis:
-            img = tuple(sum(x * y for x, y in zip(row, b)) % p for row in a)
-            if not tgt.contains_vector(img):
+            if not tgt.contains_vector(mat_vec(a, b, p)):
                 raise WitnessError(f"arrow at vertex {v + 1} leaves the subspace")
     lo = r.loop.entries
     tgt = w.spaces[n - 1]
     for b in tgt.row_basis:
-        img = tuple(sum(x * y for x, y in zip(row, b)) % p for row in lo)
-        if not tgt.contains_vector(img):
+        if not tgt.contains_vector(mat_vec(lo, b, p)):
             raise WitnessError("loop leaves the subspace at the last vertex")
 
 
@@ -293,7 +291,7 @@ def _restrict(
     p = mat.p
     cols = []
     for b in src.row_basis:
-        img = [sum(x * y for x, y in zip(row, b)) % p for row in mat.entries]
+        img = mat_vec(mat.entries, b, p)
         cols.append(tuple(img[piv] for piv in tgt.pivots))
     entries = tuple(zip(*cols)) if cols else tuple(() for _ in range(tgt.dim))
     return PrimeFieldMatrix(p, entries, shape=(tgt.dim, src.dim))
@@ -309,12 +307,7 @@ def _induced(
     tgt_compl = [c for c in range(tgt.ambient_dim) if c not in set(tgt.pivots)]
     cols = []
     for c in src_compl:
-        img = [row[c] for row in mat.entries]
-        for trow, tpiv in zip(tgt.row_basis, tgt.pivots):
-            f = img[tpiv]
-            if f:
-                for k in range(tgt.ambient_dim):
-                    img[k] = (img[k] - f * trow[k]) % p
+        img = reduce_vector([row[c] for row in mat.entries], tgt.row_basis, tgt.pivots, p)
         cols.append(tuple(img[c2] for c2 in tgt_compl))
     entries = tuple(zip(*cols)) if cols else tuple(() for _ in range(len(tgt_compl)))
     return PrimeFieldMatrix(p, entries, shape=(len(tgt_compl), len(src_compl)))

@@ -22,7 +22,6 @@ from hallq.hall_core import (
     enumerate_submodules,
     hall_number,
     hall_product,
-    verify_compo_instance,
     verify_hall_identity,
 )
 from hallq.hall_poly import (
@@ -209,9 +208,9 @@ def test_c5_composition_instances():
     for y, m in pairs:
         # the interval-chain relation has no admissible indices at n=2
         # (it needs i < j <= n-1), so three relations instantiate here
-        if not verify_compo_instance(v1, w11, v2, v2, w11, 1, -1, y, m, ctx):
+        if not verify_hall_identity(v1, [(1, w11, v2), (-1, v2, w11)], y, m, ctx).holds:
             problems.append(f"interval-tail fails at Y={y} M={m}")
-        if not verify_compo_instance(u11, w11, u21, u21, w11, 1 / q, -1, y, m, ctx):
+        if not verify_hall_identity(u11, [(1 / q, w11, u21), (-1, u21, w11)], y, m, ctx).holds:
             problems.append(f"interval-projective fails at Y={y} M={m}")
         chk = verify_hall_identity(
             u12,

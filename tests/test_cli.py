@@ -195,7 +195,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify-prop", "--n", "2", "--primes", "2,2,3")[0] == 2
     assert run(capsys, "verify-prop", "--n", "2", "--primes", "2,x")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+    # --parallelism was a no-op and is gone; argparse now rejects it
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "0")[0] == 2
+    assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "2")[0] == 2
 
 
 def test_help_exits_clean(capsys):

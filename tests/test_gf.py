@@ -9,48 +9,71 @@ from hallq.gf import (
     first_primes,
     gaussian_binomial,
     is_supported_prime,
+    mat_mul,
+    mat_vec,
     matrix_rank,
-    rref,
-    solve_intertwiner_dim,
+    reduce_vector,
+    row_reduce,
 )
 
 
+def span_of(gens, p: int, d: int) -> set[tuple[int, ...]]:
+    # independent oracle: a subspace is its full set of vectors, listed as
+    # all p^k combinations of its k generators
+    return {
+        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % p for i in range(d))
+        for coeffs in itertools.product(range(p), repeat=len(gens))
+    }
+
+
 def spans_by_brute_force(d: int, k: int, p: int) -> set[frozenset[tuple[int, ...]]]:
-    # independent oracle: a subspace is its full set of vectors
     vectors = list(itertools.product(range(p), repeat=d))
     spans = set()
     for gens in itertools.product(vectors, repeat=k):
-        span = set()
-        for coeffs in itertools.product(range(p), repeat=k):
-            v = tuple(
-                sum(c * g[i] for c, g in zip(coeffs, gens)) % p for i in range(d)
-            )
-            span.add(v)
+        span = span_of(gens, p, d)
         if len(span) == p**k:
             spans.add(frozenset(span))
     return spans
 
 
+def log_p(size: int, p: int) -> int:
+    k = 0
+    while size > 1:
+        assert size % p == 0
+        size //= p
+        k += 1
+    return k
+
+
+def random_rows(rng, p: int, k: int, d: int) -> list[list[int]]:
+    return [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
+
+
+def nullity(m: PrimeFieldMatrix) -> int:
+    return m.cols - matrix_rank(m.entries, m.p)
+
+
 def test_rref_identity():
     m = PrimeFieldMatrix.identity(3, 2)
-    reduced, rank, pivots = rref(m)
-    assert reduced == m
+    reduced, rank, pivots = row_reduce(m.entries, m.p, ncols=m.cols)
+    assert reduced == m.entries
     assert rank == 2
-    assert pivots == [0, 1]
+    assert pivots == (0, 1)
 
 
 def test_rref_zero():
     m = PrimeFieldMatrix.zero(2, 3, 2)
-    reduced, rank, pivots = rref(m)
-    assert reduced == m
+    reduced, rank, pivots = row_reduce(m.entries, m.p, ncols=m.cols)
+    # zero rows are dropped, so the basis of the zero row space is empty
+    assert reduced == ()
     assert rank == 0
-    assert pivots == []
+    assert pivots == ()
 
 
 def test_rref_dependent_rows():
     # second row is twice the first mod 5
     m = PrimeFieldMatrix.from_rows(5, [[1, 2], [2, 4]])
-    _, rank, _ = rref(m)
+    _, rank, _ = row_reduce(m.entries, m.p)
     assert rank == 1
 
 
@@ -62,16 +85,16 @@ def test_rref_idempotent(rng):
         m = PrimeFieldMatrix.from_rows(
             p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
         )
-        once, rank, pivots = rref(m)
-        twice, rank2, pivots2 = rref(once)
+        once, rank, pivots = row_reduce(m.entries, p, ncols=cols)
+        twice, rank2, pivots2 = row_reduce(once, p, ncols=cols)
         assert twice == once
         assert (rank2, pivots2) == (rank, pivots)
 
 
 def test_solve_intertwiner_dim():
-    assert solve_intertwiner_dim(PrimeFieldMatrix.zero(2, 3, 4)) == 4
-    assert solve_intertwiner_dim(PrimeFieldMatrix.identity(5, 3)) == 0
-    assert solve_intertwiner_dim(PrimeFieldMatrix.from_rows(2, [[1, 1], [0, 0]])) == 1
+    assert nullity(PrimeFieldMatrix.zero(2, 3, 4)) == 4
+    assert nullity(PrimeFieldMatrix.identity(5, 3)) == 0
+    assert nullity(PrimeFieldMatrix.from_rows(2, [[1, 1], [0, 0]])) == 1
 
 
 def test_rank_plus_nullity(rng):
@@ -84,7 +107,66 @@ def test_rank_plus_nullity(rng):
             [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
             cols=cols,
         )
-        assert solve_intertwiner_dim(m) + matrix_rank(m.entries, p) == cols
+        # nullity by counting the kernel: p^nullity vectors x with m.x = 0
+        kernel = sum(
+            not any(mat_vec(m.entries, x, p))
+            for x in itertools.product(range(p), repeat=cols)
+        )
+        assert log_p(kernel, p) + matrix_rank(m.entries, p) == cols
+
+
+def test_reduce_vector_decides_membership(rng):
+    for p in (2, 3):
+        for d in range(1, 5):
+            for k in range(d + 1):
+                gens = random_rows(rng, p, k, d)
+                space = SubspaceBasis.from_rows(p, d, gens)
+                span = span_of(gens, p, d)
+                assert len(span) == p**space.dim
+                for v in itertools.product(range(p), repeat=d):
+                    residue = reduce_vector(v, space.row_basis, space.pivots, p)
+                    assert (not any(residue)) == (v in span)
+                    assert space.contains_vector(v) == (v in span)
+                    # v and its residue differ by a vector of the span
+                    assert tuple((a - b) % p for a, b in zip(v, residue)) in span
+
+
+def test_rank_modulo_a_subspace(rng):
+    for p in (2, 3):
+        for d in range(1, 5):
+            for _ in range(10):
+                lower = SubspaceBasis.from_rows(p, d, random_rows(rng, p, rng.randrange(d + 1), d))
+                rows = random_rows(rng, p, rng.randrange(d + 1), d)
+                reduced = [reduce_vector(v, lower.row_basis, lower.pivots, p) for v in rows]
+                joint = span_of(list(lower.row_basis) + rows, p, d)
+                assert matrix_rank(reduced, p) == log_p(len(joint), p) - lower.dim
+                assert matrix_rank(rows, p) == log_p(len(span_of(rows, p, d)), p)
+
+
+def test_mat_mul_and_mat_vec_shapes(rng):
+    p = 3
+    for r, k, c in itertools.product(range(4), repeat=3):
+        a = PrimeFieldMatrix.from_rows(p, random_rows(rng, p, r, k), cols=k)
+        b = PrimeFieldMatrix.from_rows(p, random_rows(rng, p, k, c), cols=c)
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (r, c)
+        assert prod.entries == tuple(
+            tuple(sum(a.entries[i][t] * b.entries[t][j] for t in range(k)) % p for j in range(c))
+            for i in range(r)
+        )
+        assert mat_mul(a.entries, b.entries, p, ncols=c) == prod.entries
+        v = [rng.randrange(p) for _ in range(k)]
+        assert mat_vec(a.entries, v, p) == [
+            sum(a.entries[i][t] * v[t] for t in range(k)) % p for i in range(r)
+        ]
+    with pytest.raises(AssertionError):
+        mat_mul(((1, 2),), ((1,),), p)
+
+
+def test_matmul_empty_inner_dimension():
+    a = PrimeFieldMatrix.zero(3, 2, 0)
+    b = PrimeFieldMatrix.zero(3, 0, 3)
+    assert a @ b == PrimeFieldMatrix.zero(3, 2, 3)
 
 
 def test_matmul_shape_check():

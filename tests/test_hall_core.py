@@ -10,7 +10,6 @@ from hallq.hall_core import (
     enumerate_submodules,
     hall_number,
     hall_product,
-    verify_compo_instance,
     verify_hall_identity,
 )
 from hallq.hom_decomp import DecompositionMultiset, decompose
@@ -220,9 +219,7 @@ def test_associativity_small():
 def test_verify_compo_trivial_reduction():
     ctx = AlgebraContext(2, 2)
     x = IndecLabel("U", 2, 1)
-    assert verify_compo_instance(
-        x, x, (), (), (), 1, 0, IndecLabel("V", 2), x, ctx
-    )
+    assert verify_hall_identity(x, [(1, x, ()), (0, (), ())], IndecLabel("V", 2), x, ctx).holds
 
 
 def test_verify_compo_case1():
@@ -235,14 +232,14 @@ def test_verify_compo_case1():
         (IndecLabel("W", 1, 1), (w, IndecLabel("W", 1, 1))),
         ((), (w,)),
     ]:
-        assert verify_compo_instance(w, w11, w22, w22, w11, 1, -1, y, m, ctx)
+        assert verify_hall_identity(w, [(1, w11, w22), (-1, w22, w11)], y, m, ctx).holds
 
 
 def test_verify_compo_hypothesis_failure():
     ctx = AlgebraContext(2, 2)
     w11 = IndecLabel("W", 1, 1)
     with pytest.raises(HypothesisError):
-        verify_compo_instance(w11, w11, w11, (), (), 1, 0, (), (w11,), ctx)
+        verify_hall_identity(w11, [(1, w11, w11), (0, (), ())], (), (w11,), ctx).holds
 
 
 def test_verify_three_term_identity():
