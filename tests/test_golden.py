@@ -29,6 +29,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "lie-table-n2-latex": ("lie-table", "--n", "2", *SMALL_PRIMES, "--latex"),
     "lie-verify-n2-tsv": ("lie-verify", "--n", "2", *SMALL_PRIMES),
     "lie-verify-n2-json": ("lie-verify", "--n", "2", *SMALL_PRIMES, "--format", "json"),
+    # no --primes: the default prime schedule
+    "verify-prop-n3-default-tsv": ("verify-prop", "--n", "3"),
+    "hall-poly-n2-default": ("hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1"),
 }
 for _n in ("2", "3"):
     for _fmt in ("tsv", "json"):
