@@ -21,7 +21,7 @@ from .errors import (
     RelationError,
     WitnessError,
 )
-from .gf import first_primes, is_supported_prime
+from .gf import is_supported_prime
 from .hall_core import DEFAULT_DIM_CEILING, as_multiset, hall_number
 from .hall_poly import (
     identities_to_json,
@@ -59,21 +59,23 @@ ENV_CEILING = "HALLQ_DIM_CEILING"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated per-invocation settings."""
+    """Validated per-invocation settings; primes=None means the default
+    per-triple prime schedule."""
 
     n: int
-    primes: tuple[int, ...]
+    primes: tuple[int, ...] | None
     dim_ceiling: int | None
     output_format: str
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("need n >= 2")
-        if len(set(self.primes)) != len(self.primes):
-            raise ValueError("primes must be distinct")
-        for p in self.primes:
-            if not is_supported_prime(p):
-                raise ValueError(f"unsupported prime {p}")
+        if self.primes is not None:
+            if len(set(self.primes)) != len(self.primes):
+                raise ValueError("primes must be distinct")
+            for p in self.primes:
+                if not is_supported_prime(p):
+                    raise ValueError(f"unsupported prime {p}")
         if self.output_format not in ("tsv", "json", "latex"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.dim_ceiling is not None and self.dim_ceiling < 1:
@@ -100,9 +102,9 @@ def _resolve_ceiling(args) -> int | None:
     return _env_ceiling()
 
 
-def _parse_primes(raw: str | None) -> tuple[int, ...]:
+def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
     if raw is None:
-        return tuple(first_primes(6))
+        return None
     try:
         return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
@@ -291,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         if primes:
             sp.add_argument(
                 "--primes",
-                help="comma-separated evaluation primes (default: 2,3,5,7,11,13)",
+                help="comma-separated evaluation primes; the last certifies the fit "
+                "(default: per triple, the first dim Hom(Y,X)+2 primes)",
             )
         if prime:
             sp.add_argument("--p", type=int, required=True, help="field size (prime)")

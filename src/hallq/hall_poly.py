@@ -23,14 +23,13 @@ from .hall_core import (
     hall_number,
     hall_product,
 )
-from .hom_decomp import DecompositionMultiset
+from .hom_decomp import DecompositionMultiset, hom_table
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
     all_labels,
     check_label,
     label_dims,
-    multiset_dims,
     multiset_to_str,
 )
 
@@ -111,6 +110,26 @@ def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
     return coeffs
 
 
+def hom_degree_bound(x, y, n: int) -> int:
+    """dim Hom(Y, X), an upper bound on the degree of F^M_{X,Y} for every M.
+
+    The submodules U of M with U = Y and M/U = X form a stratum of the
+    quiver Grassmannian whose tangent space at U is Hom(U, M/U) = Hom(Y, X)
+    (Schofield, General representations of quivers, 1992), so the stratum
+    has at most that dimension, and so has the degree of its point count.
+    Hom is additive over summands; the dimensions are read at p = 2, which
+    the tests check is the same at every p used for n <= 4.
+    """
+    table = hom_table(n, 2)
+    return sum(table[(b, a)] for b in as_multiset(y, n) for a in as_multiset(x, n))
+
+
+def scheduled_primes(bound: int) -> tuple[int, ...]:
+    """The default schedule for a fit of degree at most bound: bound + 1
+    primes to fit through, and the next prime to certify the fit."""
+    return first_primes(bound + 2)
+
+
 def interpolate_hall_poly(
     x,
     y,
@@ -123,18 +142,18 @@ def interpolate_hall_poly(
     """Fit the submodule count as an integer polynomial in the field size.
 
     The fit runs through the counts at all primes but the last; the last prime
-    certifies the result.  With an explicit prime list the degree bound is
-    len(primes) - 2; by default the (generous) bound is the total dimension of
-    m and the prime list is sized to it.  A non-integer coefficient or a failed
-    certification point raises InterpolationError rather than returning a wrong
-    polynomial.
+    certifies the result.  By default the primes follow the schedule of
+    hom_degree_bound: dim Hom(Y, X) + 1 primes for the fit and one more to
+    certify it.  An explicit prime list is used as given, and then the degree
+    bound is len(primes) - 2.  A non-integer coefficient or a failed
+    certification point raises InterpolationError rather than returning a
+    wrong polynomial; no list is ever widened.
     """
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
     if primes is None:
-        bound = sum(multiset_dims(ms, n))
-        plist = first_primes(bound + 2)
+        plist = scheduled_primes(hom_degree_bound(xs, ys, n))
     else:
         plist = [int(p) for p in primes]
         if len(plist) < 2:
@@ -270,11 +289,11 @@ def reconcile_poly_table(
 
     Covers all ordered pairs (x, y) of indecomposable labels and every
     indecomposable m whose dimension vector is the sum; entries come out in
-    label order, so runs are reproducible line for line.
+    label order, so runs are reproducible line for line.  primes=None fits
+    each triple on the schedule of interpolate_hall_poly.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    plist = list(primes) if primes is not None else first_primes(6)
     labels = all_labels(n)
     by_dims: dict[tuple[int, ...], list[IndecLabel]] = {}
     for lab in labels:
@@ -288,7 +307,7 @@ def reconcile_poly_table(
             for m in by_dims.get(dims, ()):
                 expected = expected_hall_poly(x, y, m, n)
                 interpolated = interpolate_hall_poly(
-                    x, y, m, n, plist, dim_ceiling=dim_ceiling
+                    x, y, m, n, primes, dim_ceiling=dim_ceiling
                 )
                 reports.append(
                     ReconciliationReport(

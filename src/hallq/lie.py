@@ -14,10 +14,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InternalInvariantError, InterpolationError
-from .gf import first_primes
+from .errors import InternalInvariantError
 from .hall_core import DEFAULT_DIM_CEILING
-from .hall_poly import interpolate_hall_poly, signed_sum
+from .hall_poly import (
+    hom_degree_bound,
+    interpolate_hall_poly,
+    scheduled_primes,
+    signed_sum,
+)
 from .quiver_rep import (
     IndecLabel,
     all_labels,
@@ -30,6 +34,11 @@ from .quiver_rep import (
 # the interval family W(i,j) needs j <= n-1, so closed-form ranges written
 # up to n are clipped to that bound when instantiated
 RANGE_NOTE = "interval labels stop at n-1; ranges touching n are clipped"
+# added to a table built without an explicit prime list
+SCHEDULE_NOTE = (
+    "each polynomial is fitted through dim Hom(y,x)+1 primes and certified at "
+    "the next; the primes line is the widest such schedule"
+)
 
 
 @dataclass(frozen=True)
@@ -79,26 +88,21 @@ def bracket(
     """Commutator of two indecomposable classes at T = 1.
 
     Interpolates both products over all candidate composites with the forced
-    dimension vector; a prime list that turns out too short for some composite
-    is retried with one sized to its dimension.  Any nonzero coefficient on a
-    decomposable composite is a fatal invariant breach, not a result.
+    dimension vector, on the schedule of interpolate_hall_poly unless primes
+    are given; a prime list too short for some composite raises
+    InterpolationError.  Any nonzero coefficient on a decomposable composite
+    is a fatal invariant breach, not a result.
     """
     check_label(x, n)
     check_label(y, n)
     if x == y:
         return ZERO_COMBO
-    plist = list(primes) if primes is not None else first_primes(6)
     dims = tuple(a + b for a, b in zip(label_dims(x, n), label_dims(y, n)))
     ceiling = dim_ceiling if dim_ceiling is not None else max(sum(dims), DEFAULT_DIM_CEILING)
     out: dict[IndecLabel, int] = {}
     for ms in multisets_with_dims(n, dims):
-        try:
-            pxy = interpolate_hall_poly(x, y, ms, n, plist, dim_ceiling=ceiling)
-            pyx = interpolate_hall_poly(y, x, ms, n, plist, dim_ceiling=ceiling)
-        except InterpolationError:
-            retry = first_primes(sum(dims) + 2)
-            pxy = interpolate_hall_poly(x, y, ms, n, retry, dim_ceiling=ceiling)
-            pyx = interpolate_hall_poly(y, x, ms, n, retry, dim_ceiling=ceiling)
+        pxy = interpolate_hall_poly(x, y, ms, n, primes, dim_ceiling=ceiling)
+        pyx = interpolate_hall_poly(y, x, ms, n, primes, dim_ceiling=ceiling)
         c = pxy.evaluate(1) - pyx.evaluate(1)
         if len(ms) != 1:
             if c != 0:
@@ -195,23 +199,32 @@ def build_bracket_table(
     *,
     dim_ceiling: int | None = None,
 ) -> BracketTable:
-    """Bracket every unordered pair and compare against the closed forms."""
+    """Bracket every unordered pair and compare against the closed forms.
+
+    Without an explicit prime list the table records the primes of the
+    widest per-triple schedule, which are all the primes any fit evaluated,
+    and says so in a note.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    plist = list(primes) if primes is not None else first_primes(6)
     labels = all_labels(n)
+    notes: tuple[str, ...] = (RANGE_NOTE,)
+    if primes is None:
+        widest = max(hom_degree_bound(x, y, n) for x in labels for y in labels if x != y)
+        plist = scheduled_primes(widest)
+        notes += (SCHEDULE_NOTE,)
+    else:
+        plist = tuple(primes)
     entries = []
     mismatches = []
     for idx, x in enumerate(labels):
         for y in labels[idx + 1 :]:
-            got = bracket(x, y, n, plist, dim_ceiling=dim_ceiling)
+            got = bracket(x, y, n, primes, dim_ceiling=dim_ceiling)
             exp = expected_bracket(x, y, n)
             entries.append((x, y, got))
             if got != exp:
                 mismatches.append((x, y, got, exp))
-    return BracketTable(
-        n, tuple(plist), tuple(entries), tuple(mismatches), (RANGE_NOTE,)
-    )
+    return BracketTable(n, plist, tuple(entries), tuple(mismatches), notes)
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "2")[0] == 2
 
 
+def test_short_prime_list_exits_2(capsys):
+    # a list too short for some triple is an error, never silently widened
+    code, out, err = run(capsys, "lie-table", "--n", "2", "--primes", "2,3")
+    assert code == 2
+    assert out == ""
+    assert "certification point p=3" in err
+    assert "(W1,1; V1; W1,1 + V1)" in err
+
+
 def test_help_exits_clean(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -30,6 +30,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "lie-verify-n2-tsv": ("lie-verify", "--n", "2", *SMALL_PRIMES),
     "lie-verify-n2-json": ("lie-verify", "--n", "2", *SMALL_PRIMES, "--format", "json"),
     # no --primes: the default prime schedule
+    "lie-table-n2-default-tsv": ("lie-table", "--n", "2"),
     "verify-prop-n3-default-tsv": ("verify-prop", "--n", "3"),
     "hall-poly-n2-default": ("hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1"),
 }

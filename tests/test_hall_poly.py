@@ -3,10 +3,12 @@ import json
 import pytest
 
 from hallq.errors import InterpolationError, LabelError
+from hallq.gf import first_primes
 from hallq.hall_core import IsoClassCombo, hall_number, hall_product
 from hallq.hall_poly import (
     HallPolynomial,
     expected_hall_poly,
+    hom_degree_bound,
     identities_to_json,
     identities_to_tsv,
     in_t_table_range,
@@ -16,8 +18,15 @@ from hallq.hall_poly import (
     reconciliation_to_tsv,
     verify_product_identities,
 )
-from hallq.hom_decomp import DecompositionMultiset, hom_table
-from hallq.quiver_rep import AlgebraContext, IndecLabel
+from hallq.hom_decomp import DecompositionMultiset, hom_dim, hom_table
+from hallq.quiver_rep import (
+    AlgebraContext,
+    IndecLabel,
+    all_labels,
+    label_dims,
+    multisets_with_dims,
+    rep_of_multiset,
+)
 
 
 def U(i, j):
@@ -62,6 +71,61 @@ def test_interpolate_unlisted_family_vanishing_at_one():
     assert poly.coefficients == (-1, 1)
     assert str(poly) == "T - 1"
     assert poly.evaluate(1) == 0
+
+
+def bracket_triples(n):
+    """Every ordered triple (x, y, m) whose two products bracket() fits."""
+    labels = all_labels(n)
+    for x in labels:
+        for y in labels:
+            if x != y:
+                dims = tuple(a + b for a, b in zip(label_dims(x, n), label_dims(y, n)))
+                for m in multisets_with_dims(n, dims):
+                    yield x, y, m
+
+
+def schedule_disagreements(n):
+    """Triples where the default schedule departs from the fit through the
+    fixed primes 2..13 (certified at 13), or where that fit exceeds the
+    dim Hom(y, x) degree bound; also returns the number of triples checked."""
+    table = hom_table(n, 2)
+    bad = []
+    count = 0
+    for x, y, m in bracket_triples(n):
+        count += 1
+        oracle = interpolate_hall_poly(x, y, m, n, first_primes(6))
+        bound = table[(y, x)]
+        if oracle.degree > bound:
+            bad.append((x, y, m, f"degree {oracle.degree} > {bound}"))
+        elif interpolate_hall_poly(x, y, m, n) != oracle:
+            bad.append((x, y, m, "scheduled fit differs"))
+    return bad, count
+
+
+def test_schedule_matches_wide_fit_on_bracket_triples():
+    bad, count = schedule_disagreements(2)
+    assert count == 398
+    assert bad == []
+
+
+def test_hom_table_does_not_depend_on_p():
+    # hom_degree_bound reads the table at p = 2 for every field size
+    for n in (2, 3, 4):
+        at_two = hom_table(n, 2)
+        for p in first_primes(6)[1:]:
+            assert hom_table(n, p) == at_two, (n, p)
+
+
+def test_hom_degree_bound_is_dim_hom_of_the_sums():
+    for p in (2, 3):
+        ctx = AlgebraContext(3, p)
+        for xs, ys in [
+            ([W(1, 1), V(1)], [U(2, 1), V(2)]),
+            ([U(1, 1), U(1, 1)], [U(3, 2), W(2, 2)]),
+            ([V(3)], [W(1, 2), W(1, 2), V(1)]),
+        ]:
+            direct = hom_dim(rep_of_multiset(ys, ctx), rep_of_multiset(xs, ctx))
+            assert hom_degree_bound(xs, ys, 3) == direct
 
 
 def test_interpolate_rejects_bad_prime_lists():

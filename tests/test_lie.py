@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from hallq.errors import LabelError
+from hallq.errors import InterpolationError, LabelError
 from hallq.lie import (
+    RANGE_NOTE,
+    SCHEDULE_NOTE,
     LabelCombo,
     ZERO_COMBO,
     bracket,
@@ -144,7 +146,9 @@ def test_table_serializations_agree(table2):
     tsv = bracket_table_to_tsv(table)
     payload = json.loads(bracket_table_to_json(table))
     assert payload["n"] == 2
-    assert payload["primes"] == [2, 3, 5, 7, 11, 13]
+    # built on the default schedule: the widest one, dim Hom = 2 at n = 2
+    assert payload["primes"] == [2, 3, 5, 7]
+    assert payload["notes"] == [RANGE_NOTE, SCHEDULE_NOTE]
     data_lines = [
         line for line in tsv.strip().split("\n") if not line.startswith("#")
     ]
@@ -157,6 +161,19 @@ def test_table_serializations_agree(table2):
         assert fields[2:] == [f"{lab}:{c}" for lab, c in row["bracket"]]
     note_lines = [line for line in tsv.split("\n") if line.startswith("# note: ")]
     assert [line.removeprefix("# note: ") for line in note_lines] == payload["notes"]
+
+
+def test_short_prime_list_raises_instead_of_widening():
+    # W1,1 + V1 has a linear count; two primes fit only a constant
+    with pytest.raises(InterpolationError, match=r"p=3 .*\(W1,1; V1; W1,1 \+ V1\)"):
+        bracket(W(1, 1), V(1), 2, [2, 3])
+
+
+def test_explicit_primes_table_keeps_its_header():
+    # the same primes as the schedule at n = 2, but given: no schedule note
+    table = build_bracket_table(2, [2, 3, 5, 7])
+    assert table.primes == (2, 3, 5, 7)
+    assert table.notes == (RANGE_NOTE,)
 
 
 def test_table_latex_export(table2):
