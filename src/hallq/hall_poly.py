@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InterpolationError, LabelError
-from .gf import first_primes, is_supported_prime
+from .gf import SUPPORTED_PRIMES, first_primes, is_supported_prime
 from .hall_core import (
     DEFAULT_DIM_CEILING,
     IsoClassCombo,
@@ -130,6 +130,10 @@ def scheduled_primes(bound: int) -> tuple[int, ...]:
     return first_primes(bound + 2)
 
 
+def _triple_str(xs, ys, ms) -> str:
+    return f"({multiset_to_str(xs)}; {multiset_to_str(ys)}; {multiset_to_str(ms)})"
+
+
 def interpolate_hall_poly(
     x,
     y,
@@ -147,13 +151,20 @@ def interpolate_hall_poly(
     certify it.  An explicit prime list is used as given, and then the degree
     bound is len(primes) - 2.  A non-integer coefficient or a failed
     certification point raises InterpolationError rather than returning a
-    wrong polynomial; no list is ever widened.
+    wrong polynomial; no list is ever widened.  So does a degree bound that
+    needs more primes than are supported, before any counting starts.
     """
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
     if primes is None:
-        plist = scheduled_primes(hom_degree_bound(xs, ys, n))
+        bound = hom_degree_bound(xs, ys, n)
+        if bound + 2 > len(SUPPORTED_PRIMES):
+            raise InterpolationError(
+                f"degree bound {bound} for {_triple_str(xs, ys, ms)} needs "
+                f"{bound + 2} primes; {len(SUPPORTED_PRIMES)} are supported"
+            )
+        plist = scheduled_primes(bound)
     else:
         plist = [int(p) for p in primes]
         if len(plist) < 2:
@@ -173,8 +184,7 @@ def interpolate_hall_poly(
     for c in coeffs:
         if c.denominator != 1:
             raise InterpolationError(
-                f"non-integer coefficient {c} fitting "
-                f"({multiset_to_str(xs)}; {multiset_to_str(ys)}; {multiset_to_str(ms)})"
+                f"non-integer coefficient {c} fitting {_triple_str(xs, ys, ms)}"
             )
         ints.append(int(c))
     poly = HallPolynomial(tuple(ints))
@@ -182,7 +192,7 @@ def interpolate_hall_poly(
     if poly.evaluate(held_out) != values[-1]:
         raise InterpolationError(
             f"certification point p={held_out} disagrees with the fit for "
-            f"({multiset_to_str(xs)}; {multiset_to_str(ys)}; {multiset_to_str(ms)}): "
+            f"{_triple_str(xs, ys, ms)}: "
             f"poly gives {poly.evaluate(held_out)}, count is {values[-1]}"
         )
     return poly

@@ -128,6 +128,14 @@ def test_hom_degree_bound_is_dim_hom_of_the_sums():
             assert hom_degree_bound(xs, ys, 3) == direct
 
 
+def test_schedule_beyond_supported_primes_fails_fast():
+    # F is the Gaussian binomial [12, 6]_q, of degree 36 = dim Hom(Y, X):
+    # more primes than are supported, so nothing is counted at all
+    six = [W(1, 1)] * 6
+    with pytest.raises(InterpolationError, match="needs 38 primes; 25 are supported"):
+        interpolate_hall_poly(six, six, six + six, 2)
+
+
 def test_interpolate_rejects_bad_prime_lists():
     with pytest.raises(InterpolationError):
         interpolate_hall_poly(V(1), V(2), U(2, 1), 2, [5])
