@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hallq.errors import InterpolationError, LabelError
+from hallq.errors import LabelError
 from hallq.lie import (
     RANGE_NOTE,
     SCHEDULE_NOTE,
@@ -161,19 +161,6 @@ def test_table_serializations_agree(table2):
         assert fields[2:] == [f"{lab}:{c}" for lab, c in row["bracket"]]
     note_lines = [line for line in tsv.split("\n") if line.startswith("# note: ")]
     assert [line.removeprefix("# note: ") for line in note_lines] == payload["notes"]
-
-
-def test_short_prime_list_raises_instead_of_widening():
-    # W1,1 + V1 has a linear count; two primes fit only a constant
-    with pytest.raises(InterpolationError, match=r"p=3 .*\(W1,1; V1; W1,1 \+ V1\)"):
-        bracket(W(1, 1), V(1), 2, [2, 3])
-
-
-def test_explicit_primes_table_keeps_its_header():
-    # the same primes as the schedule at n = 2, but given: no schedule note
-    table = build_bracket_table(2, [2, 3, 5, 7])
-    assert table.primes == (2, 3, 5, 7)
-    assert table.notes == (RANGE_NOTE,)
 
 
 def test_table_latex_export(table2):
