@@ -37,7 +37,6 @@ from .quiver_rep import (
     check_label,
     check_relation,
     label_dims,
-    make_indec,
     multiset_dims,
     multiset_to_str,
     multisets_with_dims,
@@ -46,15 +45,13 @@ from .quiver_rep import (
 
 DEFAULT_DIM_CEILING = 12
 
-LabelSet = IndecLabel | DecompositionMultiset | Iterable[IndecLabel]
+LabelSet = IndecLabel | Iterable[IndecLabel]
 
 
 def as_multiset(obj: LabelSet, n: int) -> tuple[IndecLabel, ...]:
-    """Normalize a label, multiset object, or label iterable to sorted form."""
+    """Normalize a label or label iterable to sorted form."""
     if isinstance(obj, IndecLabel):
         labels: tuple[IndecLabel, ...] = (obj,)
-    elif isinstance(obj, DecompositionMultiset):
-        labels = obj.as_labels()
     else:
         labels = tuple(obj)
     for l in labels:
@@ -118,13 +115,21 @@ def _probe_rep(n: int, p: int, label: IndecLabel):
 
 @lru_cache(maxsize=None)
 def _label_stats(n: int, p: int, label: IndecLabel):
-    dims, arrows, loop = _probe_rep(n, p, label)
-    comp = _composites(dims, arrows, loop, p)
+    # Rank screens read from Hom dimensions (vertices counted from 1 here,
+    # from 0 in the code). The projective at v is P_v = U(n,v). The path
+    # v -> w and the loop after the path v -> n are maps P_w -> P_v and
+    # P_n -> P_v, with cokernels W(v,w-1) and V(v). Applying Hom(-, M) to
+    # P_w -> P_v -> coker -> 0 gives the exact sequence
+    # 0 -> Hom(coker, M) -> M_v -> M_w, whose last map is the path map of M,
+    # so rank(path v -> w on M) = dim M_v - dim Hom(W(v,w-1), M), and the
+    # same with V(v) for the loop after the path to n.
+    table = hom_table(n, p)
+    dims = label_dims(label, n)
     fwd = tuple(
-        tuple(matrix_rank(comp.path[v][w], p) for w in range(v + 1, n))
+        tuple(dims[v] - table[(IndecLabel("W", v + 1, w), label)] for w in range(v + 1, n))
         for v in range(n)
     )
-    loopfwd = tuple(matrix_rank(comp.loop_path[v], p) for v in range(n))
+    loopfwd = tuple(dims[v] - table[(IndecLabel("V", v + 1), label)] for v in range(n))
     return dims, fwd, loopfwd
 
 
@@ -156,23 +161,6 @@ def _source_profile(n: int, p: int, ms: tuple[IndecLabel, ...]) -> tuple[int, ..
     return tuple(sum(table[(y, l)] for y in ms) for l in all_labels(n))
 
 
-@dataclass(frozen=True)
-class _Composites:
-    path: tuple  # path[v][w] = composite matrix vertex v -> w, w >= v
-    loop_path: tuple  # loop_path[v] = loop . path[v][n-1]
-
-
-def _composites(dims, arrows, loop, p: int) -> _Composites:
-    n = len(dims)
-    path = [[None] * n for _ in range(n)]
-    for v in range(n):
-        path[v][v] = _identity_entries(dims[v])
-        for w in range(v + 1, n):
-            path[v][w] = mat_mul(arrows[w - 1], path[v][w - 1], p, ncols=dims[v])
-    loop_path = tuple(mat_mul(loop, path[v][n - 1], p, ncols=dims[v]) for v in range(n))
-    return _Composites(tuple(tuple(r) for r in path), loop_path)
-
-
 def _colspace(mat, nrows: int, ncols: int, p: int):
     # row basis of the column space, with pivots, as (rows, pivots, rank)
     cols = [tuple(mat[r][c] for r in range(nrows)) for c in range(ncols)]
@@ -194,18 +182,24 @@ class _ModuleData:
 @lru_cache(maxsize=256)
 def _module_data(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _ModuleData:
     dims, arrows, loop = _raw_rep(ms, AlgebraContext(n, p))
-    comp = _composites(dims, arrows, loop, p)
+    # path[v][w] = composite matrix vertex v -> w, w >= v
+    path = [[None] * n for _ in range(n)]
+    for v in range(n):
+        path[v][v] = _identity_entries(dims[v])
+        for w in range(v + 1, n):
+            path[v][w] = mat_mul(arrows[w - 1], path[v][w - 1], p, ncols=dims[v])
+    loop_path = tuple(mat_mul(loop, path[v][n - 1], p, ncols=dims[v]) for v in range(n))
     col = tuple(
         tuple(
-            _colspace(comp.path[u][v], dims[v], dims[u], p) if u < v else None
+            _colspace(path[u][v], dims[v], dims[u], p) if u < v else None
             for v in range(n)
         )
         for u in range(n)
     )
     loop_col = tuple(
-        _colspace(comp.loop_path[u], dims[n - 1], dims[u], p) for u in range(n)
+        _colspace(loop_path[u], dims[n - 1], dims[u], p) for u in range(n)
     )
-    return _ModuleData(dims, arrows, loop, comp.path, comp.loop_path, col, loop_col)
+    return _ModuleData(dims, arrows, loop, tuple(map(tuple, path)), loop_path, col, loop_col)
 
 
 @dataclass(frozen=True)
@@ -418,29 +412,54 @@ def hall_number(
     )
 
 
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Render (coefficient, body) pairs as 'a - b + c', where body already
+    stands for |coefficient| times its term: the first term shows a sign
+    only when negative, and no terms at all give '0'."""
+    out = ""
+    for c, body in terms:
+        if not out:
+            out = body if c > 0 else f"-{body}"
+        else:
+            out += f" + {body}" if c > 0 else f" - {body}"
+    return out or "0"
+
+
 @dataclass(frozen=True)
 class IsoClassCombo:
-    """Integer combination of isoclasses, the value of a Hall product."""
+    """Integer combination of isoclasses, sorted and zero-free: keyed by
+    DecompositionMultiset for a Hall product, by IndecLabel for a bracket."""
 
-    terms: tuple[tuple[DecompositionMultiset, int], ...]
+    terms: tuple[tuple[DecompositionMultiset | IndecLabel, int], ...]
 
     @classmethod
-    def from_dict(cls, d: dict[DecompositionMultiset, int]) -> IsoClassCombo:
-        kept = [(ms, c) for ms, c in d.items() if c]
-        kept.sort(key=lambda mc: tuple(t for l, m in mc[0].items for t in (*l.sort_key(), m)))
+    def from_dict(cls, d: dict) -> IsoClassCombo:
+        kept = [(key, c) for key, c in d.items() if c]
+        kept.sort(key=lambda kc: kc[0].sort_key())
         return cls(tuple(kept))
 
-    def coefficient(self, ms: DecompositionMultiset) -> int:
+    def coefficient(self, key: DecompositionMultiset | IndecLabel) -> int:
         for k, c in self.terms:
-            if k == ms:
+            if k == key:
                 return c
         return 0
 
-    def as_dict(self) -> dict[DecompositionMultiset, int]:
+    def as_dict(self) -> dict:
         return dict(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def __neg__(self) -> IsoClassCombo:
+        return IsoClassCombo(tuple((k, -c) for k, c in self.terms))
+
+    def __str__(self) -> str:
+        return signed_sum(
+            (c, str(k) if abs(c) == 1 else f"{abs(c)}*{k}") for k, c in self.terms
+        )
 
 
 def hall_product(

@@ -10,9 +10,9 @@ closed forms are encoded in expected_hall_poly and compared entry by entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InterpolationError, LabelError
 from .gf import SUPPORTED_PRIMES, first_primes, is_supported_prime
@@ -22,6 +22,7 @@ from .hall_core import (
     as_multiset,
     hall_number,
     hall_product,
+    signed_sum,
 )
 from .hom_decomp import DecompositionMultiset, hom_table
 from .quiver_rep import (
@@ -34,25 +35,11 @@ from .quiver_rep import (
 )
 
 
-def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
-    """Render (coefficient, body) pairs as 'a - b + c', where body already
-    stands for |coefficient| times its term: the first term shows a sign
-    only when negative, and no terms at all give '0'."""
-    out = ""
-    for c, body in terms:
-        if not out:
-            out = body if c > 0 else f"-{body}"
-        else:
-            out += f" + {body}" if c > 0 else f" - {body}"
-    return out or "0"
-
-
 @dataclass(frozen=True)
 class HallPolynomial:
     """Integer polynomial in T; coefficients[k] is the degree-k coefficient."""
 
     coefficients: tuple[int, ...]
-    provenance: str = field(default="interpolated", compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coefficients)
@@ -84,8 +71,8 @@ class HallPolynomial:
 
 
 ZERO_POLY = HallPolynomial(())
-ONE_POLY = HallPolynomial((1,), provenance="expected")
-T_POLY = HallPolynomial((0, 1), provenance="expected")
+ONE_POLY = HallPolynomial((1,))
+T_POLY = HallPolynomial((0, 1))
 
 
 def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:

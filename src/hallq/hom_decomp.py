@@ -155,6 +155,9 @@ class DecompositionMultiset:
             out.extend([l] * m)
         return tuple(out)
 
+    def sort_key(self) -> tuple[int, ...]:
+        return tuple(t for l, m in self.items for t in (*l.sort_key(), m))
+
     def __len__(self) -> int:
         return sum(m for _, m in self.items)
 
@@ -190,7 +193,8 @@ def decompose(m: Representation) -> DecompositionMultiset:
 
     Solves C . mult = h exactly over the rationals, where h is the hom
     profile of m and C holds hom counts between indecomposables, then
-    validates integrality, nonnegativity, and an is_iso round trip.
+    validates integrality, nonnegativity, and a round trip: the module
+    rebuilt from the multiplicities has the dimensions and hom profile of m.
     """
     ctx = m.ctx
     labels = all_labels(ctx.n)
@@ -206,6 +210,6 @@ def decompose(m: Representation) -> DecompositionMultiset:
         (l, int(v)) for l, v in zip(labels, mult) if v
     )
     rebuilt = rep_of_multiset(result.as_labels(), ctx)
-    if not is_iso(m, rebuilt):
+    if rebuilt.dims != m.dims or hom_profile(rebuilt) != h:
         raise InternalInvariantError("decomposition failed its round-trip check")
     return result

@@ -15,13 +15,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalInvariantError
-from .hall_core import DEFAULT_DIM_CEILING
-from .hall_poly import (
-    hom_degree_bound,
-    interpolate_hall_poly,
-    scheduled_primes,
-    signed_sum,
-)
+from .hall_core import DEFAULT_DIM_CEILING, IsoClassCombo, signed_sum
+from .hall_poly import hom_degree_bound, interpolate_hall_poly, scheduled_primes
 from .quiver_rep import (
     IndecLabel,
     all_labels,
@@ -41,40 +36,7 @@ SCHEDULE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class LabelCombo:
-    """Integer combination of indecomposable labels, sorted and zero-free."""
-
-    terms: tuple[tuple[IndecLabel, int], ...]
-
-    @classmethod
-    def from_dict(cls, data: dict[IndecLabel, int]) -> "LabelCombo":
-        items = [(lab, c) for lab, c in data.items() if c != 0]
-        items.sort(key=lambda item: item[0].sort_key())
-        return cls(tuple(items))
-
-    def as_dict(self) -> dict[IndecLabel, int]:
-        return dict(self.terms)
-
-    def coefficient(self, label: IndecLabel) -> int:
-        for lab, c in self.terms:
-            if lab == label:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __neg__(self) -> "LabelCombo":
-        return LabelCombo(tuple((lab, -c) for lab, c in self.terms))
-
-    def __str__(self) -> str:
-        return signed_sum(
-            (c, str(lab) if abs(c) == 1 else f"{abs(c)}*{lab}") for lab, c in self.terms
-        )
-
-
-ZERO_COMBO = LabelCombo(())
+ZERO_COMBO = IsoClassCombo(())
 
 
 def bracket(
@@ -84,7 +46,7 @@ def bracket(
     primes: Sequence[int] | None = None,
     *,
     dim_ceiling: int | None = None,
-) -> LabelCombo:
+) -> IsoClassCombo:
     """Commutator of two indecomposable classes at T = 1.
 
     Interpolates both products over all candidate composites with the forced
@@ -112,10 +74,10 @@ def bracket(
                 )
         elif c:
             out[ms[0]] = c
-    return LabelCombo.from_dict(out)
+    return IsoClassCombo.from_dict(out)
 
 
-def _expected_direct(x: IndecLabel, y: IndecLabel) -> LabelCombo | None:
+def _expected_direct(x: IndecLabel, y: IndecLabel) -> IsoClassCombo | None:
     if x.kind == "W":
         i, j = x.i, x.j
         out: dict[IndecLabel, int] = {}
@@ -125,29 +87,29 @@ def _expected_direct(x: IndecLabel, y: IndecLabel) -> LabelCombo | None:
                 out[IndecLabel("W", i, m)] = out.get(IndecLabel("W", i, m), 0) + 1
             if m + 1 == i:
                 out[IndecLabel("W", l, j)] = out.get(IndecLabel("W", l, j), 0) - 1
-            return LabelCombo.from_dict(out)
+            return IsoClassCombo.from_dict(out)
         if y.kind == "V":
             if y.i == j + 1:
                 out[IndecLabel("V", i)] = 1
-            return LabelCombo.from_dict(out)
+            return IsoClassCombo.from_dict(out)
         if y.kind == "U":
             l, m = y.i, y.j
             if j + 1 == m:
                 out[IndecLabel("U", l, i)] = out.get(IndecLabel("U", l, i), 0) + 1
             if j + 1 == l:
                 out[IndecLabel("U", i, m)] = out.get(IndecLabel("U", i, m), 0) + 1
-            return LabelCombo.from_dict(out)
+            return IsoClassCombo.from_dict(out)
     if x.kind == "V" and y.kind == "V":
         out = {}
         key = IndecLabel("U", y.i, x.i)
         out[key] = out.get(key, 0) + 1
         key = IndecLabel("U", x.i, y.i)
         out[key] = out.get(key, 0) - 1
-        return LabelCombo.from_dict(out)
+        return IsoClassCombo.from_dict(out)
     return None
 
 
-def expected_bracket(x: IndecLabel, y: IndecLabel, n: int) -> LabelCombo:
+def expected_bracket(x: IndecLabel, y: IndecLabel, n: int) -> IsoClassCombo:
     """Closed-form bracket: four delta-function families, zero elsewhere.
 
     Pairs listed in the opposite order come out by negation, which is the
@@ -170,8 +132,8 @@ class BracketTable:
 
     n: int
     primes: tuple[int, ...]
-    entries: tuple[tuple[IndecLabel, IndecLabel, LabelCombo], ...]
-    mismatches: tuple[tuple[IndecLabel, IndecLabel, LabelCombo, LabelCombo], ...]
+    entries: tuple[tuple[IndecLabel, IndecLabel, IsoClassCombo], ...]
+    mismatches: tuple[tuple[IndecLabel, IndecLabel, IsoClassCombo, IsoClassCombo], ...]
     notes: tuple[str, ...]
     _index: dict = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
@@ -181,7 +143,7 @@ class BracketTable:
         for x, y, combo in self.entries:
             self._index[(x, y)] = combo
 
-    def get(self, x: IndecLabel, y: IndecLabel) -> LabelCombo:
+    def get(self, x: IndecLabel, y: IndecLabel) -> IsoClassCombo:
         if x == y:
             return ZERO_COMBO
         combo = self._index.get((x, y))
@@ -334,7 +296,7 @@ def _label_latex(label: IndecLabel) -> str:
     return f"{label.kind}_{{{label.i},{label.j}}}"
 
 
-def _combo_latex(combo: LabelCombo) -> str:
+def _combo_latex(combo: IsoClassCombo) -> str:
     return signed_sum(
         (c, _label_latex(lab) if abs(c) == 1 else f"{abs(c)}{_label_latex(lab)}")
         for lab, c in combo.terms

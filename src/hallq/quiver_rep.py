@@ -345,6 +345,11 @@ def rep_to_json(r: Representation) -> dict:
     }
 
 
+def _is_int(x: object) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rep_from_json(obj: object) -> Representation:
     """Build a Representation from the JSON schema, with descriptive errors."""
     if not isinstance(obj, dict):
@@ -352,14 +357,16 @@ def rep_from_json(obj: object) -> Representation:
     for key in ("p", "n", "dims", "arrows", "loop"):
         if key not in obj:
             raise RelationError(f"representation object is missing {key!r}")
+    n, p = obj["n"], obj["p"]
+    if not (_is_int(n) and _is_int(p)):
+        raise RelationError(f"n and p must be integers, got n={n!r}, p={p!r}")
     try:
-        ctx = AlgebraContext(int(obj["n"]), int(obj["p"]))
-    except (TypeError, ValueError) as e:
+        ctx = AlgebraContext(n, p)
+    except ValueError as e:
         raise RelationError(f"bad algebra parameters: {e}") from None
-    p, n = ctx.p, ctx.n
     dims = obj["dims"]
     if not isinstance(dims, list) or len(dims) != n or not all(
-        isinstance(d, int) and d >= 0 for d in dims
+        _is_int(d) and d >= 0 for d in dims
     ):
         raise RelationError(f"dims must be a list of {n} nonnegative integers")
     arrows_raw = obj["arrows"]
@@ -373,7 +380,7 @@ def rep_from_json(obj: object) -> Representation:
             raise RelationError(f"{what} must be a {rows}x{cols} matrix")
         for r in mat:
             for x in r:
-                if not isinstance(x, int) or not 0 <= x < p:
+                if not _is_int(x) or not 0 <= x < p:
                     raise RelationError(f"{what} has entry {x!r} not reduced mod {p}")
         return PrimeFieldMatrix(p, tuple(tuple(r) for r in mat), shape=(rows, cols))
 

@@ -187,6 +187,22 @@ def test_hall_number_file_wrong_n(capsys, tmp_path):
     assert "n=3" in err
 
 
+def test_rep_file_non_integers_exit_2(capsys, tmp_path):
+    data = rep_to_json(rep_of_multiset((IndecLabel("U", 1, 1),), AlgebraContext(2, 3)))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(data, p="3")))
+    code, _, err = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert "integers" in err
+    path.write_text(json.dumps(dict(data, n=2.9)))
+    code, _, err = run(
+        capsys, "hall-number", "--n", "2", "--p", "3", "W1,1", "U2,1",
+        "--m-file", str(path),
+    )
+    assert code == 2
+    assert "integers" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "hall-number", "--n", "2", "--p", "4", "V1", "V2", "U2,1")[0] == 2
     assert run(capsys, "hall-number", "--n", "2", "--p", "3", "Q1", "V2", "U2,1")[0] == 2

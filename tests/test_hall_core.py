@@ -3,16 +3,18 @@ import itertools
 import pytest
 
 from hallq.errors import CeilingError, HypothesisError
+from hallq.gf import mat_mul, matrix_rank
 from hallq.hall_core import (
     DEFAULT_DIM_CEILING,
     IsoClassCombo,
+    _label_stats,
     as_multiset,
     enumerate_submodules,
     hall_number,
     hall_product,
     verify_hall_identity,
 )
-from hallq.hom_decomp import DecompositionMultiset, decompose
+from hallq.hom_decomp import DecompositionMultiset, decompose, hom_table
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -260,3 +262,28 @@ def test_verify_three_term_identity():
         ]:
             check = verify_hall_identity(u12, terms, y, m, ctx)
             assert check.holds, (y, m, check)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_screens_are_hom_dimensions(n, p):
+    # the engine reads its rank screens from hom_table; the oracle here
+    # multiplies out the path and loop-path composites of each label
+    ctx = AlgebraContext(n, p)
+    table = hom_table(n, p)
+    for label in all_labels(n):
+        rep = make_indec(label, ctx)
+        dims = rep.dims
+        fwd, loopfwd = [], []
+        for v in range(n):
+            path = tuple(tuple(int(r == c) for c in range(dims[v])) for r in range(dims[v]))
+            ranks = []
+            for w in range(v + 1, n):
+                path = mat_mul(rep.arrow[w - 1].entries, path, p, ncols=dims[v])
+                ranks.append(matrix_rank(path, p))
+                assert ranks[-1] == dims[v] - table[(IndecLabel("W", v + 1, w), label)]
+            loop_rank = matrix_rank(mat_mul(rep.loop.entries, path, p, ncols=dims[v]), p)
+            assert loop_rank == dims[v] - table[(IndecLabel("V", v + 1), label)]
+            fwd.append(tuple(ranks))
+            loopfwd.append(loop_rank)
+        assert _label_stats(n, p, label) == (dims, tuple(fwd), tuple(loopfwd))

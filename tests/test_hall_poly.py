@@ -51,10 +51,6 @@ def test_polynomial_normalization():
     assert str(HallPolynomial(())) == "0"
 
 
-def test_polynomial_equality_ignores_provenance():
-    assert HallPolynomial((1,), "interpolated") == HallPolynomial((1,), "expected")
-
-
 def test_interpolate_known_values():
     assert interpolate_hall_poly(W(1, 1), U(2, 1), U(1, 1), 2).coefficients == (0, 1)
     assert interpolate_hall_poly(V(1), V(2), U(2, 1), 2).coefficients == (1,)

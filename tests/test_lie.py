@@ -3,10 +3,10 @@ import json
 import pytest
 
 from hallq.errors import LabelError
+from hallq.hall_core import IsoClassCombo
 from hallq.lie import (
     RANGE_NOTE,
     SCHEDULE_NOTE,
-    LabelCombo,
     ZERO_COMBO,
     bracket,
     bracket_table_to_json,
@@ -32,7 +32,7 @@ def W(i, j):
 
 
 def combo(*pairs):
-    return LabelCombo.from_dict(dict(pairs))
+    return IsoClassCombo.from_dict(dict(pairs))
 
 
 @pytest.fixture(scope="module")

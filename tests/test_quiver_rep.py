@@ -258,3 +258,22 @@ def test_json_rejections():
     }
     with pytest.raises(RelationError, match="square"):
         rep_from_json(square)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n", 2.9),
+        ("p", "3"),
+        ("p", 2.0),
+        ("dims", [1, True]),
+        ("arrows", [[[True]]]),
+        ("loop", [[False]]),
+    ],
+)
+def test_json_rejects_non_integers(key, value):
+    data = rep_to_json(make_indec(IndecLabel("V", 1), AlgebraContext(2, 2)))
+    assert rep_from_json(data).dims == (1, 1)
+    data[key] = value
+    with pytest.raises(RelationError):
+        rep_from_json(data)
