@@ -113,6 +113,25 @@ def row_reduce(
     return tuple(tuple(m[i]) for i in range(rank)), rank, tuple(pivots)
 
 
+def null_space(
+    rows: Sequence[Sequence[int]], p: int, ncols: int
+) -> tuple[tuple[int, ...], ...]:
+    """Basis of the solutions v of rows . v = 0, one vector per free column
+    of the reduced row-echelon form, which carries a 1 there."""
+    red, _, pivots = row_reduce(rows, p, ncols=ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, piv in zip(red, pivots):
+            v[piv] = -row[f] % p
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 def mat_mul(
     a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int, ncols: int | None = None
 ) -> tuple[tuple[int, ...], ...]:

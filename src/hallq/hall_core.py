@@ -27,7 +27,7 @@ from .gf import (
     reduce_vector,
     row_reduce,
 )
-from .hom_decomp import DecompositionMultiset, hom_dim_raw, hom_table
+from .hom_decomp import DecompositionMultiset, hom_dim_raw, hom_table, probe_reps, raw_rep
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -103,16 +103,6 @@ def _identity_entries(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def _raw_rep(ms: tuple[IndecLabel, ...], ctx: AlgebraContext):
-    rep = rep_of_multiset(ms, ctx)
-    return rep.dims, tuple(a.entries for a in rep.arrow), rep.loop.entries
-
-
-@lru_cache(maxsize=None)
-def _probe_rep(n: int, p: int, label: IndecLabel):
-    return _raw_rep((label,), AlgebraContext(n, p))
-
-
 @lru_cache(maxsize=None)
 def _label_stats(n: int, p: int, label: IndecLabel):
     # Rank screens read from Hom dimensions (vertices counted from 1 here,
@@ -181,7 +171,7 @@ class _ModuleData:
 
 @lru_cache(maxsize=256)
 def _module_data(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _ModuleData:
-    dims, arrows, loop = _raw_rep(ms, AlgebraContext(n, p))
+    dims, arrows, loop = raw_rep(rep_of_multiset(ms, AlgebraContext(n, p)))
     # path[v][w] = composite matrix vertex v -> w, w >= v
     path = [[None] * n for _ in range(n)]
     for v in range(n):
@@ -239,7 +229,8 @@ def _side_spec(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _SideSpec:
             # cannot happen: the hom-count matrix separates isoclasses
             raise AssertionError(f"no separating hom count for {ms} vs {alt}")
         discs[probe] = sum(table[(probe, y)] for y in ms)
-    pack = tuple((_probe_rep(n, p, l), exp) for l, exp in sorted(discs.items(), key=lambda kv: kv[0].sort_key()))
+    probes = probe_reps(n, p)
+    pack = tuple((probes[l], exp) for l, exp in sorted(discs.items(), key=lambda kv: kv[0].sort_key()))
     return _SideSpec(ms, dims, fwd, loopfwd, False, pack)
 
 
@@ -364,6 +355,15 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
     return count
 
 
+def check_ceiling(total: int, dim_ceiling: int) -> None:
+    """Refuse an ambient module of total dimension above the ceiling."""
+    if total > dim_ceiling:
+        raise CeilingError(
+            f"total dimension {total} of the ambient module exceeds the ceiling "
+            f"{dim_ceiling}; raise dim_ceiling to allow this enumeration"
+        )
+
+
 def hall_number(
     x: LabelSet,
     y: LabelSet,
@@ -378,12 +378,7 @@ def hall_number(
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
     dm = multiset_dims(ms, n)
-    total = sum(dm)
-    if total > dim_ceiling:
-        raise CeilingError(
-            f"total dimension {total} of the ambient module exceeds the ceiling "
-            f"{dim_ceiling}; raise dim_ceiling to allow this enumeration"
-        )
+    check_ceiling(sum(dm), dim_ceiling)
     dx = multiset_dims(xs, n)
     dy = multiset_dims(ys, n)
     if tuple(a + b for a, b in zip(dx, dy)) != dm:

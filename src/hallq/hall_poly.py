@@ -105,7 +105,7 @@ def hom_degree_bound(x, y, n: int) -> int:
     (Schofield, General representations of quivers, 1992), so the stratum
     has at most that dimension, and so has the degree of its point count.
     Hom is additive over summands; the dimensions are read at p = 2, which
-    the tests check is the same at every p used for n <= 4.
+    the tests check is the same at every p used for n <= 6.
     """
     table = hom_table(n, 2)
     return sum(table[(b, a)] for b in as_multiset(y, n) for a in as_multiset(x, n))
@@ -117,8 +117,60 @@ def scheduled_primes(bound: int) -> tuple[int, ...]:
     return first_primes(bound + 2)
 
 
-def _triple_str(xs, ys, ms) -> str:
+def triple_str(xs, ys, ms) -> str:
     return f"({multiset_to_str(xs)}; {multiset_to_str(ys)}; {multiset_to_str(ms)})"
+
+
+def fit_primes(xs, ys, n: int, primes: Sequence[int] | None, where: str) -> tuple[int, ...]:
+    """The primes a fit of F^M_{X,Y} evaluates, the last one certifying it.
+
+    By default this is the schedule of hom_degree_bound: dim Hom(Y, X) + 1
+    primes for the fit and one more to certify it; a bound that needs more
+    primes than are supported raises InterpolationError, naming where. An
+    explicit list is validated and used as given, and then the degree bound
+    is len(primes) - 2.
+    """
+    if primes is None:
+        bound = hom_degree_bound(xs, ys, n)
+        if bound + 2 > len(SUPPORTED_PRIMES):
+            raise InterpolationError(
+                f"degree bound {bound} for {where} needs "
+                f"{bound + 2} primes; {len(SUPPORTED_PRIMES)} are supported"
+            )
+        return scheduled_primes(bound)
+    plist = tuple(int(p) for p in primes)
+    if len(plist) < 2:
+        raise InterpolationError("need at least two evaluation primes")
+    if len(set(plist)) != len(plist):
+        raise InterpolationError("evaluation primes must be distinct")
+    for p in plist:
+        if not is_supported_prime(p):
+            raise InterpolationError(f"unsupported evaluation prime {p}")
+    return plist
+
+
+def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> HallPolynomial:
+    """Fit counts at primes as an integer polynomial in the field size.
+
+    The fit runs through the counts at all primes but the last; the last
+    prime certifies the result. A non-integer coefficient or a failed
+    certification point raises InterpolationError, naming where, rather
+    than returning a wrong polynomial.
+    """
+    coeffs = _lagrange(list(zip(primes[:-1], values[:-1])))
+    ints: list[int] = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise InterpolationError(f"non-integer coefficient {c} fitting {where}")
+        ints.append(int(c))
+    poly = HallPolynomial(tuple(ints))
+    held_out = primes[-1]
+    if poly.evaluate(held_out) != values[-1]:
+        raise InterpolationError(
+            f"certification point p={held_out} disagrees with the fit for {where}: "
+            f"poly gives {poly.evaluate(held_out)}, count is {values[-1]}"
+        )
+    return poly
 
 
 def interpolate_hall_poly(
@@ -132,57 +184,21 @@ def interpolate_hall_poly(
 ) -> HallPolynomial:
     """Fit the submodule count as an integer polynomial in the field size.
 
-    The fit runs through the counts at all primes but the last; the last prime
-    certifies the result.  By default the primes follow the schedule of
-    hom_degree_bound: dim Hom(Y, X) + 1 primes for the fit and one more to
-    certify it.  An explicit prime list is used as given, and then the degree
-    bound is len(primes) - 2.  A non-integer coefficient or a failed
-    certification point raises InterpolationError rather than returning a
-    wrong polynomial; no list is ever widened.  So does a degree bound that
-    needs more primes than are supported, before any counting starts.
+    The counts come from hall_number at the primes of fit_primes, and
+    fit_hall_poly fits and certifies them; no list is ever widened, and a
+    degree bound that needs more primes than are supported fails before
+    any counting starts.
     """
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
-    if primes is None:
-        bound = hom_degree_bound(xs, ys, n)
-        if bound + 2 > len(SUPPORTED_PRIMES):
-            raise InterpolationError(
-                f"degree bound {bound} for {_triple_str(xs, ys, ms)} needs "
-                f"{bound + 2} primes; {len(SUPPORTED_PRIMES)} are supported"
-            )
-        plist = scheduled_primes(bound)
-    else:
-        plist = [int(p) for p in primes]
-        if len(plist) < 2:
-            raise InterpolationError("need at least two evaluation primes")
-        if len(set(plist)) != len(plist):
-            raise InterpolationError("evaluation primes must be distinct")
-        for p in plist:
-            if not is_supported_prime(p):
-                raise InterpolationError(f"unsupported evaluation prime {p}")
+    where = triple_str(xs, ys, ms)
+    plist = fit_primes(xs, ys, n, primes, where)
     values = [
         hall_number(xs, ys, ms, AlgebraContext(n, p), dim_ceiling=dim_ceiling)
         for p in plist
     ]
-    fit = list(zip(plist[:-1], values[:-1]))
-    coeffs = _lagrange(fit)
-    ints: list[int] = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InterpolationError(
-                f"non-integer coefficient {c} fitting {_triple_str(xs, ys, ms)}"
-            )
-        ints.append(int(c))
-    poly = HallPolynomial(tuple(ints))
-    held_out = plist[-1]
-    if poly.evaluate(held_out) != values[-1]:
-        raise InterpolationError(
-            f"certification point p={held_out} disagrees with the fit for "
-            f"{_triple_str(xs, ys, ms)}: "
-            f"poly gives {poly.evaluate(held_out)}, count is {values[-1]}"
-        )
-    return poly
+    return fit_hall_poly(plist, values, where)
 
 
 def expected_hall_poly(x: IndecLabel, y: IndecLabel, m: IndecLabel, n: int):
@@ -338,10 +354,7 @@ def reconciliation_to_json(reports: list[ReconciliationReport]) -> str:
 def combo_to_str(combo: IsoClassCombo) -> str:
     if not combo.terms:
         return "0"
-    parts = [
-        f"{coeff}*[{multiset_to_str(ms.as_labels())}]" for ms, coeff in combo.terms
-    ]
-    return " + ".join(parts)
+    return " + ".join(f"{coeff}*{ms}" for ms, coeff in combo.terms)
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,30 @@
-"""Hom-space dimensions, isomorphism testing, and decomposition of modules
-into indecomposable summands via exact hom-count linear algebra."""
+"""Hom-space dimensions, isomorphism testing, decomposition of modules
+into indecomposable summands via exact hom-count linear algebra, and Hall
+numbers from the middle terms of extensions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError
-from .gf import matrix_rank
+from .gf import matrix_rank, null_space, reduce_vector, row_reduce
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
     Representation,
     all_labels,
     make_indec,
+    multiset_to_str,
     rep_of_multiset,
 )
 
 
-def hom_dim_raw(
+def _hom_equations(
     n: int,
     p: int,
     dx: tuple[int, ...],
@@ -29,16 +33,17 @@ def hom_dim_raw(
     dm: tuple[int, ...],
     am: tuple[tuple[tuple[int, ...], ...], ...],
     lm: tuple[tuple[int, ...], ...],
-) -> int:
-    """hom_dim on raw entry tuples, for callers that avoid Representation."""
+) -> tuple[list[list[int]], int]:
+    # the linear system whose solutions are the module maps x -> m, and its
+    # number of unknowns; entry (a, c) of f_v is unknown offsets[v] + a dx_v + c
     offsets = []
     total = 0
     for v in range(n):
         offsets.append(total)
         total += dm[v] * dx[v]
-    if total == 0:
-        return 0
     rows: list[list[int]] = []
+    if total == 0:
+        return rows, 0
 
     def add_block(t_src: int, mat_x: tuple, mat_m: tuple, var_tgt: int) -> None:
         # equations f_tgt . mat_x = mat_m . f_src, one per (r, c)
@@ -65,7 +70,21 @@ def hom_dim_raw(
     for t in range(n - 1):
         add_block(t, ax[t], am[t], t + 1)
     add_block(n - 1, lx, lm, n - 1)
+    return rows, total
+
+
+def hom_dim_raw(n: int, p: int, dx, ax, lx, dm, am, lm) -> int:
+    """hom_dim on raw entry tuples, for callers that avoid Representation."""
+    rows, total = _hom_equations(n, p, dx, ax, lx, dm, am, lm)
     return total - matrix_rank(rows, p)
+
+
+RawRep = tuple  # (dims, arrow entries, loop entries)
+
+
+def raw_rep(rep: Representation) -> RawRep:
+    """The entry tuples of a representation, as the raw kernels take them."""
+    return rep.dims, tuple(a.entries for a in rep.arrow), rep.loop.entries
 
 
 def hom_dim(x: Representation, m: Representation) -> int:
@@ -77,32 +96,35 @@ def hom_dim(x: Representation, m: Representation) -> int:
     """
     if x.ctx != m.ctx:
         raise ValueError("hom_dim needs a common algebra context")
-    n, p = x.ctx.n, x.ctx.p
-    return hom_dim_raw(
-        n,
-        p,
-        x.dims,
-        tuple(a.entries for a in x.arrow),
-        x.loop.entries,
-        m.dims,
-        tuple(a.entries for a in m.arrow),
-        m.loop.entries,
-    )
+    return hom_dim_raw(x.ctx.n, x.ctx.p, *raw_rep(x), *raw_rep(m))
+
+
+@lru_cache(maxsize=None)
+def probe_reps(n: int, p: int) -> dict[IndecLabel, RawRep]:
+    """Raw form of every indecomposable, in canonical label order, built once
+    per (n, p)."""
+    ctx = AlgebraContext(n, p)
+    return {l: raw_rep(make_indec(l, ctx)) for l in all_labels(n)}
 
 
 @lru_cache(maxsize=None)
 def hom_table(n: int, p: int) -> dict[tuple[IndecLabel, IndecLabel], int]:
     """hom_dim between all pairs of indecomposables, filled once per (n, p)."""
-    ctx = AlgebraContext(n, p)
-    labels = all_labels(n)
-    reps = {l: make_indec(l, ctx) for l in labels}
-    return {(a, b): hom_dim(reps[a], reps[b]) for a in labels for b in labels}
+    probes = probe_reps(n, p)
+    return {
+        (a, b): hom_dim_raw(n, p, *ra, *rb)
+        for a, ra in probes.items()
+        for b, rb in probes.items()
+    }
+
+
+def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
+    return tuple(hom_dim_raw(n, p, *probe, *raw) for probe in probe_reps(n, p).values())
 
 
 def hom_profile(rep: Representation) -> tuple[int, ...]:
     """hom_dim(X, rep) over all indecomposable X in canonical label order."""
-    ctx = rep.ctx
-    return tuple(hom_dim(make_indec(l, ctx), rep) for l in all_labels(ctx.n))
+    return _profile_raw(rep.ctx.n, rep.ctx.p, raw_rep(rep))
 
 
 def is_iso(m: Representation, nrep: Representation) -> bool:
@@ -113,14 +135,7 @@ def is_iso(m: Representation, nrep: Representation) -> bool:
     """
     if m.ctx != nrep.ctx:
         raise ValueError("is_iso needs a common algebra context")
-    if m.dims != nrep.dims:
-        return False
-    ctx = m.ctx
-    for l in all_labels(ctx.n):
-        probe = make_indec(l, ctx)
-        if hom_dim(probe, m) != hom_dim(probe, nrep):
-            return False
-    return True
+    return m.dims == nrep.dims and hom_profile(m) == hom_profile(nrep)
 
 
 @dataclass(frozen=True)
@@ -161,11 +176,16 @@ class DecompositionMultiset:
     def __len__(self) -> int:
         return sum(m for _, m in self.items)
 
+    def __str__(self) -> str:
+        return f"[{multiset_to_str(self.as_labels())}]"
+
 
 @lru_cache(maxsize=None)
-def _c_inverse(n: int, p: int) -> tuple[tuple[Fraction, ...], ...]:
+def _c_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     # inverse of the hom-count matrix C[X][Y] = hom_dim(X, Y); its
-    # invertibility is what makes hom profiles decide isomorphism classes
+    # invertibility is what makes hom profiles decide isomorphism classes,
+    # and its integrality (checked here, true for every n tested) keeps the
+    # solve in integers
     labels = all_labels(n)
     table = hom_table(n, p)
     k = len(labels)
@@ -185,31 +205,177 @@ def _c_inverse(n: int, p: int) -> tuple[tuple[Fraction, ...], ...]:
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
+    if any(x.denominator != 1 for row in aug for x in row[k:]):
+        raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse")
+    return tuple(tuple(int(x) for x in row[k:]) for row in aug)
+
+
+@lru_cache(maxsize=None)
+def _rebuilt(n: int, p: int, labels: tuple[IndecLabel, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # dimension vector and hom profile of the direct sum of labels
+    raw = raw_rep(rep_of_multiset(labels, AlgebraContext(n, p)))
+    return raw[0], _profile_raw(n, p, raw)
+
+
+def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
+    labels = all_labels(n)
+    h = _profile_raw(n, p, raw)
+    mult = [sum(map(mul, row, h)) for row in _c_inverse(n, p)]
+    for l, v in zip(labels, mult):
+        if v < 0:
+            raise InternalInvariantError(
+                f"hom profile produced multiplicity {v} for {l}; not a module count"
+            )
+    result = DecompositionMultiset.from_pairs(zip(labels, mult))
+    if _rebuilt(n, p, result.as_labels()) != (tuple(raw[0]), h):
+        raise InternalInvariantError("decomposition failed its round-trip check")
+    return result
 
 
 def decompose(m: Representation) -> DecompositionMultiset:
     """Krull-Schmidt decomposition from the hom profile.
 
-    Solves C . mult = h exactly over the rationals, where h is the hom
-    profile of m and C holds hom counts between indecomposables, then
-    validates integrality, nonnegativity, and a round trip: the module
-    rebuilt from the multiplicities has the dimensions and hom profile of m.
+    Solves C . mult = h exactly, where h is the hom profile of m and C holds
+    hom counts between indecomposables, then validates nonnegativity and a
+    round trip: the module rebuilt from the multiplicities has the
+    dimensions and hom profile of m.
     """
-    ctx = m.ctx
-    labels = all_labels(ctx.n)
-    h = hom_profile(m)
-    cinv = _c_inverse(ctx.n, ctx.p)
-    mult = [sum(row[i] * h[i] for i in range(len(labels))) for row in cinv]
-    for l, v in zip(labels, mult):
-        if v.denominator != 1 or v < 0:
-            raise InternalInvariantError(
-                f"hom profile produced multiplicity {v} for {l}; not a module count"
-            )
-    result = DecompositionMultiset.from_pairs(
-        (l, int(v)) for l, v in zip(labels, mult) if v
+    return _decompose_raw(m.ctx.n, m.ctx.p, raw_rep(m))
+
+
+# --- Hall numbers from extensions -------------------------------------------
+
+
+def _aut_order(labels: Iterable[IndecLabel], n: int, p: int) -> int:
+    # |Aut M| for M = sum of L_i^{m_i}: End(L) is local with residue field
+    # F_p for every label L, so End M / rad End M is the product of the
+    # matrix rings M_{m_i}(F_p), and Aut M is its unit group times the
+    # radical, of order p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|
+    items = DecompositionMultiset.from_labels(labels).items
+    table = hom_table(n, p)
+    end = sum(a * b * table[(k, l)] for k, a in items for l, b in items)
+    order = p ** (end - sum(m * m for _, m in items))
+    for _, m in items:
+        for k in range(m):
+            order *= p**m - p**k
+    return order
+
+
+def _ext_classes(n: int, p: int, x: RawRep, y: RawRep, hom_xy: int):
+    """Representatives of Ext^1(X, Y) as cocycle vectors, and the block layout.
+
+    An extension 0 -> Y -> M -> X -> 0 is M_v = Y_v + X_v with arrows
+    [[A^Y_v, c_v], [0, A^X_v]] and loop [[L_Y, c], [0, L_X]]. The arrow
+    blocks c_v: X_v -> Y_{v+1} are free; L^2 = 0 asks L_Y c + c L_X = 0 of
+    the loop block. The coboundaries A^Y h_v - h_{v+1} A^X and
+    L_Y h_n - h_n L_X come from h in sum_v Hom(X_v, Y_v), whose kernel is
+    Hom(X, Y), so dim B^1 = sum_v dim X_v dim Y_v - dim Hom(X, Y); that
+    count is checked. The returned rows span a complement of B^1 in Z^1.
+    """
+    dx, ax, lx = x
+    dy, ay, ly = y
+    # block v < n-1 is c_v, block n-1 the loop block; (rows, cols, offset)
+    blocks = []
+    total = 0
+    for v in range(n):
+        rows = dy[v + 1] if v < n - 1 else dy[v]
+        blocks.append((rows, dx[v], total))
+        total += rows * dx[v]
+    lr, lc, loff = blocks[n - 1]
+    loop_eqs = []
+    for r in range(lr):
+        for s in range(lc):
+            eq = [0] * (lr * lc)
+            for k in range(lr):
+                eq[k * lc + s] += ly[r][k]
+            for k in range(lc):
+                eq[r * lc + k] += lx[k][s]
+            loop_eqs.append([e % p for e in eq])
+    cocycles = [tuple(int(i == j) for j in range(total)) for i in range(loff)]
+    cocycles += [(0,) * loff + vec for vec in null_space(loop_eqs, p, lr * lc)]
+    coboundaries = []
+    for v in range(n):
+        for r in range(dy[v]):
+            for s in range(dx[v]):
+                z = [0] * total
+                if v < n - 1:
+                    rows, cols, off = blocks[v]
+                    for a in range(rows):
+                        z[off + a * cols + s] += ay[v][a][r]
+                if v > 0:
+                    rows, cols, off = blocks[v - 1]
+                    for b in range(cols):
+                        z[off + r * cols + b] -= ax[v - 1][s][b]
+                if v == n - 1:
+                    for a in range(lr):
+                        z[loff + a * lc + s] += ly[a][r]
+                    for b in range(lc):
+                        z[loff + r * lc + b] -= lx[s][b]
+                coboundaries.append([e % p for e in z])
+    brows, brank, bpivs = row_reduce(coboundaries, p, ncols=total)
+    if brank != sum(map(mul, dx, dy)) - hom_xy:
+        raise InternalInvariantError(f"coboundary rank {brank} disagrees with dim Hom(X, Y)")
+    reps, _, _ = row_reduce(
+        [reduce_vector(z, brows, bpivs, p) for z in cocycles], p, ncols=total
     )
-    rebuilt = rep_of_multiset(result.as_labels(), ctx)
-    if rebuilt.dims != m.dims or hom_profile(rebuilt) != h:
-        raise InternalInvariantError("decomposition failed its round-trip check")
-    return result
+    return reps, blocks
+
+
+def _middle_term(n: int, x: RawRep, y: RawRep, blocks, c) -> RawRep:
+    dx, ax, lx = x
+    dy, ay, ly = y
+
+    def glue(v: int, top, bottom):
+        # [[top, c block v], [0, bottom]]; top and bottom act from vertex v
+        rows, cols, off = blocks[v]
+        upper = [tuple(top[a]) + tuple(c[off + a * cols : off + (a + 1) * cols]) for a in range(rows)]
+        return tuple(upper + [(0,) * dy[v] + tuple(r) for r in bottom])
+
+    dims = tuple(a + b for a, b in zip(dy, dx))
+    arrows = tuple(glue(v, ay[v], ax[v]) for v in range(n - 1))
+    return dims, arrows, glue(n - 1, ly, lx)
+
+
+def riedtmann_hall_numbers(
+    xs: Iterable[IndecLabel], ys: Iterable[IndecLabel], ctx: AlgebraContext
+) -> dict[tuple[IndecLabel, ...], int]:
+    """Every nonzero Hall number F^M_{X,Y}, keyed by M as a sorted label tuple.
+
+    Riedtmann's formula (C. Riedtmann, Lie algebras generated by
+    indecomposables, J. Algebra 170, 1994) gives
+
+        F^M_{X,Y} = |Ext^1(X,Y)_M| |Aut M| / (|Aut X| |Aut Y| |Hom(X,Y)|),
+
+    where Ext^1(X,Y)_M holds the classes whose middle term is M. So F^M_{X,Y}
+    is nonzero exactly when M is such a middle term. The classes are walked
+    up to scalars, 1 + (p^e - 1)/(p - 1) of them for e = dim Ext^1(X, Y):
+    xi and lambda xi have isomorphic middle terms, so each nonzero class
+    stands for p - 1. Each middle term is classified with decompose.
+    """
+    n, p = ctx.n, ctx.p
+    xs = tuple(sorted(xs, key=IndecLabel.sort_key))
+    ys = tuple(sorted(ys, key=IndecLabel.sort_key))
+    table = hom_table(n, p)
+    hom_xy = sum(table[(a, b)] for a in xs for b in ys)
+    x = raw_rep(rep_of_multiset(xs, ctx))
+    y = raw_rep(rep_of_multiset(ys, ctx))
+    reps, blocks = _ext_classes(n, p, x, y, hom_xy)
+    split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
+    sizes = {split: 1}
+    e = len(reps)
+    for lead in range(e):
+        for tail in product(range(p), repeat=e - lead - 1):
+            coeffs = (0,) * lead + (1,) + tail
+            c = [sum(map(mul, coeffs, col)) % p for col in zip(*reps)]
+            m = _decompose_raw(n, p, _middle_term(n, x, y, blocks, c)).as_labels()
+            sizes[m] = sizes.get(m, 0) + p - 1
+    denom = _aut_order(xs, n, p) * _aut_order(ys, n, p) * p**hom_xy
+    out = {}
+    for m, size in sizes.items():
+        num = size * _aut_order(m, n, p)
+        if num % denom:
+            raise InternalInvariantError(
+                f"Riedtmann count {num}/{denom} for {multiset_to_str(m)} is not an integer"
+            )
+        out[m] = num // denom
+    return out

@@ -12,6 +12,7 @@ from hallq.gf import (
     mat_mul,
     mat_vec,
     matrix_rank,
+    null_space,
     reduce_vector,
     row_reduce,
 )
@@ -129,6 +130,21 @@ def test_reduce_vector_decides_membership(rng):
                     assert space.contains_vector(v) == (v in span)
                     # v and its residue differ by a vector of the span
                     assert tuple((a - b) % p for a, b in zip(v, residue)) in span
+
+
+def test_null_space_is_the_kernel(rng):
+    for p in (2, 3):
+        for d in range(5):
+            for _ in range(10):
+                rows = random_rows(rng, p, rng.randrange(d + 2), d)
+                basis = null_space(rows, p, d)
+                kernel = {
+                    v
+                    for v in itertools.product(range(p), repeat=d)
+                    if not any(mat_vec(rows, v, p))
+                }
+                assert len(basis) == d - matrix_rank(rows, p)
+                assert span_of(basis, p, d) == kernel
 
 
 def test_rank_modulo_a_subspace(rng):

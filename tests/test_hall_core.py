@@ -170,6 +170,11 @@ def test_hall_product_case4():
         assert swapped == combo(ctx, ([v1, v2], 1), ([IndecLabel("U", 1, 2)], 1))
 
 
+def test_hall_product_str():
+    v1, v2 = IndecLabel("V", 1), IndecLabel("V", 2)
+    assert str(hall_product(v1, v2, AlgebraContext(2, 2))) == "2*[V1 + V2] + [U2,1]"
+
+
 def test_hall_product_unit():
     ctx = AlgebraContext(3, 3)
     m = (IndecLabel("U", 2, 2), IndecLabel("W", 1, 1))

@@ -1,22 +1,33 @@
+from itertools import product
+
 import pytest
 
+from hallq.gf import matrix_rank, null_space
+from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
+    _hom_equations,
     decompose,
     hom_dim,
     hom_profile,
     hom_table,
     is_iso,
+    probe_reps,
+    riedtmann_hall_numbers,
 )
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
     all_labels,
     direct_sum,
+    label_dims,
+    label_total_dim,
     make_indec,
+    multisets_with_dims,
     rep_of_multiset,
     simple,
+    submodule_and_quotient,
     zero_rep,
 )
 
@@ -167,3 +178,71 @@ def test_multiset_container():
 def test_hom_profile_length():
     ctx = AlgebraContext(3, 2)
     assert len(hom_profile(make_indec(IndecLabel("V", 1), ctx))) == len(all_labels(3))
+
+
+def summed_dims(x, y, n):
+    return tuple(a + b for a, b in zip(label_dims(x, n), label_dims(y, n)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_riedtmann_counts_equal_hall_number(n):
+    # every ordered pair of distinct labels and every composite of the summed
+    # dimension vector; off the middle terms of Ext^1 both sides must read 0
+    labels = all_labels(n)
+    for p in (2, 3, 5):
+        ctx = AlgebraContext(n, p)
+        for x in labels:
+            for y in labels:
+                if x == y:
+                    continue
+                got = riedtmann_hall_numbers((x,), (y,), ctx)
+                composites = multisets_with_dims(n, summed_dims(x, y, n))
+                assert set(got) <= set(composites), (p, x, y)
+                assert all(got.values()), (p, x, y)
+                for m in composites:
+                    assert got.get(m, 0) == hall_number(x, y, m, ctx), (p, x, y, m)
+
+
+def test_riedtmann_counts_agree_with_brute_force(rng):
+    # the oracle: tally the sub and quotient classes of every submodule of
+    # every composite, by raw enumeration
+    checked = 0
+    while checked < 30:
+        n = rng.choice((2, 3))
+        labels = all_labels(n)
+        x, y = rng.choice(labels), rng.choice(labels)
+        total = label_total_dim(x, n) + label_total_dim(y, n)
+        if total > 6:
+            continue
+        ctx = AlgebraContext(n, rng.choice((2, 3, 5) if total <= 4 else (2, 3)))
+        tally = {}
+        for m in multisets_with_dims(n, summed_dims(x, y, n)):
+            for w in enumerate_submodules(rep_of_multiset(m, ctx)):
+                sub, quot = submodule_and_quotient(w)
+                if sub.dims == label_dims(y, n) and decompose(sub).as_labels() == (y,):
+                    if decompose(quot).as_labels() == (x,):
+                        tally[m] = tally.get(m, 0) + 1
+        assert riedtmann_hall_numbers((x,), (y,), ctx) == tally, (ctx, x, y)
+        checked += 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_endomorphism_rings_are_local(n):
+    # End(L) is local with residue field F_p exactly when its units number
+    # (p - 1) p^(dim End L - 1); the |Aut| of Riedtmann's formula rests on it
+    for p in (2, 3):
+        for label, raw in probe_reps(n, p).items():
+            rows, total = _hom_equations(n, p, *raw, *raw)
+            basis = null_space(rows, p, total)
+            assert len(basis) == hom_table(n, p)[(label, label)]
+            units = 0
+            for coeffs in product(range(p), repeat=len(basis)):
+                f = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(total)]
+                off = 0
+                invertible = True
+                for d in raw[0]:
+                    block = [f[off + a * d : off + (a + 1) * d] for a in range(d)]
+                    off += d * d
+                    invertible = invertible and matrix_rank(block, p) == d
+                units += invertible
+            assert units == (p - 1) * p ** (len(basis) - 1), (p, label)
