@@ -183,9 +183,9 @@ class DecompositionMultiset:
 @lru_cache(maxsize=None)
 def _c_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     # inverse of the hom-count matrix C[X][Y] = hom_dim(X, Y); its
-    # invertibility is what makes hom profiles decide isomorphism classes,
-    # and its integrality (checked here, true for every n tested) keeps the
-    # solve in integers
+    # invertibility is what makes hom profiles decide isomorphism classes.
+    # It is integral for every n the tests build (2..6), which keeps the
+    # solve in integers; a fractional entry is an invariant breach
     labels = all_labels(n)
     table = hom_table(n, p)
     k = len(labels)
@@ -211,7 +211,7 @@ def _c_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _rebuilt(n: int, p: int, labels: tuple[IndecLabel, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _rebuilt(n: int, p: int, labels: tuple[IndecLabel, ...]) -> tuple[tuple, tuple]:
     # dimension vector and hom profile of the direct sum of labels
     raw = raw_rep(rep_of_multiset(labels, AlgebraContext(n, p)))
     return raw[0], _profile_raw(n, p, raw)
@@ -227,7 +227,7 @@ def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
                 f"hom profile produced multiplicity {v} for {l}; not a module count"
             )
     result = DecompositionMultiset.from_pairs(zip(labels, mult))
-    if _rebuilt(n, p, result.as_labels()) != (tuple(raw[0]), h):
+    if _rebuilt(n, p, result.as_labels()) != (raw[0], h):
         raise InternalInvariantError("decomposition failed its round-trip check")
     return result
 

@@ -15,15 +15,23 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalInvariantError
-from .hall_core import DEFAULT_DIM_CEILING, IsoClassCombo, signed_sum
-from .hall_poly import hom_degree_bound, interpolate_hall_poly, scheduled_primes
+from .hall_core import DEFAULT_DIM_CEILING, IsoClassCombo, check_ceiling, signed_sum
+from .hall_poly import (
+    fit_hall_poly,
+    fit_primes,
+    hom_degree_bound,
+    scheduled_primes,
+    triple_str,
+)
+from .hom_decomp import riedtmann_hall_numbers
 from .quiver_rep import (
+    AlgebraContext,
     IndecLabel,
     all_labels,
     check_label,
     label_dims,
+    label_total_dim,
     multiset_to_str,
-    multisets_with_dims,
 )
 
 # the interval family W(i,j) needs j <= n-1, so closed-form ranges written
@@ -49,22 +57,37 @@ def bracket(
 ) -> IsoClassCombo:
     """Commutator of two indecomposable classes at T = 1.
 
-    Interpolates both products over all candidate composites with the forced
-    dimension vector, on the schedule of interpolate_hall_poly unless primes
-    are given; a prime list too short for some composite raises
-    InterpolationError.  Any nonzero coefficient on a decomposable composite
-    is a fatal invariant breach, not a result.
+    F^M_{x,y} is nonzero exactly when M is the middle term of an extension
+    of x by y, so only the middle terms of Ext^1(x, y) and Ext^1(y, x) are
+    fitted; off them both polynomials are zero. The counts come from
+    riedtmann_hall_numbers at the primes of fit_primes (the schedule unless
+    primes are given), and fit_hall_poly fits and certifies each, so a prime
+    list too short for some composite raises InterpolationError. Any nonzero
+    coefficient on a decomposable composite is a fatal invariant breach, not
+    a result.
     """
     check_label(x, n)
     check_label(y, n)
     if x == y:
         return ZERO_COMBO
-    dims = tuple(a + b for a, b in zip(label_dims(x, n), label_dims(y, n)))
-    ceiling = dim_ceiling if dim_ceiling is not None else max(sum(dims), DEFAULT_DIM_CEILING)
+    primes_xy = fit_primes((x,), (y,), n, primes, f"({x}; {y})")
+    primes_yx = fit_primes((y,), (x,), n, primes, f"({y}; {x})")
+    total = label_total_dim(x, n) + label_total_dim(y, n)
+    if dim_ceiling is None:
+        dim_ceiling = max(total, DEFAULT_DIM_CEILING)
+    check_ceiling(total, dim_ceiling)
+    counts_xy = [riedtmann_hall_numbers((x,), (y,), AlgebraContext(n, p)) for p in primes_xy]
+    counts_yx = [riedtmann_hall_numbers((y,), (x,), AlgebraContext(n, p)) for p in primes_yx]
+    support = set().union(*counts_xy, *counts_yx)
     out: dict[IndecLabel, int] = {}
-    for ms in multisets_with_dims(n, dims):
-        pxy = interpolate_hall_poly(x, y, ms, n, primes, dim_ceiling=ceiling)
-        pyx = interpolate_hall_poly(y, x, ms, n, primes, dim_ceiling=ceiling)
+    # in the order of multisets_with_dims, so the first failing fit is too
+    for ms in sorted(support, key=lambda ms: [l.sort_key() for l in ms]):
+        pxy = fit_hall_poly(
+            primes_xy, [c.get(ms, 0) for c in counts_xy], triple_str((x,), (y,), ms)
+        )
+        pyx = fit_hall_poly(
+            primes_yx, [c.get(ms, 0) for c in counts_yx], triple_str((y,), (x,), ms)
+        )
         c = pxy.evaluate(1) - pyx.evaluate(1)
         if len(ms) != 1:
             if c != 0:
