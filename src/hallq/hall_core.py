@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CeilingError, HypothesisError
+from .errors import CeilingError, HypothesisError, InternalInvariantError
 from .gf import (
     SubspaceBasis,
     echelon_supersets,
@@ -27,7 +27,7 @@ from .gf import (
     reduce_vector,
     row_reduce,
 )
-from .hom_decomp import DecompositionMultiset, hom_dim_raw, hom_table, probe_reps, raw_rep
+from .hom_decomp import DecompositionMultiset, hom_dim_raw, hom_profiles, probe_reps, raw_rep
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -36,7 +36,6 @@ from .quiver_rep import (
     all_labels,
     check_label,
     check_relation,
-    label_dims,
     multiset_dims,
     multiset_to_str,
     multisets_with_dims,
@@ -104,7 +103,17 @@ def _identity_entries(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _label_stats(n: int, p: int, label: IndecLabel):
+def _screen_positions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # positions in all_labels(n) of W(v+1, w) for w > v, and of V(v+1)
+    index = {l: i for i, l in enumerate(all_labels(n))}
+    fwd = tuple(
+        tuple(index[IndecLabel("W", v + 1, w)] for w in range(v + 1, n)) for v in range(n)
+    )
+    return fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n))
+
+
+@lru_cache(maxsize=None)
+def _rank_screens(n: int, p: int, ms: tuple[IndecLabel, ...]):
     # Rank screens read from Hom dimensions (vertices counted from 1 here,
     # from 0 in the code). The projective at v is P_v = U(n,v). The path
     # v -> w and the loop after the path v -> n are maps P_w -> P_v and
@@ -113,42 +122,11 @@ def _label_stats(n: int, p: int, label: IndecLabel):
     # 0 -> Hom(coker, M) -> M_v -> M_w, whose last map is the path map of M,
     # so rank(path v -> w on M) = dim M_v - dim Hom(W(v,w-1), M), and the
     # same with V(v) for the loop after the path to n.
-    table = hom_table(n, p)
-    dims = label_dims(label, n)
-    fwd = tuple(
-        tuple(dims[v] - table[(IndecLabel("W", v + 1, w), label)] for w in range(v + 1, n))
-        for v in range(n)
-    )
-    loopfwd = tuple(dims[v] - table[(IndecLabel("V", v + 1), label)] for v in range(n))
-    return dims, fwd, loopfwd
-
-
-@lru_cache(maxsize=None)
-def _multiset_stats(n: int, p: int, ms: tuple[IndecLabel, ...]):
-    dims = [0] * n
-    fwd = [[0] * (n - 1 - v) for v in range(n)]
-    loopfwd = [0] * n
-    for label in ms:
-        d, f, lf = _label_stats(n, p, label)
-        for v in range(n):
-            dims[v] += d[v]
-            loopfwd[v] += lf[v]
-            for t in range(n - 1 - v):
-                fwd[v][t] += f[v][t]
-    return tuple(dims), tuple(tuple(row) for row in fwd), tuple(loopfwd)
-
-
-@lru_cache(maxsize=None)
-def _target_profile(n: int, p: int, ms: tuple[IndecLabel, ...]) -> tuple[int, ...]:
-    # hom_dim(L, ms) over all labels L, additive over summands
-    table = hom_table(n, p)
-    return tuple(sum(table[(l, y)] for y in ms) for l in all_labels(n))
-
-
-@lru_cache(maxsize=None)
-def _source_profile(n: int, p: int, ms: tuple[IndecLabel, ...]) -> tuple[int, ...]:
-    table = hom_table(n, p)
-    return tuple(sum(table[(y, l)] for y in ms) for l in all_labels(n))
+    dims = multiset_dims(ms, n)
+    into = hom_profiles(n, p, ms)[0]
+    fwd_pos, loop_pos = _screen_positions(n)
+    fwd = tuple(tuple(dims[v] - into[i] for i in row) for v, row in enumerate(fwd_pos))
+    return dims, fwd, tuple(dims[v] - into[i] for v, i in enumerate(loop_pos))
 
 
 def _colspace(mat, nrows: int, ncols: int, p: int):
@@ -204,33 +182,28 @@ class _SideSpec:
 
 @lru_cache(maxsize=None)
 def _side_spec(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _SideSpec:
-    dims, fwd, loopfwd = _multiset_stats(n, p, ms)
+    screens = dims, fwd, loopfwd = _rank_screens(n, p, ms)
     rivals = [
         alt
         for alt in multisets_with_dims(n, dims)
-        if alt != ms and _multiset_stats(n, p, alt) == (dims, fwd, loopfwd)
+        if alt != ms and _rank_screens(n, p, alt) == screens
     ]
     if not rivals:
         return _SideSpec(ms, dims, fwd, loopfwd, True, ())
-    table = hom_table(n, p)
     labels = all_labels(n)
-    discs: dict[IndecLabel, int] = {}
+    into = hom_profiles(n, p, ms)[0]
+    discs: set[int] = set()
     for alt in rivals:
+        other = hom_profiles(n, p, alt)[0]
         probe = next(
-            (
-                l
-                for l in labels
-                if l.kind == "U"
-                and sum(table[(l, y)] for y in ms) != sum(table[(l, y)] for y in alt)
-            ),
-            None,
+            (i for i, l in enumerate(labels) if l.kind == "U" and into[i] != other[i]), None
         )
         if probe is None:
             # cannot happen: the hom-count matrix separates isoclasses
-            raise AssertionError(f"no separating hom count for {ms} vs {alt}")
-        discs[probe] = sum(table[(probe, y)] for y in ms)
+            raise InternalInvariantError(f"no separating hom count for {ms} vs {alt}")
+        discs.add(probe)
     probes = probe_reps(n, p)
-    pack = tuple((probes[l], exp) for l, exp in sorted(discs.items(), key=lambda kv: kv[0].sort_key()))
+    pack = tuple((probes[labels[i]], into[i]) for i in sorted(discs))
     return _SideSpec(ms, dims, fwd, loopfwd, False, pack)
 
 
@@ -387,16 +360,7 @@ def hall_number(
         return int(xs == ms)
     if not xs:
         return int(ys == ms)
-    ty, tm, tx = (
-        _target_profile(n, p, ys),
-        _target_profile(n, p, ms),
-        _target_profile(n, p, xs),
-    )
-    sy, sm, sx = (
-        _source_profile(n, p, ys),
-        _source_profile(n, p, ms),
-        _source_profile(n, p, xs),
-    )
+    (ty, sy), (tm, sm), (tx, sx) = (hom_profiles(n, p, s) for s in (ys, ms, xs))
     for i in range(len(tm)):
         if ty[i] > tm[i] or sx[i] > sm[i]:
             return 0
@@ -471,10 +435,7 @@ def hall_product(
     dims = tuple(
         x + y for x, y in zip(multiset_dims(a, n), multiset_dims(b, n))
     )
-    if sum(dims) > dim_ceiling:
-        raise CeilingError(
-            f"product dimension {sum(dims)} exceeds the ceiling {dim_ceiling}"
-        )
+    check_ceiling(sum(dims), dim_ceiling)
     out: dict[DecompositionMultiset, int] = {}
     for m in multisets_with_dims(n, dims):
         coeff = hall_number(a, b, m, ctx, dim_ceiling=dim_ceiling)

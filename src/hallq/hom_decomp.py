@@ -118,6 +118,35 @@ def hom_table(n: int, p: int) -> dict[tuple[IndecLabel, IndecLabel], int]:
     }
 
 
+@lru_cache(maxsize=None)
+def _hom_rows(n: int, p: int) -> tuple[dict, dict]:
+    # per label y, the rows (dim Hom(L, y))_L and (dim Hom(y, L))_L over all
+    # labels L in canonical order
+    table = hom_table(n, p)
+    labels = all_labels(n)
+    into = {y: tuple(table[(l, y)] for l in labels) for y in labels}
+    out_of = {y: tuple(table[(y, l)] for l in labels) for y in labels}
+    return into, out_of
+
+
+@lru_cache(maxsize=None)
+def hom_profiles(
+    n: int, p: int, ms: tuple[IndecLabel, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(dim Hom(L, M), dim Hom(M, L)) over all labels L in canonical order,
+    for M the direct sum of the labels ms.
+
+    Hom into or out of a direct sum is the direct sum of the Homs of its
+    summands, so both vectors are sums of per-label rows of hom_table.
+    """
+    into, out_of = _hom_rows(n, p)
+    zero = (0,) * len(all_labels(n))
+    return (
+        tuple(map(sum, zip(zero, *(into[y] for y in ms)))),
+        tuple(map(sum, zip(zero, *(out_of[y] for y in ms)))),
+    )
+
+
 def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
     return tuple(hom_dim_raw(n, p, *probe, *raw) for probe in probe_reps(n, p).values())
 

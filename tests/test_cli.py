@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from hallq.cli import main
+from hallq.hall_core import _rank_screens, _side_spec
 from hallq.hall_poly import verify_product_identities
 from hallq.quiver_rep import (
     AlgebraContext,
@@ -108,6 +109,22 @@ def test_verify_identities_exit_codes(capsys, monkeypatch):
     assert code == 1
     assert "1 fail" in err
     assert out.strip().split("\n")[-1].endswith("\tfail")
+
+
+def test_inseparable_rivals_exit_internal(capsys, monkeypatch):
+    # with every hom profile zero, U2,1 and its rival V1 + V2 agree on every
+    # rank screen and every U-probe: the engine reports an invariant breach
+    zero = (0,) * len(all_labels(2))
+    monkeypatch.setattr("hallq.hall_core.hom_profiles", lambda n, p, ms: (zero, zero))
+    _rank_screens.cache_clear()
+    _side_spec.cache_clear()
+    try:
+        code, _, err = run(capsys, "hall-number", "--n", "2", "--p", "3", "W1,1", "U2,1", "U1,1")
+    finally:
+        _rank_screens.cache_clear()
+        _side_spec.cache_clear()
+    assert code == 3
+    assert "no separating hom count" in err
 
 
 def test_lie_verify_small(capsys):

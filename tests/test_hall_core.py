@@ -7,14 +7,14 @@ from hallq.gf import mat_mul, matrix_rank
 from hallq.hall_core import (
     DEFAULT_DIM_CEILING,
     IsoClassCombo,
-    _label_stats,
+    _rank_screens,
     as_multiset,
     enumerate_submodules,
     hall_number,
     hall_product,
     verify_hall_identity,
 )
-from hallq.hom_decomp import DecompositionMultiset, decompose, hom_table
+from hallq.hom_decomp import DecompositionMultiset, decompose
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -160,6 +160,19 @@ def test_hall_number_ceiling():
     assert sum(multiset_dims(big, 2)) > DEFAULT_DIM_CEILING
 
 
+def test_hall_product_ceiling(monkeypatch):
+    # V1 + V2 has total dimension 3; the product refuses with hall_number's
+    # message before it lists a single candidate M
+    ctx = AlgebraContext(2, 2)
+    v1, v2 = IndecLabel("V", 1), IndecLabel("V", 2)
+    assert hall_product(v1, v2, ctx, dim_ceiling=3) == hall_product(v1, v2, ctx)
+    monkeypatch.setattr(
+        "hallq.hall_core.multisets_with_dims", lambda *a: pytest.fail("listed candidates")
+    )
+    with pytest.raises(CeilingError, match="total dimension 3 .* exceeds the ceiling 2;"):
+        hall_product(v1, v2, ctx, dim_ceiling=2)
+
+
 def test_hall_product_case4():
     for p in (2, 3, 5):
         ctx = AlgebraContext(2, p)
@@ -272,23 +285,24 @@ def test_verify_three_term_identity():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rank_screens_are_hom_dimensions(n, p):
-    # the engine reads its rank screens from hom_table; the oracle here
-    # multiplies out the path and loop-path composites of each label
+    # the engine reads its rank screens from the hom profile of each side;
+    # the oracle here multiplies out the path and loop-path composites of
+    # the direct sum, for every multiset of total dimension <= 4
     ctx = AlgebraContext(n, p)
-    table = hom_table(n, p)
-    for label in all_labels(n):
-        rep = make_indec(label, ctx)
-        dims = rep.dims
-        fwd, loopfwd = [], []
-        for v in range(n):
-            path = tuple(tuple(int(r == c) for c in range(dims[v])) for r in range(dims[v]))
-            ranks = []
-            for w in range(v + 1, n):
-                path = mat_mul(rep.arrow[w - 1].entries, path, p, ncols=dims[v])
-                ranks.append(matrix_rank(path, p))
-                assert ranks[-1] == dims[v] - table[(IndecLabel("W", v + 1, w), label)]
-            loop_rank = matrix_rank(mat_mul(rep.loop.entries, path, p, ncols=dims[v]), p)
-            assert loop_rank == dims[v] - table[(IndecLabel("V", v + 1), label)]
-            fwd.append(tuple(ranks))
-            loopfwd.append(loop_rank)
-        assert _label_stats(n, p, label) == (dims, tuple(fwd), tuple(loopfwd))
+    for dims in itertools.product(range(5), repeat=n):
+        if not 0 < sum(dims) <= 4:
+            continue
+        for ms in multisets_with_dims(n, dims):
+            rep = rep_of_multiset(ms, ctx)
+            fwd, loopfwd = [], []
+            for v in range(n):
+                path = tuple(
+                    tuple(int(r == c) for c in range(dims[v])) for r in range(dims[v])
+                )
+                ranks = []
+                for w in range(v + 1, n):
+                    path = mat_mul(rep.arrow[w - 1].entries, path, p, ncols=dims[v])
+                    ranks.append(matrix_rank(path, p))
+                fwd.append(tuple(ranks))
+                loopfwd.append(matrix_rank(mat_mul(rep.loop.entries, path, p, ncols=dims[v]), p))
+            assert _rank_screens(n, p, ms) == (dims, tuple(fwd), tuple(loopfwd)), ms

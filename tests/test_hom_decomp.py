@@ -11,6 +11,7 @@ from hallq.hom_decomp import (
     decompose,
     hom_dim,
     hom_profile,
+    hom_profiles,
     hom_table,
     is_iso,
     probe_reps,
@@ -75,6 +76,24 @@ def test_hom_additive_in_target(rng):
         m1 = rep_of_multiset([rng.choice(labels)], ctx)
         m2 = rep_of_multiset([rng.choice(labels), rng.choice(labels)], ctx)
         assert hom_dim(x, direct_sum(m1, m2)) == hom_dim(x, m1) + hom_dim(x, m2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_profiles_match_linear_algebra(n, p):
+    # hom_profiles sums hom_table rows over summands; the oracle solves the
+    # Hom linear system on the direct sum itself, for every multiset of
+    # total dimension <= 5, the empty one included
+    ctx = AlgebraContext(n, p)
+    indecs = [make_indec(l, ctx) for l in all_labels(n)]
+    for dims in product(range(6), repeat=n):
+        if sum(dims) > 5:
+            continue
+        for ms in multisets_with_dims(n, dims):
+            rep = rep_of_multiset(ms, ctx)
+            into, out_of = hom_profiles(n, p, ms)
+            assert into == hom_profile(rep), ms
+            assert out_of == tuple(hom_dim(rep, x) for x in indecs), ms
 
 
 def test_hom_table_agrees_with_direct_computation():
