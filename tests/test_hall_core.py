@@ -287,22 +287,23 @@ def test_verify_three_term_identity():
 def test_rank_screens_are_hom_dimensions(n, p):
     # the engine reads its rank screens from the hom profile of each side;
     # the oracle here multiplies out the path and loop-path composites of
-    # the direct sum, for every multiset of total dimension <= 4
+    # the direct sum, for every single label (the projective-like ones reach
+    # dimension 2n) and every multiset of total dimension <= 4
     ctx = AlgebraContext(n, p)
+    cases = [(label,) for label in all_labels(n)]
     for dims in itertools.product(range(5), repeat=n):
-        if not 0 < sum(dims) <= 4:
-            continue
-        for ms in multisets_with_dims(n, dims):
-            rep = rep_of_multiset(ms, ctx)
-            fwd, loopfwd = [], []
-            for v in range(n):
-                path = tuple(
-                    tuple(int(r == c) for c in range(dims[v])) for r in range(dims[v])
-                )
-                ranks = []
-                for w in range(v + 1, n):
-                    path = mat_mul(rep.arrow[w - 1].entries, path, p, ncols=dims[v])
-                    ranks.append(matrix_rank(path, p))
-                fwd.append(tuple(ranks))
-                loopfwd.append(matrix_rank(mat_mul(rep.loop.entries, path, p, ncols=dims[v]), p))
-            assert _rank_screens(n, p, ms) == (dims, tuple(fwd), tuple(loopfwd)), ms
+        if 0 < sum(dims) <= 4:
+            cases.extend(ms for ms in multisets_with_dims(n, dims) if len(ms) > 1)
+    for ms in cases:
+        rep = rep_of_multiset(ms, ctx)
+        dims = rep.dims
+        fwd, loopfwd = [], []
+        for v in range(n):
+            path = tuple(tuple(int(r == c) for c in range(dims[v])) for r in range(dims[v]))
+            ranks = []
+            for w in range(v + 1, n):
+                path = mat_mul(rep.arrow[w - 1].entries, path, p, ncols=dims[v])
+                ranks.append(matrix_rank(path, p))
+            fwd.append(tuple(ranks))
+            loopfwd.append(matrix_rank(mat_mul(rep.loop.entries, path, p, ncols=dims[v]), p))
+        assert _rank_screens(n, p, ms) == (dims, tuple(fwd), tuple(loopfwd)), ms
