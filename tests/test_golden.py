@@ -33,6 +33,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "lie-table-n2-default-tsv": ("lie-table", "--n", "2"),
     "verify-prop-n3-default-tsv": ("verify-prop", "--n", "3"),
     "hall-poly-n2-default": ("hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1"),
+    "verify-identities-n4-p3-tsv": ("verify-identities", "--n", "4", "--p", "3"),
 }
 for _n in ("2", "3"):
     for _fmt in ("tsv", "json"):
