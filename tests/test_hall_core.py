@@ -1,4 +1,5 @@
 import itertools
+from operator import add
 
 import pytest
 
@@ -193,6 +194,28 @@ def test_hall_product_unit():
     m = (IndecLabel("U", 2, 2), IndecLabel("W", 1, 1))
     assert hall_product((), m, ctx) == combo(ctx, (m, 1))
     assert hall_product(m, (), ctx) == combo(ctx, (m, 1))
+
+
+def test_hall_product_matches_composite_sum(rng):
+    # the reference is the engine summed composite by composite over every
+    # multiset of the summed dimension vector; sides of up to three
+    # summands, repeats allowed, and at most 4 at a vertex, which keeps the
+    # engine fast at p = 3
+    checked = 0
+    while checked < 60:
+        n, p = rng.choice((2, 3)), rng.choice((2, 3))
+        ctx = AlgebraContext(n, p)
+        xs, ys = (rng.choices(all_labels(n), k=rng.randint(1, 3)) for _ in range(2))
+        dims = tuple(map(add, multiset_dims(xs, n), multiset_dims(ys, n)))
+        if sum(dims) > 8 or max(dims) > 4:
+            continue
+        expect = {}
+        for m in multisets_with_dims(n, dims):
+            coeff = hall_number(xs, ys, m, ctx)
+            if coeff:
+                expect[DecompositionMultiset.from_labels(m)] = coeff
+        assert hall_product(xs, ys, ctx) == IsoClassCombo.from_dict(expect), (ctx, xs, ys)
+        checked += 1
 
 
 def test_hall_product_interval_chain():
