@@ -1,5 +1,6 @@
 """Hall numbers by exhaustive submodule enumeration, Hall products in the
-isoclass basis, and product-expansion identity checks.
+isoclass basis from the middle terms of Ext^1, and product-expansion
+identity checks.
 
 The public enumeration walks vertices 1..n depth first, growing each vertex
 space over the image of the previous one. The counting engine used by
@@ -21,13 +22,21 @@ from .errors import CeilingError, HypothesisError, InternalInvariantError
 from .gf import (
     SubspaceBasis,
     echelon_supersets,
+    enumerate_subspaces,
     mat_mul,
     mat_vec,
     matrix_rank,
     reduce_vector,
     row_reduce,
 )
-from .hom_decomp import DecompositionMultiset, hom_dim_raw, hom_profiles, probe_reps, raw_rep
+from .hom_decomp import (
+    DecompositionMultiset,
+    hom_dim_raw,
+    hom_profiles,
+    probe_reps,
+    raw_rep,
+    riedtmann_hall_numbers,
+)
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -74,23 +83,19 @@ def enumerate_submodules(m: Representation) -> Iterator[SubmoduleWitness]:
     chosen: list[SubspaceBasis] = [SubspaceBasis.zero(p, d) for d in m.dims]
 
     def rec(v: int, lower: SubspaceBasis) -> Iterator[SubmoduleWitness]:
-        free = m.dims[v] - lower.dim
-        for r in range(free + 1):
-            for rows, pivots in echelon_supersets(
-                m.dims[v], p, lower.row_basis, lower.pivots, r
-            ):
-                space = SubspaceBasis(p, m.dims[v], rows, pivots)
-                if v == n - 1:
-                    if not all(space.contains_vector(mat_vec(loop, vec, p)) for vec in rows):
-                        continue
-                    chosen[v] = space
-                    yield SubmoduleWitness(m, tuple(chosen))
-                else:
-                    chosen[v] = space
-                    arr = m.arrow[v].entries
-                    imgs = [mat_vec(arr, vec, p) for vec in rows]
-                    red, _, red_pivs = row_reduce(imgs, p, ncols=m.dims[v + 1])
-                    yield from rec(v + 1, SubspaceBasis(p, m.dims[v + 1], red, red_pivs))
+        for space in enumerate_subspaces(m.dims[v], p, lower):
+            rows = space.row_basis
+            if v == n - 1:
+                if not all(space.contains_vector(mat_vec(loop, vec, p)) for vec in rows):
+                    continue
+                chosen[v] = space
+                yield SubmoduleWitness(m, tuple(chosen))
+            else:
+                chosen[v] = space
+                arr = m.arrow[v].entries
+                imgs = [mat_vec(arr, vec, p) for vec in rows]
+                red, _, red_pivs = row_reduce(imgs, p, ncols=m.dims[v + 1])
+                yield from rec(v + 1, SubspaceBasis(p, m.dims[v + 1], red, red_pivs))
 
     yield from rec(0, SubspaceBasis.zero(p, m.dims[0]))
 
@@ -427,21 +432,21 @@ def hall_product(
     ctx: AlgebraContext,
     dim_ceiling: int = DEFAULT_DIM_CEILING,
 ) -> IsoClassCombo:
-    """[n1] . [n2] = sum over M of F^M_{n1,n2} [M], with M ranging over all
-    label multisets whose dimension vector is dims(n1) + dims(n2)."""
+    """[n1] . [n2] = sum over M of F^M_{n1,n2} [M].
+
+    The M with a nonzero coefficient are the middle terms of
+    Ext^1(n1, n2), and riedtmann_hall_numbers counts them all in one walk
+    over 1 + (p^e - 1)/(p - 1) classes, e = dim Ext^1(n1, n2); the
+    ceiling applies to the summed total dimension, as in hall_number.
+    """
     n = ctx.n
     a = as_multiset(n1, n)
     b = as_multiset(n2, n)
-    dims = tuple(
-        x + y for x, y in zip(multiset_dims(a, n), multiset_dims(b, n))
+    check_ceiling(sum(multiset_dims(a + b, n)), dim_ceiling)
+    counts = riedtmann_hall_numbers(a, b, ctx)
+    return IsoClassCombo.from_dict(
+        {DecompositionMultiset.from_labels(m): c for m, c in counts.items()}
     )
-    check_ceiling(sum(dims), dim_ceiling)
-    out: dict[DecompositionMultiset, int] = {}
-    for m in multisets_with_dims(n, dims):
-        coeff = hall_number(a, b, m, ctx, dim_ceiling=dim_ceiling)
-        if coeff:
-            out[DecompositionMultiset.from_labels(m)] = coeff
-    return IsoClassCombo.from_dict(out)
 
 
 @dataclass(frozen=True)

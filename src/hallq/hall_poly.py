@@ -259,14 +259,6 @@ def expected_hall_poly(x: IndecLabel, y: IndecLabel, m: IndecLabel, n: int):
     return "unlisted"
 
 
-def in_t_table_range(x: IndecLabel, y: IndecLabel, m: IndecLabel, n: int) -> bool:
-    """True for triples whose tabulated value is T (the overlap-afflicted rows)."""
-    if x.kind != "W" or y.kind != "U" or m.kind != "U":
-        return False
-    i, j = x.i, x.j
-    return y.i == j + 1 and m == IndecLabel("U", i, y.j) and i <= y.j <= j
-
-
 @dataclass(frozen=True)
 class ReconciliationReport:
     """One table entry compared against the interpolated truth."""

@@ -30,7 +30,6 @@ from hallq.hall_poly import (
     ZERO_POLY,
     HallPolynomial,
     combo_to_str,
-    in_t_table_range,
     reconcile_poly_table,
     verify_product_identities,
 )
@@ -51,6 +50,14 @@ from hallq.quiver_rep import (
 
 RECON_PRIMES = (2, 3, 5, 7, 11, 13)
 LABEL_COUNTS = {2: 7, 3: 15, 4: 26, 5: 40}
+
+
+def in_t_table_range(x: IndecLabel, y: IndecLabel, m: IndecLabel) -> bool:
+    # the table's T rows W(i,j); U(j+1,l); U(i,l) with i <= l <= j
+    if x.kind != "W" or y.kind != "U" or m.kind != "U":
+        return False
+    i, j = x.i, x.j
+    return y.i == j + 1 and m == IndecLabel("U", i, y.j) and i <= y.j <= j
 
 
 def _report(tag: str, ok: bool) -> bool:
@@ -101,7 +108,7 @@ def test_c2_closed_form_table_reconciles(recon_reports):
                 )
             # the T rows sit inside an ambiguity zone, so check their truth
             # directly on the interpolated polynomial
-            if in_t_table_range(x, y, m, n):
+            if in_t_table_range(x, y, m):
                 t_rows += 1
                 if r.interpolated != T_POLY:
                     problems.append(f"{name}: T row interpolated to {r.interpolated}")

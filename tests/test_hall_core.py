@@ -163,12 +163,12 @@ def test_hall_number_ceiling():
 
 def test_hall_product_ceiling(monkeypatch):
     # V1 + V2 has total dimension 3; the product refuses with hall_number's
-    # message before it lists a single candidate M
+    # message before it walks a single class of Ext^1
     ctx = AlgebraContext(2, 2)
     v1, v2 = IndecLabel("V", 1), IndecLabel("V", 2)
     assert hall_product(v1, v2, ctx, dim_ceiling=3) == hall_product(v1, v2, ctx)
     monkeypatch.setattr(
-        "hallq.hall_core.multisets_with_dims", lambda *a: pytest.fail("listed candidates")
+        "hallq.hall_core.riedtmann_hall_numbers", lambda *a: pytest.fail("walked Ext^1")
     )
     with pytest.raises(CeilingError, match="total dimension 3 .* exceeds the ceiling 2;"):
         hall_product(v1, v2, ctx, dim_ceiling=2)

@@ -11,7 +11,6 @@ from hallq.hall_poly import (
     hom_degree_bound,
     identities_to_json,
     identities_to_tsv,
-    in_t_table_range,
     interpolate_hall_poly,
     reconcile_poly_table,
     reconciliation_to_json,
@@ -181,12 +180,6 @@ def test_expected_rejects_bad_input():
         expected_hall_poly((W(1, 1), W(1, 1)), V(1), V(1), 2)
     with pytest.raises(LabelError):
         expected_hall_poly(W(1, 2), V(1), V(1), 2)
-
-
-def test_t_range_helper():
-    assert in_t_table_range(W(1, 1), U(2, 1), U(1, 1), 2)
-    assert not in_t_table_range(W(1, 1), U(2, 2), U(1, 2), 2)
-    assert not in_t_table_range(V(1), V(2), U(2, 1), 2)
 
 
 def test_reconcile_table_n2():
