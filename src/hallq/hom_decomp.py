@@ -5,14 +5,13 @@ numbers from the middle terms of extensions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError
-from .gf import matrix_rank, null_space, reduce_vector, row_reduce
+from .gf import mat_mul, matrix_rank, null_space, reduce_vector, row_reduce
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -148,7 +147,67 @@ def hom_profiles(
 
 
 def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
-    return tuple(hom_dim_raw(n, p, *probe, *raw) for probe in probe_reps(n, p).values())
+    """dim Hom(L, M) over all labels L in canonical order, from ranks of
+    M's path maps instead of one Hom linear system per label.
+
+    Write A_{s->t}: M_s -> M_t for the path map of M (A_{s->s} = 1), L for
+    its loop, and a_{s->t} for the path as an element of the projective
+    P_s = e_s Lambda, which has a basis of the paths from s: a_{s->t} for
+    s <= t <= n and L a_{s->n}. Each label has a presentation
+        W(i,j) = P_i / <a_{i->j+1}>,
+        V(i)   = P_i / <L a_{i->n}>,
+        U(i,j) = (P_i + P_j) / <a_{i->n} g_i - L a_{j->n} g_j>,
+    with g_i, g_j the generators of the two summands (also for i = j and
+    for i or j = n, where a_{n->n} = 1). Proof: the canonical
+    representation of each label is generated by the images of the
+    generators, and those images satisfy the relation: in W(i,j) vertex
+    j+1 is 0; in V(i) the loop is 0; in U(i,j) g_j reaches e1 at vertex n
+    and g_i reaches e2 = L e1 (make_indec sends the junction to e1 for
+    j < i and to e2 for i < j, and for i = j the generators are e1 and e2
+    at vertex i). So each presentation maps onto the label, and both have
+    the label's dimension vector: the relation generates 1 at each vertex
+    from j+1 to n-1 and 2 at n for W, 1 at n for V, and 2 at n (itself and
+    L a_{i->n} g_i) for U. A surjection between spaces of equal dimension
+    is an isomorphism.
+
+    A map out of P_s is the image of its generator, any vector of M_s, so
+    Hom(L, M) is the set of generator images that the relation kills:
+        dim Hom(W(i,j), M) = dim M_i - rk A_{i->j+1},
+        dim Hom(V(i), M)   = dim M_i - rk (L A_{i->n}),
+        dim Hom(U(i,j), M) = dim M_i + dim M_j - rk [A_{i->n} | L A_{j->n}],
+    where the sign of the second block, -L A_{j->n}, drops out of the rank.
+
+    Field independence: every arrow and loop matrix of a canonical
+    indecomposable has at most one nonzero entry in each column, and that
+    entry is 1, so every product of them, and each block matrix above,
+    does too. The column space of such a matrix is spanned by the unit
+    vectors of its nonzero rows, so each rank is a count of nonzero rows
+    and the same over every F_p. Hence hom_table(n, p) does not depend on
+    p, and nor does _c_inverse.
+    """
+    dims, arrows, loop = raw
+    # paths[s][t] = A_{s->t} for 0-based vertices s <= t
+    paths = []
+    for s in range(n):
+        d = dims[s]
+        row = [()] * s + [tuple(tuple(int(r == c) for c in range(d)) for r in range(d))]
+        for t in range(s + 1, n):
+            row.append(mat_mul(arrows[t - 1], row[t - 1], p, ncols=dims[s]))
+        paths.append(row)
+    top = [paths[s][n - 1] for s in range(n)]
+    loop_top = [mat_mul(loop, a, p, ncols=dims[s]) for s, a in enumerate(top)]
+    out = []
+    for label in all_labels(n):
+        i = label.i - 1
+        if label.kind == "W":
+            out.append(dims[i] - matrix_rank(paths[i][label.j], p))
+        elif label.kind == "V":
+            out.append(dims[i] - matrix_rank(loop_top[i], p))
+        else:
+            j = label.j - 1
+            joined = [a + b for a, b in zip(top[i], loop_top[j])]
+            out.append(dims[i] + dims[j] - matrix_rank(joined, p))
+    return tuple(out)
 
 
 def hom_profile(rep: Representation) -> tuple[int, ...]:
@@ -213,30 +272,24 @@ class DecompositionMultiset:
 def _c_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     # inverse of the hom-count matrix C[X][Y] = hom_dim(X, Y); its
     # invertibility is what makes hom profiles decide isomorphism classes.
-    # It is integral for every n the tests build (2..6), which keeps the
-    # solve in integers; a fractional entry is an invariant breach
+    # It is integral for every n the tests build (2..6), with entries in
+    # {-1, 0, 1}, which keeps the solve in integers. It is found over F_97,
+    # lifted to [-48, 48] and accepted only if C . B = I over the integers;
+    # a fractional or large inverse is an invariant breach
     labels = all_labels(n)
     table = hom_table(n, p)
-    k = len(labels)
-    aug = [
-        [Fraction(table[(labels[r], labels[c])]) for c in range(k)]
-        + [Fraction(int(r == c)) for c in range(k)]
-        for r in range(k)
-    ]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise InternalInvariantError("hom-count matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    if any(x.denominator != 1 for row in aug for x in row[k:]):
-        raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse")
-    return tuple(tuple(int(x) for x in row[k:]) for row in aug)
+    k, q = len(labels), 97
+    c_rows = [[table[(x, y)] for y in labels] for x in labels]
+    aug = [[e % q for e in row] + [int(r == c) for c in range(k)] for r, row in enumerate(c_rows)]
+    red, _, pivots = row_reduce(aug, q)
+    if pivots[:k] != tuple(range(k)):
+        raise InternalInvariantError(f"hom-count matrix at n={n} is singular mod {q}")
+    inv = tuple(tuple(x if x <= q // 2 else x - q for x in row[k:]) for row in red)
+    cols = tuple(zip(*inv))
+    for r, row in enumerate(c_rows):
+        if any(sum(map(mul, row, col)) != int(r == c) for c, col in enumerate(cols)):
+            raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse")
+    return inv
 
 
 @lru_cache(maxsize=None)

@@ -1,21 +1,28 @@
 from itertools import product
-from operator import add
+from operator import add, mul
 
 import pytest
 
+from hallq import hom_decomp
+from hallq.errors import InternalInvariantError
 from hallq.gf import matrix_rank, null_space
 from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
+    _ext_classes,
     _hom_equations,
+    _middle_term,
+    _profile_raw,
     decompose,
     hom_dim,
+    hom_dim_raw,
     hom_profile,
     hom_profiles,
     hom_table,
     is_iso,
     probe_reps,
+    raw_rep,
     riedtmann_hall_numbers,
 )
 from hallq.quiver_rep import (
@@ -97,6 +104,40 @@ def test_hom_profiles_match_linear_algebra(n, p):
             assert out_of == tuple(hom_dim(rep, x) for x in indecs), ms
 
 
+def _random_modules(rng, n, p, extensions, sums):
+    # raw middle terms of random nonsplit extensions 0 -> Y -> M -> X -> 0,
+    # X and Y sums of one or two labels, then raw sums of one to three labels
+    ctx = AlgebraContext(n, p)
+    labels = all_labels(n)
+    table = hom_table(n, p)
+    out = []
+    for _ in range(50 * extensions):
+        if len(out) == extensions:
+            break
+        xs = rng.choices(labels, k=rng.randint(1, 2))
+        ys = rng.choices(labels, k=rng.randint(1, 2))
+        x, y = (raw_rep(rep_of_multiset(ms, ctx)) for ms in (xs, ys))
+        reps, blocks = _ext_classes(n, p, x, y, sum(table[(a, b)] for a in xs for b in ys))
+        coeffs = [rng.randrange(p) for _ in reps]
+        if any(coeffs):
+            c = [sum(map(mul, coeffs, col)) % p for col in zip(*reps)]
+            out.append(_middle_term(n, x, y, blocks, c))
+    assert len(out) == extensions
+    for _ in range(sums):
+        out.append(raw_rep(rep_of_multiset(rng.choices(labels, k=rng.randint(1, 3)), ctx)))
+    return out
+
+
+def test_path_profile_matches_hom_systems(rng):
+    # the path-rank kernel against one generic Hom linear system per label
+    for n in range(2, 7):
+        for p in (2, 3, 5, 7):
+            probes = probe_reps(n, p).values()
+            for m in _random_modules(rng, n, p, extensions=8, sums=4):
+                want = tuple(hom_dim_raw(n, p, *probe, *m) for probe in probes)
+                assert _profile_raw(n, p, m) == want, (n, p, m)
+
+
 def test_hom_table_agrees_with_direct_computation():
     n, p = 2, 3
     ctx = AlgebraContext(n, p)
@@ -128,10 +169,37 @@ def test_labels_pairwise_non_isomorphic():
 
 
 def test_hom_count_matrix_invertible():
+    # the lifted F_97 inverse is the inverse over the integers
     for n in range(2, 7):
-        _c_inverse(n, 2)
-    for n in (2, 3, 4):
-        _c_inverse(n, 3)
+        labels = all_labels(n)
+        for p in (2, 3):
+            table = hom_table(n, p)
+            inv = _c_inverse(n, p)
+            for x in labels:
+                for z, col in zip(labels, zip(*inv)):
+                    got = sum(table[(x, y)] * b for y, b in zip(labels, col))
+                    assert got == int(x == z), (n, p, x, z)
+
+
+@pytest.mark.parametrize(
+    "corner, message",
+    [(((2, 0), (0, 1)), "has no integer inverse"), (((1, 1), (1, 1)), "singular")],
+    ids=["two-on-diagonal", "singular"],
+)
+def test_hom_count_inverse_rejects_non_unimodular(monkeypatch, corner, message):
+    # the identity with its top-left 2x2 block replaced: a 2 on the
+    # diagonal inverts over F_97 but not over the integers
+    labels = all_labels(2)
+    fake = {(x, y): int(x == y) for x in labels for y in labels}
+    for (r, c), v in zip(product(range(2), repeat=2), (e for row in corner for e in row)):
+        fake[(labels[r], labels[c])] = v
+    monkeypatch.setattr(hom_decomp, "hom_table", lambda n, p: fake)
+    _c_inverse.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match=message):
+            _c_inverse(2, 2)
+    finally:
+        _c_inverse.cache_clear()
 
 
 def test_decompose_indecomposables():
