@@ -192,7 +192,7 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
         d = dims[s]
         row = [()] * s + [tuple(tuple(int(r == c) for c in range(d)) for r in range(d))]
         for t in range(s + 1, n):
-            row.append(mat_mul(arrows[t - 1], row[t - 1], p, ncols=dims[s]))
+            row.append(mat_mul(arrows[t - 1], row[t - 1], p, ncols=d))
         paths.append(row)
     top = [paths[s][n - 1] for s in range(n)]
     loop_top = [mat_mul(loop, a, p, ncols=dims[s]) for s, a in enumerate(top)]
