@@ -34,7 +34,6 @@ from .hom_decomp import (
     hom_dim_raw,
     hom_profiles,
     probe_reps,
-    raw_rep,
     riedtmann_hall_numbers,
 )
 from .quiver_rep import (
@@ -48,7 +47,7 @@ from .quiver_rep import (
     multiset_dims,
     multiset_to_str,
     multisets_with_dims,
-    rep_of_multiset,
+    raw_sum,
 )
 
 DEFAULT_DIM_CEILING = 12
@@ -100,7 +99,7 @@ def enumerate_submodules(m: Representation) -> Iterator[SubmoduleWitness]:
     yield from rec(0, SubspaceBasis.zero(p, m.dims[0]))
 
 
-# --- cached per-(n, p) structural data -------------------------------------
+# --- cached structural data ----------------------------------------------
 
 
 def _identity_entries(d: int) -> tuple[tuple[int, ...], ...]:
@@ -118,7 +117,7 @@ def _screen_positions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, .
 
 
 @lru_cache(maxsize=None)
-def _rank_screens(n: int, p: int, ms: tuple[IndecLabel, ...]):
+def _rank_screens(n: int, ms: tuple[IndecLabel, ...]):
     # Rank screens read from Hom dimensions (vertices counted from 1 here,
     # from 0 in the code). The projective at v is P_v = U(n,v). The path
     # v -> w and the loop after the path v -> n are maps P_w -> P_v and
@@ -128,7 +127,7 @@ def _rank_screens(n: int, p: int, ms: tuple[IndecLabel, ...]):
     # so rank(path v -> w on M) = dim M_v - dim Hom(W(v,w-1), M), and the
     # same with V(v) for the loop after the path to n.
     dims = multiset_dims(ms, n)
-    into = hom_profiles(n, p, ms)[0]
+    into = hom_profiles(n, ms)[0]
     fwd_pos, loop_pos = _screen_positions(n)
     fwd = tuple(tuple(dims[v] - into[i] for i in row) for v, row in enumerate(fwd_pos))
     return dims, fwd, tuple(dims[v] - into[i] for v, i in enumerate(loop_pos))
@@ -154,7 +153,7 @@ class _ModuleData:
 
 @lru_cache(maxsize=256)
 def _module_data(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _ModuleData:
-    dims, arrows, loop = raw_rep(rep_of_multiset(ms, AlgebraContext(n, p)))
+    dims, arrows, loop = raw_sum(ms, n)
     # path[v][w] = composite matrix vertex v -> w, w >= v
     path = [[None] * n for _ in range(n)]
     for v in range(n):
@@ -186,20 +185,20 @@ class _SideSpec:
 
 
 @lru_cache(maxsize=None)
-def _side_spec(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _SideSpec:
-    screens = dims, fwd, loopfwd = _rank_screens(n, p, ms)
+def _side_spec(n: int, ms: tuple[IndecLabel, ...]) -> _SideSpec:
+    screens = dims, fwd, loopfwd = _rank_screens(n, ms)
     rivals = [
         alt
         for alt in multisets_with_dims(n, dims)
-        if alt != ms and _rank_screens(n, p, alt) == screens
+        if alt != ms and _rank_screens(n, alt) == screens
     ]
     if not rivals:
         return _SideSpec(ms, dims, fwd, loopfwd, True, ())
     labels = all_labels(n)
-    into = hom_profiles(n, p, ms)[0]
+    into = hom_profiles(n, ms)[0]
     discs: set[int] = set()
     for alt in rivals:
-        other = hom_profiles(n, p, alt)[0]
+        other = hom_profiles(n, alt)[0]
         probe = next(
             (i for i, l in enumerate(labels) if l.kind == "U" and into[i] != other[i]), None
         )
@@ -207,7 +206,7 @@ def _side_spec(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _SideSpec:
             # cannot happen: the hom-count matrix separates isoclasses
             raise InternalInvariantError(f"no separating hom count for {ms} vs {alt}")
         discs.add(probe)
-    probes = probe_reps(n, p)
+    probes = probe_reps(n)
     pack = tuple((probes[labels[i]], into[i]) for i in sorted(discs))
     return _SideSpec(ms, dims, fwd, loopfwd, False, pack)
 
@@ -365,14 +364,14 @@ def hall_number(
         return int(xs == ms)
     if not xs:
         return int(ys == ms)
-    (ty, sy), (tm, sm), (tx, sx) = (hom_profiles(n, p, s) for s in (ys, ms, xs))
+    (ty, sy), (tm, sm), (tx, sx) = (hom_profiles(n, s) for s in (ys, ms, xs))
     for i in range(len(tm)):
         if ty[i] > tm[i] or sx[i] > sm[i]:
             return 0
         if tm[i] > tx[i] + ty[i] or sm[i] > sx[i] + sy[i]:
             return 0
     return _count_witnesses(
-        n, p, _module_data(n, p, ms), _side_spec(n, p, ys), _side_spec(n, p, xs)
+        n, p, _module_data(n, p, ms), _side_spec(n, ys), _side_spec(n, xs)
     )
 
 

@@ -104,10 +104,10 @@ def hom_degree_bound(x, y, n: int) -> int:
     quiver Grassmannian whose tangent space at U is Hom(U, M/U) = Hom(Y, X)
     (Schofield, General representations of quivers, 1992), so the stratum
     has at most that dimension, and so has the degree of its point count.
-    Hom is additive over summands; the dimensions are read at p = 2, which
-    the tests check is the same at every p used for n <= 6.
+    Hom is additive over summands, and the dimensions come from hom_table,
+    which is the same over every F_p (proof in hom_decomp._profile_raw).
     """
-    table = hom_table(n, 2)
+    table = hom_table(n)
     return sum(table[(b, a)] for b in as_multiset(y, n) for a in as_multiset(x, n))
 
 

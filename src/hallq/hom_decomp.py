@@ -15,11 +15,12 @@ from .gf import mat_mul, matrix_rank, null_space, reduce_vector, row_reduce
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
+    RawRep,
     Representation,
     all_labels,
-    make_indec,
+    multiset_dims,
     multiset_to_str,
-    rep_of_multiset,
+    raw_sum,
 )
 
 
@@ -78,9 +79,6 @@ def hom_dim_raw(n: int, p: int, dx, ax, lx, dm, am, lm) -> int:
     return total - matrix_rank(rows, p)
 
 
-RawRep = tuple  # (dims, arrow entries, loop entries)
-
-
 def raw_rep(rep: Representation) -> RawRep:
     """The entry tuples of a representation, as the raw kernels take them."""
     return rep.dims, tuple(a.entries for a in rep.arrow), rep.loop.entries
@@ -99,29 +97,42 @@ def hom_dim(x: Representation, m: Representation) -> int:
 
 
 @lru_cache(maxsize=None)
-def probe_reps(n: int, p: int) -> dict[IndecLabel, RawRep]:
+def probe_reps(n: int) -> dict[IndecLabel, RawRep]:
     """Raw form of every indecomposable, in canonical label order, built once
-    per (n, p)."""
-    ctx = AlgebraContext(n, p)
-    return {l: raw_rep(make_indec(l, ctx)) for l in all_labels(n)}
+    per n: the entries are 0 or 1, the same over every F_p."""
+    return {l: raw_sum((l,), n) for l in all_labels(n)}
 
 
 @lru_cache(maxsize=None)
-def hom_table(n: int, p: int) -> dict[tuple[IndecLabel, IndecLabel], int]:
-    """hom_dim between all pairs of indecomposables, filled once per (n, p)."""
-    probes = probe_reps(n, p)
-    return {
-        (a, b): hom_dim_raw(n, p, *ra, *rb)
+def hom_table(n: int, p: int | None = None) -> dict[tuple[IndecLabel, IndecLabel], int]:
+    """hom_dim between all pairs of indecomposables, filled once per n.
+
+    The generic Hom system is solved over F_2; the table is the same over
+    every F_p by the field-independence argument in _profile_raw. p is
+    accepted and ignored, for callers of the old (n, p) signature
+    (perfbench/make_reference.py).
+
+    The fill also checks that _profile_raw of each label equals its column
+    of the table, which decompose's correctness rests on, and raises
+    InternalInvariantError if not.
+    """
+    probes = probe_reps(n)
+    table = {
+        (a, b): hom_dim_raw(n, 2, *ra, *rb)
         for a, ra in probes.items()
         for b, rb in probes.items()
     }
+    for y, raw in probes.items():
+        if _profile_raw(n, 2, raw) != tuple(table[(l, y)] for l in probes):
+            raise InternalInvariantError(f"path-rank profile of {y} disagrees with hom_table")
+    return table
 
 
 @lru_cache(maxsize=None)
-def _hom_rows(n: int, p: int) -> tuple[dict, dict]:
+def _hom_rows(n: int) -> tuple[dict, dict]:
     # per label y, the rows (dim Hom(L, y))_L and (dim Hom(y, L))_L over all
     # labels L in canonical order
-    table = hom_table(n, p)
+    table = hom_table(n)
     labels = all_labels(n)
     into = {y: tuple(table[(l, y)] for l in labels) for y in labels}
     out_of = {y: tuple(table[(y, l)] for l in labels) for y in labels}
@@ -130,7 +141,7 @@ def _hom_rows(n: int, p: int) -> tuple[dict, dict]:
 
 @lru_cache(maxsize=None)
 def hom_profiles(
-    n: int, p: int, ms: tuple[IndecLabel, ...]
+    n: int, ms: tuple[IndecLabel, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(dim Hom(L, M), dim Hom(M, L)) over all labels L in canonical order,
     for M the direct sum of the labels ms.
@@ -138,7 +149,7 @@ def hom_profiles(
     Hom into or out of a direct sum is the direct sum of the Homs of its
     summands, so both vectors are sums of per-label rows of hom_table.
     """
-    into, out_of = _hom_rows(n, p)
+    into, out_of = _hom_rows(n)
     zero = (0,) * len(all_labels(n))
     return (
         tuple(map(sum, zip(zero, *(into[y] for y in ms)))),
@@ -182,8 +193,8 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
     entry is 1, so every product of them, and each block matrix above,
     does too. The column space of such a matrix is spanned by the unit
     vectors of its nonzero rows, so each rank is a count of nonzero rows
-    and the same over every F_p. Hence hom_table(n, p) does not depend on
-    p, and nor does _c_inverse.
+    and the same over every F_p. Hence hom_table does not depend on p, and
+    nor does _c_inverse.
     """
     dims, arrows, loop = raw
     # paths[s][t] = A_{s->t} for 0-based vertices s <= t
@@ -269,7 +280,7 @@ class DecompositionMultiset:
 
 
 @lru_cache(maxsize=None)
-def _c_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+def _c_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     # inverse of the hom-count matrix C[X][Y] = hom_dim(X, Y); its
     # invertibility is what makes hom profiles decide isomorphism classes.
     # It is integral for every n the tests build (2..6), with entries in
@@ -277,7 +288,7 @@ def _c_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     # lifted to [-48, 48] and accepted only if C . B = I over the integers;
     # a fractional or large inverse is an invariant breach
     labels = all_labels(n)
-    table = hom_table(n, p)
+    table = hom_table(n)
     k, q = len(labels), 97
     c_rows = [[table[(x, y)] for y in labels] for x in labels]
     aug = [[e % q for e in row] + [int(r == c) for c in range(k)] for r, row in enumerate(c_rows)]
@@ -292,25 +303,18 @@ def _c_inverse(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     return inv
 
 
-@lru_cache(maxsize=None)
-def _rebuilt(n: int, p: int, labels: tuple[IndecLabel, ...]) -> tuple[tuple, tuple]:
-    # dimension vector and hom profile of the direct sum of labels
-    raw = raw_rep(rep_of_multiset(labels, AlgebraContext(n, p)))
-    return raw[0], _profile_raw(n, p, raw)
-
-
 def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
     labels = all_labels(n)
     h = _profile_raw(n, p, raw)
-    mult = [sum(map(mul, row, h)) for row in _c_inverse(n, p)]
+    mult = [sum(map(mul, row, h)) for row in _c_inverse(n)]
     for l, v in zip(labels, mult):
         if v < 0:
             raise InternalInvariantError(
                 f"hom profile produced multiplicity {v} for {l}; not a module count"
             )
     result = DecompositionMultiset.from_pairs(zip(labels, mult))
-    if _rebuilt(n, p, result.as_labels()) != (raw[0], h):
-        raise InternalInvariantError("decomposition failed its round-trip check")
+    if multiset_dims(result.as_labels(), n) != raw[0]:
+        raise InternalInvariantError("decomposition does not have the module's dimensions")
     return result
 
 
@@ -318,9 +322,24 @@ def decompose(m: Representation) -> DecompositionMultiset:
     """Krull-Schmidt decomposition from the hom profile.
 
     Solves C . mult = h exactly, where h is the hom profile of m and C holds
-    hom counts between indecomposables, then validates nonnegativity and a
-    round trip: the module rebuilt from the multiplicities has the
-    dimensions and hom profile of m.
+    hom counts between indecomposables (C[L][Y] = dim Hom(L, Y)), then
+    checks that the multiplicities are nonnegative and add up to the
+    dimension vector of m.
+
+    The module R rebuilt from the multiplicities has hom profile h, so
+    comparing the two, as a round trip, would test nothing for any
+    particular m. Three facts make it a tautology:
+    - C . B = I over the integers, for B the inverse _c_inverse returns
+      (checked there), so mult = B h gives C mult = h;
+    - Hom profiles add over direct sums: each entry of _profile_raw is a
+      vertex dimension minus the rank of a block-diagonal matrix, one block
+      per summand, so profile(R) = sum of mult_Y profile(Y) over labels Y;
+    - profile(Y) is column Y of C for every label Y (checked once per n
+      when hom_table is filled).
+    Together, profile(R)_L = sum over Y of C[L][Y] mult_Y = h_L. What is
+    left to check is h itself: a negative multiplicity means h is not the
+    profile of any module, and the dimension check catches a profile that
+    does not belong to m.
     """
     return _decompose_raw(m.ctx.n, m.ctx.p, raw_rep(m))
 
@@ -334,7 +353,7 @@ def _aut_order(labels: Iterable[IndecLabel], n: int, p: int) -> int:
     # matrix rings M_{m_i}(F_p), and Aut M is its unit group times the
     # radical, of order p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|
     items = DecompositionMultiset.from_labels(labels).items
-    table = hom_table(n, p)
+    table = hom_table(n)
     end = sum(a * b * table[(k, l)] for k, a in items for l, b in items)
     order = p ** (end - sum(m * m for _, m in items))
     for _, m in items:
@@ -437,10 +456,9 @@ def riedtmann_hall_numbers(
     n, p = ctx.n, ctx.p
     xs = tuple(sorted(xs, key=IndecLabel.sort_key))
     ys = tuple(sorted(ys, key=IndecLabel.sort_key))
-    table = hom_table(n, p)
+    table = hom_table(n)
     hom_xy = sum(table[(a, b)] for a in xs for b in ys)
-    x = raw_rep(rep_of_multiset(xs, ctx))
-    y = raw_rep(rep_of_multiset(ys, ctx))
+    x, y = raw_sum(xs, n), raw_sum(ys, n)
     reps, blocks = _ext_classes(n, p, x, y, hom_xy)
     split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
     sizes = {split: 1}

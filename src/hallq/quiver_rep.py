@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import LabelError, RelationError, WitnessError
@@ -148,34 +148,65 @@ class Representation:
         return sum(self.dims)
 
 
-def zero_rep(ctx: AlgebraContext) -> Representation:
-    dims = (0,) * ctx.n
-    arrows = tuple(PrimeFieldMatrix.zero(ctx.p, 0, 0) for _ in range(ctx.n - 1))
-    return Representation(ctx, dims, arrows, PrimeFieldMatrix.zero(ctx.p, 0, 0))
+RawRep = tuple  # (dims, arrow entries, loop entries)
+
+
+@lru_cache(maxsize=None)
+def _indec_raw(label: IndecLabel, n: int) -> RawRep:
+    # the canonical matrices of a label; every entry is 0 or 1, so they
+    # are the same over every F_p
+    dims = label_dims(label, n)
+    arrows = []
+    for dv, dw in zip(dims, dims[1:]):
+        if dv == 1 and dw == 2:
+            # junction into the 2-dimensional tail: e1 for j <= i, e2 for i < j
+            arrows.append(((1,), (0,)) if label.j <= label.i else ((0,), (1,)))
+        else:
+            # the identity between equal dimensions, zero otherwise
+            eye = dv == dw
+            arrows.append(tuple(tuple(int(eye and r == c) for c in range(dv)) for r in range(dw)))
+    dn = dims[n - 1]
+    loop = M_ALPHA if dn == 2 else tuple((0,) * dn for _ in range(dn))
+    return dims, tuple(arrows), loop
+
+
+def _block_diag(blocks, widths) -> tuple[tuple[int, ...], ...]:
+    # entry tuples of the block-diagonal matrix; widths gives each block's
+    # column count, which a block without rows does not carry
+    total = sum(widths)
+    rows = []
+    left = 0
+    for block, width in zip(blocks, widths):
+        right = total - left - width
+        rows.extend((0,) * left + tuple(r) + (0,) * right for r in block)
+        left += width
+    return tuple(rows)
+
+
+def raw_sum(labels: Iterable[IndecLabel], n: int) -> RawRep:
+    """The direct sum of canonical indecomposables, summed in canonical
+    label order, as raw entry tuples: the same over every F_p."""
+    raws = [_indec_raw(l, n) for l in sorted(labels, key=IndecLabel.sort_key)]
+    dims = tuple(map(sum, zip((0,) * n, *(r[0] for r in raws))))
+    arrows = tuple(
+        _block_diag([r[1][v] for r in raws], [r[0][v] for r in raws]) for v in range(n - 1)
+    )
+    return dims, arrows, _block_diag([r[2] for r in raws], [r[0][n - 1] for r in raws])
+
+
+def _wrap(ctx: AlgebraContext, raw: RawRep) -> Representation:
+    # one validated PrimeFieldMatrix per arrow and for the loop
+    dims, arrows, loop = raw
+    p = ctx.p
+    mats = tuple(
+        PrimeFieldMatrix(p, a, shape=(dims[v + 1], dims[v])) for v, a in enumerate(arrows)
+    )
+    return Representation(ctx, dims, mats, PrimeFieldMatrix(p, loop, shape=(dims[-1],) * 2))
 
 
 def make_indec(label: IndecLabel, ctx: AlgebraContext) -> Representation:
     """The canonical matrix representation of an isoclass label."""
-    n, p = ctx.n, ctx.p
-    dims = label_dims(label, n)
-    arrows = []
-    for v in range(1, n):
-        dv, dw = dims[v - 1], dims[v]
-        if dv == 1 and dw == 2:
-            # junction into the 2-dimensional tail: e1 for j <= i, e2 for i < j
-            col = (1, 0) if label.j <= label.i else (0, 1)
-            mat = PrimeFieldMatrix.from_rows(p, [[col[0]], [col[1]]], cols=1)
-        elif dv == dw and dv > 0:
-            mat = PrimeFieldMatrix.identity(p, dv)
-        else:
-            mat = PrimeFieldMatrix.zero(p, dw, dv)
-        arrows.append(mat)
-    dn = dims[n - 1]
-    if dn == 2:
-        loop = PrimeFieldMatrix.from_rows(p, M_ALPHA)
-    else:
-        loop = PrimeFieldMatrix.zero(p, dn, dn)
-    return Representation(ctx, dims, tuple(arrows), loop)
+    return _wrap(ctx, _indec_raw(label, ctx.n))
 
 
 def simple(i: int, ctx: AlgebraContext) -> IndecLabel:
@@ -184,28 +215,24 @@ def simple(i: int, ctx: AlgebraContext) -> IndecLabel:
     return IndecLabel("V", ctx.n) if i == ctx.n else IndecLabel("W", i, i)
 
 
-def _block_diag(a: PrimeFieldMatrix, b: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    p = a.p
-    rows = []
-    for r in a.entries:
-        rows.append(tuple(r) + (0,) * b.cols)
-    for r in b.entries:
-        rows.append((0,) * a.cols + tuple(r))
-    return PrimeFieldMatrix(p, tuple(rows), shape=(a.rows + b.rows, a.cols + b.cols))
-
-
 def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.ctx != b.ctx:
         raise ValueError("direct sum needs a common algebra context")
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    arrows = tuple(_block_diag(x, y) for x, y in zip(a.arrow, b.arrow))
-    return Representation(a.ctx, dims, arrows, _block_diag(a.loop, b.loop))
+    arrows = tuple(
+        _block_diag((x.entries, y.entries), (x.cols, y.cols)) for x, y in zip(a.arrow, b.arrow)
+    )
+    loop = _block_diag((a.loop.entries, b.loop.entries), (a.loop.cols, b.loop.cols))
+    return _wrap(a.ctx, (dims, arrows, loop))
 
 
 def rep_of_multiset(labels: Iterable[IndecLabel], ctx: AlgebraContext) -> Representation:
     """Direct sum of indecomposables, summed in canonical label order."""
-    ordered = sorted(labels, key=IndecLabel.sort_key)
-    return reduce(direct_sum, (make_indec(l, ctx) for l in ordered), zero_rep(ctx))
+    return _wrap(ctx, raw_sum(labels, ctx.n))
+
+
+def zero_rep(ctx: AlgebraContext) -> Representation:
+    return rep_of_multiset((), ctx)
 
 
 def multiset_dims(labels: Iterable[IndecLabel], n: int) -> tuple[int, ...]:

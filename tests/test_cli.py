@@ -115,7 +115,7 @@ def test_inseparable_rivals_exit_internal(capsys, monkeypatch):
     # with every hom profile zero, U2,1 and its rival V1 + V2 agree on every
     # rank screen and every U-probe: the engine reports an invariant breach
     zero = (0,) * len(all_labels(2))
-    monkeypatch.setattr("hallq.hall_core.hom_profiles", lambda n, p, ms: (zero, zero))
+    monkeypatch.setattr("hallq.hall_core.hom_profiles", lambda n, ms: (zero, zero))
     _rank_screens.cache_clear()
     _side_spec.cache_clear()
     try:

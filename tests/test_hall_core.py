@@ -329,4 +329,4 @@ def test_rank_screens_are_hom_dimensions(n, p):
                 ranks.append(matrix_rank(path, p))
             fwd.append(tuple(ranks))
             loopfwd.append(matrix_rank(mat_mul(rep.loop.entries, path, p, ncols=dims[v]), p))
-        assert _rank_screens(n, p, ms) == (dims, tuple(fwd), tuple(loopfwd)), ms
+        assert _rank_screens(n, ms) == (dims, tuple(fwd), tuple(loopfwd)), ms

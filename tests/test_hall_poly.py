@@ -17,12 +17,13 @@ from hallq.hall_poly import (
     reconciliation_to_tsv,
     verify_product_identities,
 )
-from hallq.hom_decomp import DecompositionMultiset, hom_dim, hom_table
+from hallq.hom_decomp import DecompositionMultiset, hom_dim, hom_dim_raw, hom_table, raw_rep
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
     all_labels,
     label_dims,
+    make_indec,
     multisets_with_dims,
     rep_of_multiset,
 )
@@ -83,7 +84,7 @@ def schedule_disagreements(n):
     """Triples where the default schedule departs from the fit through the
     fixed primes 2..13 (certified at 13), or where that fit exceeds the
     dim Hom(y, x) degree bound; also returns the number of triples checked."""
-    table = hom_table(n, 2)
+    table = hom_table(n)
     bad = []
     count = 0
     for x, y, m in bracket_triples(n):
@@ -104,11 +105,19 @@ def test_schedule_matches_wide_fit_on_bracket_triples():
 
 
 def test_hom_table_does_not_depend_on_p():
-    # hom_degree_bound reads the table at p = 2 for every field size
+    # hom_table solves its Hom systems at one prime and serves every field
+    # size; the generic system solved afresh at each p must agree with it
     for n in range(2, 7):
-        at_two = hom_table(n, 2)
-        for p in first_primes(6)[1:]:
-            assert hom_table(n, p) == at_two, (n, p)
+        table = hom_table(n)
+        for p in first_primes(6):
+            ctx = AlgebraContext(n, p)
+            raws = {l: raw_rep(make_indec(l, ctx)) for l in all_labels(n)}
+            solved = {
+                (a, b): hom_dim_raw(n, p, *ra, *rb)
+                for a, ra in raws.items()
+                for b, rb in raws.items()
+            }
+            assert solved == table, (n, p)
 
 
 def test_hom_degree_bound_is_dim_hom_of_the_sums():
@@ -255,7 +264,7 @@ def test_loop_glue_coefficients_from_hom_dimensions():
     # copies of P_j inside U(i,j) number q^(dim Hom(P_j, U(i,j)) - 1)
     for n in (2, 3, 4):
         for p in (2, 3):
-            hom = hom_table(n, p)
+            hom = hom_table(n)
             checks = {
                 (c.left, c.right): c
                 for c in verify_product_identities(n, p)

@@ -10,6 +10,7 @@ from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
+    _decompose_raw,
     _ext_classes,
     _hom_equations,
     _middle_term,
@@ -99,7 +100,7 @@ def test_hom_profiles_match_linear_algebra(n, p):
             continue
         for ms in multisets_with_dims(n, dims):
             rep = rep_of_multiset(ms, ctx)
-            into, out_of = hom_profiles(n, p, ms)
+            into, out_of = hom_profiles(n, ms)
             assert into == hom_profile(rep), ms
             assert out_of == tuple(hom_dim(rep, x) for x in indecs), ms
 
@@ -109,7 +110,7 @@ def _random_modules(rng, n, p, extensions, sums):
     # X and Y sums of one or two labels, then raw sums of one to three labels
     ctx = AlgebraContext(n, p)
     labels = all_labels(n)
-    table = hom_table(n, p)
+    table = hom_table(n)
     out = []
     for _ in range(50 * extensions):
         if len(out) == extensions:
@@ -132,7 +133,7 @@ def test_path_profile_matches_hom_systems(rng):
     # the path-rank kernel against one generic Hom linear system per label
     for n in range(2, 7):
         for p in (2, 3, 5, 7):
-            probes = probe_reps(n, p).values()
+            probes = probe_reps(n).values()
             for m in _random_modules(rng, n, p, extensions=8, sums=4):
                 want = tuple(hom_dim_raw(n, p, *probe, *m) for probe in probes)
                 assert _profile_raw(n, p, m) == want, (n, p, m)
@@ -141,7 +142,7 @@ def test_path_profile_matches_hom_systems(rng):
 def test_hom_table_agrees_with_direct_computation():
     n, p = 2, 3
     ctx = AlgebraContext(n, p)
-    table = hom_table(n, p)
+    table = hom_table(n)
     for a in all_labels(n):
         for b in all_labels(n):
             assert table[(a, b)] == hom_dim(make_indec(a, ctx), make_indec(b, ctx))
@@ -172,13 +173,12 @@ def test_hom_count_matrix_invertible():
     # the lifted F_97 inverse is the inverse over the integers
     for n in range(2, 7):
         labels = all_labels(n)
-        for p in (2, 3):
-            table = hom_table(n, p)
-            inv = _c_inverse(n, p)
-            for x in labels:
-                for z, col in zip(labels, zip(*inv)):
-                    got = sum(table[(x, y)] * b for y, b in zip(labels, col))
-                    assert got == int(x == z), (n, p, x, z)
+        table = hom_table(n)
+        inv = _c_inverse(n)
+        for x in labels:
+            for z, col in zip(labels, zip(*inv)):
+                got = sum(table[(x, y)] * b for y, b in zip(labels, col))
+                assert got == int(x == z), (n, x, z)
 
 
 @pytest.mark.parametrize(
@@ -193,13 +193,44 @@ def test_hom_count_inverse_rejects_non_unimodular(monkeypatch, corner, message):
     fake = {(x, y): int(x == y) for x in labels for y in labels}
     for (r, c), v in zip(product(range(2), repeat=2), (e for row in corner for e in row)):
         fake[(labels[r], labels[c])] = v
-    monkeypatch.setattr(hom_decomp, "hom_table", lambda n, p: fake)
+    monkeypatch.setattr(hom_decomp, "hom_table", lambda n: fake)
     _c_inverse.cache_clear()
     try:
         with pytest.raises(InternalInvariantError, match=message):
-            _c_inverse(2, 2)
+            _c_inverse(2)
     finally:
         _c_inverse.cache_clear()
+
+
+def test_hom_table_rejects_a_label_profile_off_its_column(monkeypatch):
+    # decompose rests on each label's path-rank profile being its column of
+    # hom_table; the table fill checks that once per n
+    n = 3
+    label = IndecLabel("U", 2, 3)
+    skewed = probe_reps(n)[label]
+    real = _profile_raw
+
+    def profile(n, p, raw):
+        h = real(n, p, raw)
+        return (h[0] + 1,) + h[1:] if raw == skewed else h
+
+    monkeypatch.setattr(hom_decomp, "_profile_raw", profile)
+    hom_table.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="U2,3 disagrees with hom_table"):
+            hom_table(n)
+    finally:
+        hom_table.cache_clear()
+
+
+def test_decompose_rejects_a_profile_of_other_dims(monkeypatch):
+    # a profile that decodes to W1,1, handed in for the module V3
+    n = 3
+    _c_inverse(n)
+    h = _profile_raw(n, 2, probe_reps(n)[IndecLabel("W", 1, 1)])
+    monkeypatch.setattr(hom_decomp, "_profile_raw", lambda n, p, raw: h)
+    with pytest.raises(InternalInvariantError, match="dimensions"):
+        _decompose_raw(n, 2, probe_reps(n)[IndecLabel("V", 3)])
 
 
 def test_decompose_indecomposables():
@@ -328,10 +359,10 @@ def test_endomorphism_rings_are_local(n):
     # End(L) is local with residue field F_p exactly when its units number
     # (p - 1) p^(dim End L - 1); the |Aut| of Riedtmann's formula rests on it
     for p in (2, 3):
-        for label, raw in probe_reps(n, p).items():
+        for label, raw in probe_reps(n).items():
             rows, total = _hom_equations(n, p, *raw, *raw)
             basis = null_space(rows, p, total)
-            assert len(basis) == hom_table(n, p)[(label, label)]
+            assert len(basis) == hom_table(n)[(label, label)]
             units = 0
             for coeffs in product(range(p), repeat=len(basis)):
                 f = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(total)]

@@ -1,7 +1,11 @@
+import random
+from functools import reduce
+
 import pytest
 
 from hallq.errors import LabelError, RelationError, WitnessError
 from hallq.gf import PrimeFieldMatrix, SubspaceBasis
+from hallq.hom_decomp import raw_rep
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -17,6 +21,7 @@ from hallq.quiver_rep import (
     multisets_with_dims,
     parse_label,
     parse_multiset,
+    raw_sum,
     rep_from_json,
     rep_of_multiset,
     rep_to_json,
@@ -158,6 +163,21 @@ def test_rep_of_multiset_order_independent():
     ms1 = (IndecLabel("V", 1), IndecLabel("W", 1, 2))
     ms2 = (IndecLabel("W", 1, 2), IndecLabel("V", 1))
     assert rep_of_multiset(ms1, ctx) == rep_of_multiset(ms2, ctx)
+
+
+def test_raw_sum_matches_validated_sums():
+    # the raw sum against the validated modules: rep_of_multiset, and a
+    # chain of pairwise direct sums of indecomposables in canonical order
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        labels = all_labels(n)
+        for p in (2, 3, 5):
+            ctx = AlgebraContext(n, p)
+            for k in [0] + [rng.randint(0, 4) for _ in range(30)]:
+                ms = rng.choices(labels, k=k)
+                ordered = sorted(ms, key=IndecLabel.sort_key)
+                chain = reduce(direct_sum, (make_indec(l, ctx) for l in ordered), zero_rep(ctx))
+                assert raw_sum(ms, n) == raw_rep(rep_of_multiset(ms, ctx)) == raw_rep(chain), ms
 
 
 def test_witness_validation():
