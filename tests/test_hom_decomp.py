@@ -226,7 +226,7 @@ def test_hom_table_rejects_a_label_profile_off_its_column(monkeypatch):
 def test_decompose_rejects_a_profile_of_other_dims(monkeypatch):
     # a profile that decodes to W1,1, handed in for the module V3
     n = 3
-    _c_inverse(n)
+    _c_inverse(n)  # fill the tables before _profile_raw is patched
     h = _profile_raw(n, 2, probe_reps(n)[IndecLabel("W", 1, 1)])
     monkeypatch.setattr(hom_decomp, "_profile_raw", lambda n, p, raw: h)
     with pytest.raises(InternalInvariantError, match="dimensions"):

@@ -1,4 +1,3 @@
-import random
 from functools import reduce
 
 import pytest
@@ -165,10 +164,9 @@ def test_rep_of_multiset_order_independent():
     assert rep_of_multiset(ms1, ctx) == rep_of_multiset(ms2, ctx)
 
 
-def test_raw_sum_matches_validated_sums():
+def test_raw_sum_matches_validated_sums(rng):
     # the raw sum against the validated modules: rep_of_multiset, and a
     # chain of pairwise direct sums of indecomposables in canonical order
-    rng = random.Random(11)
     for n in (2, 3, 4):
         labels = all_labels(n)
         for p in (2, 3, 5):
