@@ -220,23 +220,6 @@ class PrimeFieldMatrix:
     def __repr__(self) -> str:
         return f"PrimeFieldMatrix(p={self.p}, {self.rows}x{self.cols}, {self.entries!r})"
 
-    @classmethod
-    def from_rows(
-        cls, p: int, rows: Sequence[Sequence[int]], cols: int | None = None
-    ) -> PrimeFieldMatrix:
-        entries = tuple(tuple(x % p for x in r) for r in rows)
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        return cls(p, entries, shape=(len(entries), cols))
-
-    @classmethod
-    def zero(cls, p: int, rows: int, cols: int) -> PrimeFieldMatrix:
-        return cls(p, tuple((0,) * cols for _ in range(rows)), shape=(rows, cols))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> PrimeFieldMatrix:
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __matmul__(self, other: PrimeFieldMatrix) -> PrimeFieldMatrix:
         if self.p != other.p:
             raise ValueError("mixed moduli")

@@ -5,9 +5,9 @@ numbers from the middle terms of extensions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError
@@ -303,19 +303,24 @@ def _c_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     return inv
 
 
-def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
+def _module_count(n: int, mult, dims: tuple[int, ...]) -> DecompositionMultiset:
+    # the multiplicities mult over all labels as a multiset, checked to be a
+    # module count with the dimension vector dims
     labels = all_labels(n)
-    h = _profile_raw(n, p, raw)
-    mult = [sum(map(mul, row, h)) for row in _c_inverse(n)]
     for l, v in zip(labels, mult):
         if v < 0:
             raise InternalInvariantError(
                 f"hom profile produced multiplicity {v} for {l}; not a module count"
             )
     result = DecompositionMultiset.from_pairs(zip(labels, mult))
-    if multiset_dims(result.as_labels(), n) != raw[0]:
+    if multiset_dims(result.as_labels(), n) != dims:
         raise InternalInvariantError("decomposition does not have the module's dimensions")
     return result
+
+
+def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
+    h = _profile_raw(n, p, raw)
+    return _module_count(n, [sum(map(mul, row, h)) for row in _c_inverse(n)], raw[0])
 
 
 def decompose(m: Representation) -> DecompositionMultiset:
@@ -347,35 +352,43 @@ def decompose(m: Representation) -> DecompositionMultiset:
 # --- Hall numbers from extensions -------------------------------------------
 
 
-def _aut_order(labels: Iterable[IndecLabel], n: int, p: int) -> int:
+@lru_cache(maxsize=256)
+def _aut_shape(labels: tuple[IndecLabel, ...], n: int) -> tuple[int, tuple[int, ...]]:
     # |Aut M| for M = sum of L_i^{m_i}: End(L) is local with residue field
     # F_p for every label L, so End M / rad End M is the product of the
     # matrix rings M_{m_i}(F_p), and Aut M is its unit group times the
-    # radical, of order p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|
+    # radical, of order p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|; the
+    # exponent and the m_i are the same for every p
     items = DecompositionMultiset.from_labels(labels).items
     table = hom_table(n)
     end = sum(a * b * table[(k, l)] for k, a in items for l, b in items)
-    order = p ** (end - sum(m * m for _, m in items))
-    for _, m in items:
+    return end - sum(m * m for _, m in items), tuple(m for _, m in items)
+
+
+def _aut_order(shape: tuple[int, tuple[int, ...]], p: int) -> int:
+    exp, mults = shape
+    order = p**exp
+    for m in mults:
         for k in range(m):
             order *= p**m - p**k
     return order
 
 
-def _ext_classes(n: int, p: int, x: RawRep, y: RawRep, hom_xy: int):
-    """Representatives of Ext^1(X, Y) as cocycle vectors, and the block layout.
+def _cocycle_system(n: int, x: RawRep, y: RawRep):
+    """The block layout of the cocycles, and the loop equations and
+    coboundaries over the integers, for extensions of X by Y.
 
     An extension 0 -> Y -> M -> X -> 0 is M_v = Y_v + X_v with arrows
     [[A^Y_v, c_v], [0, A^X_v]] and loop [[L_Y, c], [0, L_X]]. The arrow
     blocks c_v: X_v -> Y_{v+1} are free; L^2 = 0 asks L_Y c + c L_X = 0 of
     the loop block. The coboundaries A^Y h_v - h_{v+1} A^X and
-    L_Y h_n - h_n L_X come from h in sum_v Hom(X_v, Y_v), whose kernel is
-    Hom(X, Y), so dim B^1 = sum_v dim X_v dim Y_v - dim Hom(X, Y); that
-    count is checked. The returned rows span a complement of B^1 in Z^1.
+    L_Y h_n - h_n L_X come from h in sum_v Hom(X_v, Y_v). Block v < n-1 is
+    c_v and block n-1 the loop block, each as (rows, cols, offset); the
+    coboundaries are sparse rows of (coordinate, coefficient), zero rows
+    dropped.
     """
     dx, ax, lx = x
     dy, ay, ly = y
-    # block v < n-1 is c_v, block n-1 the loop block; (rows, cols, offset)
     blocks = []
     total = 0
     for v in range(n):
@@ -391,9 +404,7 @@ def _ext_classes(n: int, p: int, x: RawRep, y: RawRep, hom_xy: int):
                 eq[k * lc + s] += ly[r][k]
             for k in range(lc):
                 eq[r * lc + k] += lx[k][s]
-            loop_eqs.append([e % p for e in eq])
-    cocycles = [tuple(int(i == j) for j in range(total)) for i in range(loff)]
-    cocycles += [(0,) * loff + vec for vec in null_space(loop_eqs, p, lr * lc)]
+            loop_eqs.append(tuple(eq))
     coboundaries = []
     for v in range(n):
         for r in range(dy[v]):
@@ -412,17 +423,272 @@ def _ext_classes(n: int, p: int, x: RawRep, y: RawRep, hom_xy: int):
                         z[loff + a * lc + s] += ly[a][r]
                     for b in range(lc):
                         z[loff + r * lc + b] -= lx[s][b]
-                coboundaries.append([e % p for e in z])
+                if any(z):
+                    coboundaries.append(tuple((i, e) for i, e in enumerate(z) if e))
+    return tuple(blocks), tuple(loop_eqs), tuple(coboundaries)
+
+
+def _column_maps(n: int, raw: RawRep):
+    # the path maps A_{s->t} (paths[s][t], s <= t) and the loop of a raw sum
+    # as column maps: each column's one nonzero entry, a 1, as its row, or -1
+    # for a zero column; composing the maps composes the matrices
+    dims, arrows, loop = raw
+
+    def as_map(mat, ncols: int) -> tuple[int, ...]:
+        img = [-1] * ncols
+        for r, row in enumerate(mat):
+            for col, e in enumerate(row):
+                if e:
+                    if e != 1 or img[col] >= 0:
+                        raise InternalInvariantError("a canonical matrix column is neither 0 nor a unit vector")
+                    img[col] = r
+        return tuple(img)
+
+    steps = [as_map(a, dims[v]) for v, a in enumerate(arrows)]
+    paths = []
+    for s in range(n):
+        row = [()] * s + [tuple(range(dims[s]))]
+        for t in range(s + 1, n):
+            row.append(_then(row[-1], steps[t - 1]))
+        paths.append(row)
+    return paths, as_map(loop, dims[n - 1])
+
+
+def _then(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    # the column map of g f
+    return tuple(g[r] if r >= 0 else -1 for r in f)
+
+
+def _connecting_patterns(n: int, labels, x: RawRep, y: RawRep, blocks) -> list:
+    """R_L(c) = Q_L C_L(c) K_L for each of the labels, as a matrix whose
+    entries are integer linear forms in the cocycle c: tuples of
+    (coordinate, coefficient). Rows and columns that are zero for every c
+    are dropped, so a label whose R_L is always 0 gets ().
+
+    _profile_raw reads dim Hom(L, M) as dim M_src - rk A_L(M), where A_L(M)
+    is A_{i->j+1} (W), L A_{i->n} (V) or [A_{i->n} | L A_{j->n}] (U) and
+    M_src is M_i (M_i + M_j for U). For the middle term M of an extension
+    of X by Y (_cocycle_system), order M_v = Y_v + X_v, and the columns of
+    the U matrix as Y_i, Y_j, X_i, X_j.
+    Then A_L(M) = [[A_L(Y), C_L(c)], [0, A_L(X)]]: path maps are products
+    of the upper triangular arrows, so C_{s->t} is the sum over s <= k < t
+    of A^Y_{k+1->t} c_k A^X_{s->k}; the loop adds L_Y C_{j->n} + c A^X_{j->n}
+    for L A_{j->n}, with c the loop block; and the U block is
+    [C_{i->n} | L_Y C_{j->n} + c A^X_{j->n}].
+
+    Claim: rk [[A, C], [0, A']] = rk A + rk A' + rk(Q C K), for K a basis
+    of ker A' (as columns) and Q the projection onto coker A. Proof: with
+    K' a complement of K, the columns split into [A; 0], [C K; 0] and
+    [C K'; A' K']. A' K' has full column rank rk A', so a combination of
+    the last group that lies in the span of the others is 0: the rank is
+    rk A' + rk [A | C K]. And rk [A | B] = rk A + rk(Q B), since Q B spans
+    (col A + col B) / col A. So
+
+        dim Hom(L, M) = dim Hom(L, Y) + dim Hom(L, X) - rk R_L(c).
+
+    K_L is empty when dim Hom(L, X) = dim ker A_L(X) is 0, and then
+    rk R_L(c) = 0 for every c. With B = _c_inverse(n), which inverts
+    profiles, mult(M) = mult(X + Y) - B r(c) for r_L(c) = rk R_L(c).
+
+    Q_L and K_L without elimination: every arrow and loop matrix of a
+    canonical raw sum has at most one nonzero entry, a 1, in each column
+    (_profile_raw; checked in _column_maps), and so do their products and
+    the blocks of A_L(Y) and A_L(X). The column space of such a matrix is
+    spanned by the unit vectors of its nonzero rows, so Q_L keeps the zero
+    rows of A_L(Y). Its kernel is spanned by the unit vectors of its zero
+    columns and by e_k - e_k' for each two columns k, k' that hit the same
+    row: grouped by row, the nonzero columns are equal unit vectors and
+    distinct rows give independent ones. Within one path map no two
+    columns share a row, so the differences come from the concatenated U
+    block only, pairing X_i with X_j.
+    """
+    dx, dy = x[0], y[0]
+    px, lx = _column_maps(n, x)
+    py, ly = _column_maps(n, y)
+    top = n - 1
+    lr, lc, loff = blocks[top]
+
+    ly_top = [_then(py[s][top], ly) for s in range(n)]
+    lx_top = [_then(px[s][top], lx) for s in range(n)]
+
+    @lru_cache(maxsize=None)
+    def upper(s: int, t: int) -> dict:
+        # C_{s->t}, entry (r, col) as the list of cocycle coordinates it sums
+        out: dict = {}
+        for k in range(s, t):
+            _, cols, off = blocks[k]
+            to_t = py[k + 1][t]
+            for col, b in enumerate(px[s][k]):
+                if b >= 0:
+                    for a, r in enumerate(to_t):
+                        if r >= 0:
+                            out.setdefault((r, col), []).append(off + a * cols + b)
+        return out
+
+    @lru_cache(maxsize=None)
+    def loop_upper(s: int) -> dict:
+        # the upper right block of L A_{s->n}: L_Y C_{s->n} + c A^X_{s->n}
+        out: dict = {}
+        for (a, col), coords in upper(s, top).items():
+            if ly[a] >= 0:
+                out.setdefault((ly[a], col), []).extend(coords)
+        for col, b in enumerate(px[s][top]):
+            if b >= 0:
+                for r in range(lr):
+                    out.setdefault((r, col), []).append(loff + r * lc + b)
+        return out
+
+    patterns = []
+    for label in labels:
+        i = label.i - 1
+        if label.kind == "W":
+            t = label.j
+            ymaps, xmaps = [py[i][t]], [px[i][t]]
+        elif label.kind == "V":
+            t = top
+            ymaps, xmaps = [ly_top[i]], [lx_top[i]]
+        else:
+            t, j = top, label.j - 1
+            ymaps, xmaps = [py[i][t], ly_top[j]], [px[i][t], lx_top[j]]
+        hit = {r for m in ymaps for r in m}
+        q = [r for r in range(dy[t]) if r not in hit]
+        kernel = []
+        first = {}
+        for col, r in enumerate(r for m in xmaps for r in m):
+            if r < 0:
+                kernel.append(((col, 1),))
+            elif r in first:
+                kernel.append(((first[r], 1), (col, -1)))
+            else:
+                first[r] = col
+        if not (q and kernel):
+            patterns.append(())
+            continue
+        if label.kind == "W":
+            c = upper(i, t)
+        elif label.kind == "V":
+            c = loop_upper(i)
+        else:
+            c = dict(upper(i, t))
+            c.update(((r, col + dx[i]), coords) for (r, col), coords in loop_upper(j).items())
+        rows = []
+        for r in q:
+            row = []
+            for vec in kernel:
+                form: dict[int, int] = {}
+                for col, sign in vec:
+                    for coord in c.get((r, col), ()):
+                        form[coord] = form.get(coord, 0) + sign
+                row.append(tuple((k, v) for k, v in sorted(form.items()) if v))
+            if any(row):
+                rows.append(row)
+        keep = [k for k in range(len(kernel)) if any(row[k] for row in rows)]
+        patterns.append(tuple(tuple(row[k] for k in keep) for row in rows))
+    return patterns
+
+
+class _WalkPlan:
+    """What the Ext^1 walk of one side pair needs that no prime changes.
+    The classifier (base, connecting) is built on the first nonzero class."""
+
+    def __init__(self, n: int, xs: tuple[IndecLabel, ...], ys: tuple[IndecLabel, ...]) -> None:
+        table = hom_table(n)
+        self.n, self.xs = n, xs
+        self.x, self.y = raw_sum(xs, n), raw_sum(ys, n)
+        self.hom_xy = sum(table[(a, b)] for a in xs for b in ys)
+        self.blocks, self.loop_eqs, self.coboundaries = _cocycle_system(n, self.x, self.y)
+        self.aut = (_aut_shape(xs, n), _aut_shape(ys, n))
+        self.split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
+        # the middle term of each rank vector r(c) met so far (_middle_labels)
+        self.middle: dict[tuple[int, ...], tuple[IndecLabel, ...]] = {}
+
+    @cached_property
+    def base(self) -> tuple[int, ...]:
+        # mult(X + Y) over all labels
+        counts = DecompositionMultiset.from_labels(self.split).multiplicities
+        return tuple(counts.get(l, 0) for l in all_labels(self.n))
+
+    @cached_property
+    def connecting(self) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+        # per distinct pattern of a label with dim Hom(L, X) > 0, the sum of
+        # those labels' columns of _c_inverse: equal patterns, equal ranks
+        n, labels = self.n, all_labels(self.n)
+        into_x = map(sum, zip(*(_hom_rows(n)[0][a] for a in self.xs)))
+        live = [k for k, h in enumerate(into_x) if h]
+        patterns = _connecting_patterns(n, [labels[k] for k in live], self.x, self.y, self.blocks)
+        cols = tuple(zip(*_c_inverse(n)))
+        out: dict = {}
+        for k, pat in zip(live, patterns):
+            if pat:
+                col = out.get(pat)
+                out[pat] = cols[k] if col is None else tuple(map(add, col, cols[k]))
+        return tuple(out.items())
+
+
+# one plan per (n, sorted xs, sorted ys); lie.bracket walks one pair at every
+# prime of its schedule back to back, so a few entries cover it
+_walk_plan = lru_cache(maxsize=4)(_WalkPlan)
+
+
+def _ext_classes(plan: _WalkPlan, p: int):
+    """Representatives of Ext^1(X, Y) over F_p as cocycle vectors: rows
+    spanning a complement of B^1 in Z^1 (layout in _cocycle_system).
+
+    The kernel of h -> coboundary is Hom(X, Y), so
+    dim B^1 = sum_v dim X_v dim Y_v - dim Hom(X, Y); that count is checked.
+    """
+    lr, lc, loff = plan.blocks[-1]
+    total = loff + lr * lc
+    cocycles = [tuple(int(i == j) for j in range(total)) for i in range(loff)]
+    loop_eqs = [[e % p for e in eq] for eq in plan.loop_eqs]
+    cocycles += [(0,) * loff + vec for vec in null_space(loop_eqs, p, lr * lc)]
+    coboundaries = []
+    for sparse in plan.coboundaries:
+        z = [0] * total
+        for i, e in sparse:
+            z[i] = e % p
+        coboundaries.append(z)
     brows, brank, bpivs = row_reduce(coboundaries, p, ncols=total)
-    if brank != sum(map(mul, dx, dy)) - hom_xy:
+    if brank != sum(map(mul, plan.x[0], plan.y[0])) - plan.hom_xy:
         raise InternalInvariantError(f"coboundary rank {brank} disagrees with dim Hom(X, Y)")
     reps, _, _ = row_reduce(
         [reduce_vector(z, brows, bpivs, p) for z in cocycles], p, ncols=total
     )
-    return reps, blocks
+    return reps
+
+
+def _nonzero_classes(reps, p: int):
+    # one cocycle per line of Ext^1, the one with leading coefficient 1
+    e = len(reps)
+    cols = tuple(zip(*reps))
+    for lead in range(e):
+        for tail in product(range(p), repeat=e - lead - 1):
+            coeffs = (0,) * lead + (1,) + tail
+            yield [sum(map(mul, coeffs, col)) % p for col in cols]
+
+
+def _connecting_ranks(plan: _WalkPlan, p: int, c) -> tuple[int, ...]:
+    # rk R(c) over F_p, for each pattern R of plan.connecting
+    return tuple(
+        matrix_rank([[sum(c[k] * v for k, v in form) % p for form in row] for row in pattern], p)
+        for pattern, _ in plan.connecting
+    )
+
+
+def _middle_labels(plan: _WalkPlan, ranks: tuple[int, ...]) -> tuple[IndecLabel, ...]:
+    # mult(M) = mult(X + Y) - B r(c): the profile of M is that of X + Y
+    # less r(c) (_connecting_patterns), and B inverts profiles
+    mult = list(plan.base)
+    for r, (_, col) in zip(ranks, plan.connecting):
+        if r:
+            mult = [m - r * b for m, b in zip(mult, col)]
+    dims = tuple(map(add, plan.x[0], plan.y[0]))
+    return _module_count(plan.n, mult, dims).as_labels()
 
 
 def _middle_term(n: int, x: RawRep, y: RawRep, blocks, c) -> RawRep:
+    # the glued middle term itself; the walk classifies it without building
+    # it, and the tests compare the two
     dx, ax, lx = x
     dy, ay, ly = y
 
@@ -451,28 +717,30 @@ def riedtmann_hall_numbers(
     is nonzero exactly when M is such a middle term. The classes are walked
     up to scalars, 1 + (p^e - 1)/(p - 1) of them for e = dim Ext^1(X, Y):
     xi and lambda xi have isomorphic middle terms, so each nonzero class
-    stands for p - 1. Each middle term is classified with decompose.
+    stands for p - 1. The middle term of a class c is classified from the
+    ranks r_L(c) of its connecting matrices, as mult(X + Y) - B r(c)
+    (_connecting_patterns), without gluing it; the multiplicities are
+    checked to be nonnegative and to add up to the dimension vector of
+    X + Y, once per distinct r(c). Everything that does not depend on p,
+    the middle term of each r(c) included, comes from _walk_plan, built
+    once per side pair.
     """
     n, p = ctx.n, ctx.p
-    xs = tuple(sorted(xs, key=IndecLabel.sort_key))
-    ys = tuple(sorted(ys, key=IndecLabel.sort_key))
-    table = hom_table(n)
-    hom_xy = sum(table[(a, b)] for a in xs for b in ys)
-    x, y = raw_sum(xs, n), raw_sum(ys, n)
-    reps, blocks = _ext_classes(n, p, x, y, hom_xy)
-    split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
-    sizes = {split: 1}
-    e = len(reps)
-    for lead in range(e):
-        for tail in product(range(p), repeat=e - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            c = [sum(map(mul, coeffs, col)) % p for col in zip(*reps)]
-            m = _decompose_raw(n, p, _middle_term(n, x, y, blocks, c)).as_labels()
-            sizes[m] = sizes.get(m, 0) + p - 1
-    denom = _aut_order(xs, n, p) * _aut_order(ys, n, p) * p**hom_xy
+    plan = _walk_plan(
+        n, tuple(sorted(xs, key=IndecLabel.sort_key)), tuple(sorted(ys, key=IndecLabel.sort_key))
+    )
+    sizes = {plan.split: 1}
+    for c in _nonzero_classes(_ext_classes(plan, p), p):
+        ranks = _connecting_ranks(plan, p, c)
+        m = plan.middle.get(ranks)
+        if m is None:
+            m = plan.middle[ranks] = _middle_labels(plan, ranks)
+        sizes[m] = sizes.get(m, 0) + p - 1
+    aut_x, aut_y = plan.aut
+    denom = _aut_order(aut_x, p) * _aut_order(aut_y, p) * p**plan.hom_xy
     out = {}
     for m, size in sizes.items():
-        num = size * _aut_order(m, n, p)
+        num = size * _aut_order(_aut_shape(m, n), p)
         if num % denom:
             raise InternalInvariantError(
                 f"Riedtmann count {num}/{denom} for {multiset_to_str(m)} is not an integer"

@@ -55,7 +55,7 @@ def nullity(m: PrimeFieldMatrix) -> int:
 
 
 def test_rref_identity():
-    m = PrimeFieldMatrix.identity(3, 2)
+    m = PrimeFieldMatrix(3, ((1, 0), (0, 1)))
     reduced, rank, pivots = row_reduce(m.entries, m.p, ncols=m.cols)
     assert reduced == m.entries
     assert rank == 2
@@ -63,7 +63,7 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    m = PrimeFieldMatrix.zero(2, 3, 2)
+    m = PrimeFieldMatrix(2, ((0, 0),) * 3)
     reduced, rank, pivots = row_reduce(m.entries, m.p, ncols=m.cols)
     # zero rows are dropped, so the basis of the zero row space is empty
     assert reduced == ()
@@ -73,7 +73,7 @@ def test_rref_zero():
 
 def test_rref_dependent_rows():
     # second row is twice the first mod 5
-    m = PrimeFieldMatrix.from_rows(5, [[1, 2], [2, 4]])
+    m = PrimeFieldMatrix(5, ((1, 2), (2, 4)))
     _, rank, _ = row_reduce(m.entries, m.p)
     assert rank == 1
 
@@ -83,8 +83,8 @@ def test_rref_idempotent(rng):
         p = rng.choice([2, 3, 5])
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        m = PrimeFieldMatrix.from_rows(
-            p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        m = PrimeFieldMatrix(
+            p, tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
         )
         once, rank, pivots = row_reduce(m.entries, p, ncols=cols)
         twice, rank2, pivots2 = row_reduce(once, p, ncols=cols)
@@ -93,9 +93,9 @@ def test_rref_idempotent(rng):
 
 
 def test_solve_intertwiner_dim():
-    assert nullity(PrimeFieldMatrix.zero(2, 3, 4)) == 4
-    assert nullity(PrimeFieldMatrix.identity(5, 3)) == 0
-    assert nullity(PrimeFieldMatrix.from_rows(2, [[1, 1], [0, 0]])) == 1
+    assert nullity(PrimeFieldMatrix(2, ((0, 0, 0, 0),) * 3)) == 4
+    assert nullity(PrimeFieldMatrix(5, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 0
+    assert nullity(PrimeFieldMatrix(2, ((1, 1), (0, 0)))) == 1
 
 
 def test_rank_plus_nullity(rng):
@@ -103,10 +103,10 @@ def test_rank_plus_nullity(rng):
         p = rng.choice([2, 3, 5, 7])
         rows = rng.randrange(0, 5)
         cols = rng.randrange(1, 5)
-        m = PrimeFieldMatrix.from_rows(
+        m = PrimeFieldMatrix(
             p,
-            [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
-            cols=cols,
+            tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows)),
+            shape=(rows, cols),
         )
         # nullity by counting the kernel: p^nullity vectors x with m.x = 0
         kernel = sum(
@@ -162,8 +162,8 @@ def test_rank_modulo_a_subspace(rng):
 def test_mat_mul_and_mat_vec_shapes(rng):
     p = 3
     for r, k, c in itertools.product(range(4), repeat=3):
-        a = PrimeFieldMatrix.from_rows(p, random_rows(rng, p, r, k), cols=k)
-        b = PrimeFieldMatrix.from_rows(p, random_rows(rng, p, k, c), cols=c)
+        a = PrimeFieldMatrix(p, tuple(map(tuple, random_rows(rng, p, r, k))), shape=(r, k))
+        b = PrimeFieldMatrix(p, tuple(map(tuple, random_rows(rng, p, k, c))), shape=(k, c))
         prod = a @ b
         assert (prod.rows, prod.cols) == (r, c)
         assert prod.entries == tuple(
@@ -180,14 +180,14 @@ def test_mat_mul_and_mat_vec_shapes(rng):
 
 
 def test_matmul_empty_inner_dimension():
-    a = PrimeFieldMatrix.zero(3, 2, 0)
-    b = PrimeFieldMatrix.zero(3, 0, 3)
-    assert a @ b == PrimeFieldMatrix.zero(3, 2, 3)
+    a = PrimeFieldMatrix(3, ((), ()), shape=(2, 0))
+    b = PrimeFieldMatrix(3, (), shape=(0, 3))
+    assert a @ b == PrimeFieldMatrix(3, ((0, 0, 0),) * 2)
 
 
 def test_matmul_shape_check():
-    a = PrimeFieldMatrix.zero(2, 2, 3)
-    b = PrimeFieldMatrix.zero(2, 2, 3)
+    a = PrimeFieldMatrix(2, ((0, 0, 0),) * 2)
+    b = PrimeFieldMatrix(2, ((0, 0, 0),) * 2)
     with pytest.raises(ValueError):
         a @ b
 

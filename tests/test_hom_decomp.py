@@ -10,11 +10,15 @@ from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
+    _connecting_ranks,
     _decompose_raw,
     _ext_classes,
     _hom_equations,
+    _middle_labels,
     _middle_term,
+    _nonzero_classes,
     _profile_raw,
+    _walk_plan,
     decompose,
     hom_dim,
     hom_dim_raw,
@@ -110,19 +114,20 @@ def _random_modules(rng, n, p, extensions, sums):
     # X and Y sums of one or two labels, then raw sums of one to three labels
     ctx = AlgebraContext(n, p)
     labels = all_labels(n)
-    table = hom_table(n)
     out = []
     for _ in range(50 * extensions):
         if len(out) == extensions:
             break
-        xs = rng.choices(labels, k=rng.randint(1, 2))
-        ys = rng.choices(labels, k=rng.randint(1, 2))
-        x, y = (raw_rep(rep_of_multiset(ms, ctx)) for ms in (xs, ys))
-        reps, blocks = _ext_classes(n, p, x, y, sum(table[(a, b)] for a in xs for b in ys))
+        xs, ys = (
+            tuple(sorted(rng.choices(labels, k=rng.randint(1, 2)), key=IndecLabel.sort_key))
+            for _ in range(2)
+        )
+        plan = _walk_plan(n, xs, ys)
+        reps = _ext_classes(plan, p)
         coeffs = [rng.randrange(p) for _ in reps]
         if any(coeffs):
             c = [sum(map(mul, coeffs, col)) % p for col in zip(*reps)]
-            out.append(_middle_term(n, x, y, blocks, c))
+            out.append(_middle_term(n, plan.x, plan.y, plan.blocks, c))
     assert len(out) == extensions
     for _ in range(sums):
         out.append(raw_rep(rep_of_multiset(rng.choices(labels, k=rng.randint(1, 3)), ctx)))
@@ -231,6 +236,90 @@ def test_decompose_rejects_a_profile_of_other_dims(monkeypatch):
     monkeypatch.setattr(hom_decomp, "_profile_raw", lambda n, p, raw: h)
     with pytest.raises(InternalInvariantError, match="dimensions"):
         _decompose_raw(n, 2, probe_reps(n)[IndecLabel("V", 3)])
+
+
+def _side_pairs(rng, n, count):
+    # seeded side pairs of one or two summands; the first three force a
+    # repeated label, U(i,i) on both sides, and two distinct labels
+    labels = all_labels(n)
+    diagonal = [l for l in labels if l.kind == "U" and l.i == l.j]
+    for k in range(count):
+        a, b, c = (rng.choice(labels) for _ in range(3))
+        if k == 0:
+            xs, ys = (a, a), (b,)
+        elif k == 1:
+            xs, ys = (rng.choice(diagonal),), (rng.choice(diagonal), c)
+        elif k == 2:
+            xs, ys = tuple(rng.sample(labels, 2)), (c, c)
+        else:
+            xs, ys = (tuple(rng.choices(labels, k=rng.randint(1, 2))) for _ in range(2))
+        yield tuple(sorted(xs, key=IndecLabel.sort_key)), tuple(sorted(ys, key=IndecLabel.sort_key))
+
+
+def test_walk_classification_matches_glued_middle_terms(rng):
+    # the walk classifies a class c by the ranks of its connecting matrices;
+    # the reference glues the middle term and decomposes it. Every class of
+    # each pair is compared; pairs with more than 60 classes are passed over
+    # to bound the run time
+    compared = 0
+    for n in range(2, 7):
+        for p in (2, 3, 5, 7):
+            for xs, ys in _side_pairs(rng, n, 10):
+                plan = _walk_plan(n, xs, ys)
+                reps = _ext_classes(plan, p)
+                if (p ** len(reps) - 1) // (p - 1) > 60:
+                    continue
+                for c in _nonzero_classes(reps, p):
+                    want = _decompose_raw(n, p, _middle_term(n, plan.x, plan.y, plan.blocks, c))
+                    got = _middle_labels(plan, _connecting_ranks(plan, p, c))
+                    assert got == want.as_labels(), (n, p, xs, ys, c)
+                    compared += 1
+    assert compared >= 500
+
+
+def test_walk_plan_is_built_once_per_side_pair():
+    # lie.bracket walks one side pair at every prime back to back
+    xs, ys = (IndecLabel("W", 1, 1),), (IndecLabel("V", 2),)
+    _walk_plan.cache_clear()
+    try:
+        for p in (2, 3, 5):
+            assert len(riedtmann_hall_numbers(xs, ys, AlgebraContext(2, p))) > 1
+        info = _walk_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+    finally:
+        _walk_plan.cache_clear()
+
+
+def test_walk_rejects_a_negative_multiplicity(monkeypatch):
+    # doubled ranks take V1 twice out of W1,1 + V2
+    real = _connecting_ranks
+    monkeypatch.setattr(
+        hom_decomp, "_connecting_ranks", lambda plan, p, c: tuple(2 * r for r in real(plan, p, c))
+    )
+    _walk_plan.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="multiplicity -1"):
+            riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), AlgebraContext(2, 3))
+    finally:
+        _walk_plan.cache_clear()
+
+
+def test_walk_rejects_a_middle_term_of_other_dims(monkeypatch):
+    # a base multiplicity vector with one W1,1 more than X + Y: every
+    # multiplicity stays nonnegative, the dimension vector does not match
+    extra = all_labels(2).index(IndecLabel("W", 1, 1))
+    real = hom_decomp._WalkPlan.base.func
+    monkeypatch.setattr(
+        hom_decomp._WalkPlan,
+        "base",
+        property(lambda plan: tuple(m + (k == extra) for k, m in enumerate(real(plan)))),
+    )
+    _walk_plan.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="dimensions"):
+            riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), AlgebraContext(2, 3))
+    finally:
+        _walk_plan.cache_clear()
 
 
 def test_decompose_indecomposables():

@@ -126,10 +126,10 @@ def test_loop_shape():
 def test_check_relation_rejects_bad_loop():
     ctx = AlgebraContext(2, 2)
     good = make_indec(IndecLabel("U", 1, 1), ctx)
-    bad = Representation(ctx, good.dims, good.arrow, PrimeFieldMatrix.identity(2, 2))
+    bad = Representation(ctx, good.dims, good.arrow, PrimeFieldMatrix(2, ((1, 0), (0, 1))))
     assert not check_relation(bad)
     squared_zero = Representation(
-        ctx, good.dims, good.arrow, PrimeFieldMatrix.from_rows(2, [[0, 1], [0, 0]])
+        ctx, good.dims, good.arrow, PrimeFieldMatrix(2, ((0, 1), (0, 0)))
     )
     assert check_relation(squared_zero)
 
