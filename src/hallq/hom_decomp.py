@@ -729,13 +729,16 @@ def riedtmann_hall_numbers(
     plan = _walk_plan(
         n, tuple(sorted(xs, key=IndecLabel.sort_key)), tuple(sorted(ys, key=IndecLabel.sort_key))
     )
-    sizes = {plan.split: 1}
+    per_ranks: dict[tuple[int, ...], int] = {}
     for c in _nonzero_classes(_ext_classes(plan, p), p):
         ranks = _connecting_ranks(plan, p, c)
+        per_ranks[ranks] = per_ranks.get(ranks, 0) + p - 1
+    sizes = {plan.split: 1}
+    for ranks, size in per_ranks.items():
         m = plan.middle.get(ranks)
         if m is None:
             m = plan.middle[ranks] = _middle_labels(plan, ranks)
-        sizes[m] = sizes.get(m, 0) + p - 1
+        sizes[m] = sizes.get(m, 0) + size
     aut_x, aut_y = plan.aut
     denom = _aut_order(aut_x, p) * _aut_order(aut_y, p) * p**plan.hom_xy
     out = {}
