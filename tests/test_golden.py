@@ -33,8 +33,12 @@ CASES: dict[str, tuple[str, ...]] = {
     "lie-table-n2-default-tsv": ("lie-table", "--n", "2"),
     "lie-table-n3-default-tsv": ("lie-table", "--n", "3"),
     "verify-prop-n3-default-tsv": ("verify-prop", "--n", "3"),
+    "verify-prop-n4-default-tsv": ("verify-prop", "--n", "4"),
     "hall-poly-n2-default": ("hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1"),
     "verify-identities-n4-p3-tsv": ("verify-identities", "--n", "4", "--p", "3"),
+    # prime lists too short for some fit: exit 2, naming the first failing triple
+    "verify-prop-n3-short-primes": ("verify-prop", "--n", "3", "--primes", "2,3"),
+    "lie-table-n3-short-primes": ("lie-table", "--n", "3", "--primes", "2,3,5"),
 }
 for _n in ("2", "3"):
     for _fmt in ("tsv", "json"):
