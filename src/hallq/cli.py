@@ -95,11 +95,12 @@ def _env_ceiling() -> int | None:
     return value
 
 
-def _resolve_ceiling(args) -> int | None:
-    # flag wins over environment; None means the command's own default
+def _resolve_ceiling(args, default: int | None) -> int | None:
+    # flag wins over environment, environment over the command's default
     if getattr(args, "dim_ceiling", None) is not None:
         return args.dim_ceiling
-    return _env_ceiling()
+    env = _env_ceiling()
+    return default if env is None else env
 
 
 def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
@@ -111,11 +112,14 @@ def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
         raise ValueError(f"could not parse prime list {raw!r}")
 
 
-def _config(args, fmt: str | None = None) -> RunConfig:
+def _config(
+    args, fmt: str | None = None, ceiling: int | None = DEFAULT_DIM_CEILING
+) -> RunConfig:
+    # the Lie commands pass ceiling=None: no ceiling unless one is asked for
     return RunConfig(
         n=args.n,
         primes=_parse_primes(getattr(args, "primes", None)),
-        dim_ceiling=_resolve_ceiling(args),
+        dim_ceiling=_resolve_ceiling(args, ceiling),
         output_format=fmt if fmt is not None else getattr(args, "format", "tsv"),
     )
 
@@ -168,8 +172,7 @@ def cmd_hall_number(args) -> int:
     x = as_multiset(parse_multiset(args.x), cfg.n)
     y = as_multiset(parse_multiset(args.y), cfg.n)
     m = _load_m(args, cfg.n)
-    ceiling = cfg.dim_ceiling if cfg.dim_ceiling is not None else DEFAULT_DIM_CEILING
-    value = hall_number(x, y, m, AlgebraContext(cfg.n, args.p), dim_ceiling=ceiling)
+    value = hall_number(x, y, m, AlgebraContext(cfg.n, args.p), dim_ceiling=cfg.dim_ceiling)
     print(value)
     return EXIT_OK
 
@@ -179,18 +182,14 @@ def cmd_hall_poly(args) -> int:
     x = as_multiset(parse_multiset(args.x), cfg.n)
     y = as_multiset(parse_multiset(args.y), cfg.n)
     m = _load_m(args, cfg.n)
-    ceiling = cfg.dim_ceiling if cfg.dim_ceiling is not None else DEFAULT_DIM_CEILING
-    poly = interpolate_hall_poly(
-        x, y, m, cfg.n, cfg.primes, dim_ceiling=ceiling
-    )
+    poly = interpolate_hall_poly(x, y, m, cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
     print(poly)
     return EXIT_OK
 
 
 def cmd_verify_prop(args) -> int:
     cfg = _config(args)
-    ceiling = cfg.dim_ceiling if cfg.dim_ceiling is not None else DEFAULT_DIM_CEILING
-    reports = reconcile_poly_table(cfg.n, cfg.primes, dim_ceiling=ceiling)
+    reports = reconcile_poly_table(cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
     text = (
         reconciliation_to_json(reports)
         if cfg.output_format == "json"
@@ -211,8 +210,7 @@ def cmd_verify_identities(args) -> int:
     cfg = _config(args)
     if not is_supported_prime(args.p):
         raise ValueError(f"unsupported prime {args.p}")
-    ceiling = cfg.dim_ceiling if cfg.dim_ceiling is not None else DEFAULT_DIM_CEILING
-    checks = verify_product_identities(cfg.n, args.p, dim_ceiling=ceiling)
+    checks = verify_product_identities(cfg.n, args.p, dim_ceiling=cfg.dim_ceiling)
     text = (
         identities_to_json(checks)
         if cfg.output_format == "json"
@@ -226,7 +224,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_lie_table(args) -> int:
     fmt = "latex" if args.latex else getattr(args, "format", "tsv")
-    cfg = _config(args, fmt=fmt)
+    cfg = _config(args, fmt=fmt, ceiling=None)
     table = build_bracket_table(cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
     if cfg.output_format == "json":
         text = bracket_table_to_json(table)
@@ -243,7 +241,7 @@ def cmd_lie_table(args) -> int:
 
 
 def cmd_lie_verify(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, ceiling=None)
     table = build_bracket_table(cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
     report = verify_lie_axioms(table)
     payload = {

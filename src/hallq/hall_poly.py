@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import InterpolationError, LabelError
@@ -20,17 +20,19 @@ from .hall_core import (
     DEFAULT_DIM_CEILING,
     IsoClassCombo,
     as_multiset,
+    check_ceiling,
     hall_number,
     hall_product,
     signed_sum,
 )
-from .hom_decomp import DecompositionMultiset, hom_table
+from .hom_decomp import DecompositionMultiset, hom_table, riedtmann_hall_numbers
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
     all_labels,
     check_label,
     label_dims,
+    multiset_dims,
     multiset_to_str,
 )
 
@@ -73,28 +75,6 @@ class HallPolynomial:
 ZERO_POLY = HallPolynomial(())
 ONE_POLY = HallPolynomial((1,))
 T_POLY = HallPolynomial((0, 1))
-
-
-def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Exact interpolation through the given points, coefficients ascending."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for idx, (xi, yi) in enumerate(points):
-        # basis polynomial for xi, built by repeated multiplication
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for jdx, (xj, _) in enumerate(points):
-            if jdx == idx:
-                continue
-            denom *= xi - xj
-            shifted = [Fraction(0)] + basis
-            for t in range(len(basis)):
-                shifted[t] -= xj * basis[t]
-            basis = shifted
-        scale = Fraction(yi) / denom
-        for t in range(len(basis)):
-            coeffs[t] += scale * basis[t]
-    return coeffs
 
 
 def hom_degree_bound(x, y, n: int) -> int:
@@ -152,18 +132,40 @@ def fit_primes(xs, ys, n: int, primes: Sequence[int] | None, where: str) -> tupl
 def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> HallPolynomial:
     """Fit counts at primes as an integer polynomial in the field size.
 
-    The fit runs through the counts at all primes but the last; the last
-    prime certifies the result. A non-integer coefficient or a failed
-    certification point raises InterpolationError, naming where, rather
-    than returning a wrong polynomial.
+    The fit runs through the counts at all primes but the last, by Newton
+    divided differences in integer arithmetic; the last prime certifies the
+    result. A division that is not exact, or a failed certification point,
+    raises InterpolationError, naming where, rather than returning a wrong
+    polynomial.
+
+    Every division is exact if and only if the interpolant has integer
+    coefficients. If it has, each divided difference of the counts is one
+    of the interpolant at integer nodes, and so an integer: by linearity it
+    is enough to see this for T^m, whose divided difference over a_0..a_k
+    is the complete homogeneous symmetric polynomial h_{m-k}(a_0, ..., a_k)
+    (0 for m < k). Conversely, if every division is exact, the Newton form
+    sum_k f[x_0..x_k] (T - x_0)...(T - x_{k-1}) is a sum of integer
+    multiples of monic integer polynomials.
     """
-    coeffs = _lagrange(list(zip(primes[:-1], values[:-1])))
-    ints: list[int] = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InterpolationError(f"non-integer coefficient {c} fitting {where}")
-        ints.append(int(c))
-    poly = HallPolynomial(tuple(ints))
+    nodes = primes[:-1]
+    # after pass k, diffs[i] = f[x_{i-k}..x_i] for i >= k
+    diffs = list(values[:-1])
+    for k in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, k - 1, -1):
+            num, den = diffs[i] - diffs[i - 1], nodes[i] - nodes[i - k]
+            if num % den:
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                raise InterpolationError(
+                    f"non-integer Newton divided difference {num // g}/{den // g} "
+                    f"(order {k}) fitting {where}"
+                )
+            diffs[i] = num // den
+    # Horner's rule on the Newton form: coeffs <- coeffs * (T - x_k) + f[x_0..x_k]
+    coeffs: list[int] = []
+    for k in reversed(range(len(nodes))):
+        coeffs = [a - nodes[k] * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k]
+    poly = HallPolynomial(tuple(coeffs))
     held_out = primes[-1]
     if poly.evaluate(held_out) != values[-1]:
         raise InterpolationError(
@@ -171,6 +173,23 @@ def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> H
             f"poly gives {poly.evaluate(held_out)}, count is {values[-1]}"
         )
     return poly
+
+
+def product_counts(
+    xs, ys, n: int, primes: Sequence[int] | None, where: str, dim_ceiling: int | None
+) -> tuple[tuple[int, ...], list[dict[tuple[IndecLabel, ...], int]]]:
+    """The primes of fit_primes for label tuples xs and ys and, at each
+    prime, every nonzero F^M_{X,Y}.
+
+    One Ext^1 walk (riedtmann_hall_numbers) per prime answers every
+    composite M of X.Y at once; an M missing from a prime's dict counts 0
+    there. The summed total dimension is checked against dim_ceiling after
+    the primes are fixed and before any walk, unless the ceiling is None.
+    """
+    plist = fit_primes(xs, ys, n, primes, where)
+    if dim_ceiling is not None:
+        check_ceiling(sum(multiset_dims(xs + ys, n)), dim_ceiling)
+    return plist, [riedtmann_hall_numbers(xs, ys, AlgebraContext(n, p)) for p in plist]
 
 
 def interpolate_hall_poly(
@@ -294,8 +313,11 @@ def reconcile_poly_table(
 
     Covers all ordered pairs (x, y) of indecomposable labels and every
     indecomposable m whose dimension vector is the sum; entries come out in
-    label order, so runs are reproducible line for line.  primes=None fits
-    each triple on the schedule of interpolate_hall_poly.
+    label order, so runs are reproducible line for line. Each pair with
+    such an m is counted once by product_counts, and only the rows of its
+    indecomposable composites are fitted; a failure names the triple of
+    the first such m that fails. primes=None fits each triple on the
+    schedule of fit_primes.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -308,11 +330,15 @@ def reconcile_poly_table(
         dx = label_dims(x, n)
         for y in labels:
             dy = label_dims(y, n)
-            dims = tuple(a + b for a, b in zip(dx, dy))
-            for m in by_dims.get(dims, ()):
+            composites = by_dims.get(tuple(a + b for a, b in zip(dx, dy)), ())
+            if not composites:
+                continue
+            where = triple_str((x,), (y,), composites[:1])
+            plist, counts = product_counts((x,), (y,), n, primes, where, dim_ceiling)
+            for m in composites:
                 expected = expected_hall_poly(x, y, m, n)
-                interpolated = interpolate_hall_poly(
-                    x, y, m, n, primes, dim_ceiling=dim_ceiling
+                interpolated = fit_hall_poly(
+                    plist, [c.get((m,), 0) for c in counts], triple_str((x,), (y,), (m,))
                 )
                 reports.append(
                     ReconciliationReport(

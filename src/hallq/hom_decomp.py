@@ -129,17 +129,6 @@ def hom_table(n: int, p: int | None = None) -> dict[tuple[IndecLabel, IndecLabel
 
 
 @lru_cache(maxsize=None)
-def _hom_rows(n: int) -> tuple[dict, dict]:
-    # per label y, the rows (dim Hom(L, y))_L and (dim Hom(y, L))_L over all
-    # labels L in canonical order
-    table = hom_table(n)
-    labels = all_labels(n)
-    into = {y: tuple(table[(l, y)] for l in labels) for y in labels}
-    out_of = {y: tuple(table[(y, l)] for l in labels) for y in labels}
-    return into, out_of
-
-
-@lru_cache(maxsize=None)
 def hom_profiles(
     n: int, ms: tuple[IndecLabel, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -147,13 +136,13 @@ def hom_profiles(
     for M the direct sum of the labels ms.
 
     Hom into or out of a direct sum is the direct sum of the Homs of its
-    summands, so both vectors are sums of per-label rows of hom_table.
+    summands, so both vectors are sums of entries of hom_table.
     """
-    into, out_of = _hom_rows(n)
-    zero = (0,) * len(all_labels(n))
+    table = hom_table(n)
+    labels = all_labels(n)
     return (
-        tuple(map(sum, zip(zero, *(into[y] for y in ms)))),
-        tuple(map(sum, zip(zero, *(out_of[y] for y in ms)))),
+        tuple(sum(table[(l, y)] for y in ms) for l in labels),
+        tuple(sum(table[(y, l)] for y in ms) for l in labels),
     )
 
 
@@ -613,8 +602,7 @@ class _WalkPlan:
         # per distinct pattern of a label with dim Hom(L, X) > 0, the sum of
         # those labels' columns of _c_inverse: equal patterns, equal ranks
         n, labels = self.n, all_labels(self.n)
-        into_x = map(sum, zip(*(_hom_rows(n)[0][a] for a in self.xs)))
-        live = [k for k, h in enumerate(into_x) if h]
+        live = [k for k, h in enumerate(hom_profiles(n, self.xs)[0]) if h]
         patterns = _connecting_patterns(n, [labels[k] for k in live], self.x, self.y, self.blocks)
         cols = tuple(zip(*_c_inverse(n)))
         out: dict = {}

@@ -15,24 +15,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalInvariantError
-from .hall_core import DEFAULT_DIM_CEILING, IsoClassCombo, check_ceiling, signed_sum
+from .hall_core import IsoClassCombo, signed_sum
 from .hall_poly import (
     fit_hall_poly,
-    fit_primes,
     hom_degree_bound,
+    product_counts,
     scheduled_primes,
     triple_str,
 )
-from .hom_decomp import riedtmann_hall_numbers
-from .quiver_rep import (
-    AlgebraContext,
-    IndecLabel,
-    all_labels,
-    check_label,
-    label_dims,
-    label_total_dim,
-    multiset_to_str,
-)
+from .quiver_rep import IndecLabel, all_labels, check_label, label_dims, multiset_to_str
 
 # the interval family W(i,j) needs j <= n-1, so closed-form ranges written
 # up to n are clipped to that bound when instantiated
@@ -60,8 +51,8 @@ def bracket(
     F^M_{x,y} is nonzero exactly when M is the middle term of an extension
     of x by y, so only the middle terms of Ext^1(x, y) and Ext^1(y, x) are
     fitted; off them both polynomials are zero. The counts come from
-    riedtmann_hall_numbers at the primes of fit_primes (the schedule unless
-    primes are given), and fit_hall_poly fits and certifies each, so a prime
+    product_counts (the schedule unless primes are given; no ceiling unless
+    one is given), and fit_hall_poly fits and certifies each, so a prime
     list too short for some composite raises InterpolationError. Any nonzero
     coefficient on a decomposable composite is a fatal invariant breach, not
     a result.
@@ -70,14 +61,8 @@ def bracket(
     check_label(y, n)
     if x == y:
         return ZERO_COMBO
-    primes_xy = fit_primes((x,), (y,), n, primes, f"({x}; {y})")
-    primes_yx = fit_primes((y,), (x,), n, primes, f"({y}; {x})")
-    total = label_total_dim(x, n) + label_total_dim(y, n)
-    if dim_ceiling is None:
-        dim_ceiling = max(total, DEFAULT_DIM_CEILING)
-    check_ceiling(total, dim_ceiling)
-    counts_xy = [riedtmann_hall_numbers((x,), (y,), AlgebraContext(n, p)) for p in primes_xy]
-    counts_yx = [riedtmann_hall_numbers((y,), (x,), AlgebraContext(n, p)) for p in primes_yx]
+    primes_xy, counts_xy = product_counts((x,), (y,), n, primes, f"({x}; {y})", dim_ceiling)
+    primes_yx, counts_yx = product_counts((y,), (x,), n, primes, f"({y}; {x})", dim_ceiling)
     support = set().union(*counts_xy, *counts_yx)
     out: dict[IndecLabel, int] = {}
     # in the order of multisets_with_dims, so the first failing fit is too

@@ -8,6 +8,7 @@ from hallq.hall_core import IsoClassCombo, hall_number, hall_product
 from hallq.hall_poly import (
     HallPolynomial,
     expected_hall_poly,
+    fit_hall_poly,
     hom_degree_bound,
     identities_to_json,
     identities_to_tsv,
@@ -49,6 +50,24 @@ def test_polynomial_normalization():
     assert str(HallPolynomial((-1, 1))) == "T - 1"
     assert str(HallPolynomial((2, 0, 3))) == "3*T^2 + 2"
     assert str(HallPolynomial(())) == "0"
+
+
+def test_fit_hall_poly_recovers_integer_polynomials():
+    # unsorted primes, the last one held out to certify
+    primes = (5, 2, 11, 3, 7)
+    for coeffs in [(-1, 1), (0, 0, 1), (), (4,), (3, -2, 0, 1)]:
+        poly = HallPolynomial(coeffs)
+        values = [poly.evaluate(p) for p in primes]
+        assert fit_hall_poly(primes, values, "here").coefficients == coeffs
+
+
+def test_fit_hall_poly_rejects_non_integer_and_uncertified_fits():
+    # 0, 1, 0 at 2, 3, 5 lie on -(T - 2)(T - 5)/2, and f[3, 5] = -1/2
+    with pytest.raises(InterpolationError, match=r"divided difference -1/2 .*\(x; y; m\)"):
+        fit_hall_poly((2, 3, 5, 7), (0, 1, 0, 0), "(x; y; m)")
+    # T^2 through 2, 3 is fitted as a line, and p = 5 refutes it
+    with pytest.raises(InterpolationError, match=r"certification point p=5 .*\(x; y; m\)"):
+        fit_hall_poly((2, 3, 5), (4, 9, 25), "(x; y; m)")
 
 
 def test_interpolate_known_values():

@@ -394,15 +394,14 @@ def summed_dims(x, y, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_riedtmann_counts_equal_hall_number(n):
-    # every ordered pair of distinct labels and every composite of the summed
-    # dimension vector; off the middle terms of Ext^1 both sides must read 0
+    # every ordered pair of labels, x == y included (verify-prop's diagonal
+    # rows), and every composite of the summed dimension vector; off the
+    # middle terms of Ext^1 both sides must read 0
     labels = all_labels(n)
     for p in (2, 3, 5):
         ctx = AlgebraContext(n, p)
         for x in labels:
             for y in labels:
-                if x == y:
-                    continue
                 got = riedtmann_hall_numbers((x,), (y,), ctx)
                 composites = multisets_with_dims(n, summed_dims(x, y, n))
                 assert set(got) <= set(composites), (p, x, y)
