@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 SUPPORTED_PRIMES: tuple[int, ...] = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -130,6 +130,51 @@ def null_space(
             v[piv] = -row[f] % p
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def unit_pivot_rref(
+    rows: Iterable[Iterable[tuple[int, int]]],
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+    """Reduced row-echelon form over the integers, pivoting only on +-1.
+
+    Rows are sparse, as (column, coefficient) pairs. Returns the nonzero
+    rows of the RREF, each as (column, coefficient) pairs in column order
+    with +1 at its pivot, and their pivot columns in increasing order.
+
+    Every step swaps two rows, negates one, or adds an integer multiple of
+    one to another, so it is a row operation over every F_p as well. The
+    rows returned, reduced mod p, are then in RREF with the same row space
+    as the input mod p: each keeps its pivot 1, and the zero rows left
+    behind stay zero. RREF is unique, so they are row_reduce's rows at
+    every p. Raises ArithmeticError when the nonzero entries of a column
+    below the pivots found so far include no +-1.
+    """
+    rest = [r for r in ({c: e for c, e in row if e} for row in rows) if r]
+    done: list[dict[int, int]] = []
+    pivots: list[int] = []
+    while rest:
+        col = min(map(min, rest))
+        for k, prow in enumerate(rest):
+            if prow.get(col) in (1, -1):
+                break
+        else:
+            raise ArithmeticError(f"column {col} has no unit pivot")
+        del rest[k]
+        if prow[col] == -1:
+            prow = {c: -e for c, e in prow.items()}
+        for r in rest + done:
+            f = r.get(col)
+            if f:
+                for c, e in prow.items():
+                    v = r.get(c, 0) - f * e
+                    if v:
+                        r[c] = v
+                    else:
+                        del r[c]
+        rest = [r for r in rest if r]
+        done.append(prow)
+        pivots.append(col)
+    return tuple(tuple(sorted(r.items())) for r in done), tuple(pivots)
 
 
 def mat_mul(

@@ -11,7 +11,7 @@ from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError
-from .gf import mat_mul, matrix_rank, null_space, reduce_vector, row_reduce
+from .gf import mat_mul, matrix_rank, row_reduce, unit_pivot_rref
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -373,8 +373,9 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
     the loop block. The coboundaries A^Y h_v - h_{v+1} A^X and
     L_Y h_n - h_n L_X come from h in sum_v Hom(X_v, Y_v). Block v < n-1 is
     c_v and block n-1 the loop block, each as (rows, cols, offset); the
-    coboundaries are sparse rows of (coordinate, coefficient), zero rows
-    dropped.
+    loop equations and the coboundaries are sparse rows of (coordinate,
+    coefficient) over all blocks, zero rows dropped, so the cocycles Z^1
+    are the kernel of the loop equations.
     """
     dx, ax, lx = x
     dy, ay, ly = y
@@ -393,7 +394,8 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
                 eq[k * lc + s] += ly[r][k]
             for k in range(lc):
                 eq[r * lc + k] += lx[k][s]
-            loop_eqs.append(tuple(eq))
+            if any(eq):
+                loop_eqs.append(tuple((loff + i, e) for i, e in enumerate(eq) if e))
     coboundaries = []
     for v in range(n):
         for r in range(dy[v]):
@@ -576,8 +578,44 @@ def _connecting_patterns(n: int, labels, x: RawRep, y: RawRep, blocks) -> list:
     return patterns
 
 
+def _ext_basis(blocks, loop_eqs, coboundaries, b_rank: int):
+    """The rows of _ext_classes over the integers, each with a +1 pivot,
+    from the cocycle system of _cocycle_system; b_rank is the rank B^1 must
+    have. Three unit-pivot eliminations (gf.unit_pivot_rref) give:
+    1. Z^1, the kernel of the loop equations: one cocycle per free column f
+       of their RREF, with 1 at f and minus column f at the pivots;
+    2. B^1 in RREF, whose rank is checked against b_rank;
+    3. the cocycles reduced against B^1, then put in RREF.
+    Raises ArithmeticError where an elimination finds no +-1 pivot.
+    """
+    lr, lc, loff = blocks[-1]
+    total = loff + lr * lc
+    lrows, lpivs = unit_pivot_rref(loop_eqs)
+    free = set(range(total)).difference(lpivs)
+    cocycles = {f: {f: 1} for f in sorted(free)}
+    for row, piv in zip(lrows, lpivs):
+        for c, e in row:
+            if c != piv:
+                cocycles[c][piv] = -e
+    brows, bpivs = unit_pivot_rref(coboundaries)
+    if len(bpivs) != b_rank:
+        raise InternalInvariantError(f"coboundary rank {len(bpivs)} disagrees with dim Hom(X, Y)")
+    for z in cocycles.values():
+        for row, piv in zip(brows, bpivs):
+            f = z.get(piv)
+            if f:
+                for c, e in row:
+                    z[c] = z.get(c, 0) - f * e
+    reps, _ = unit_pivot_rref(z.items() for z in cocycles.values())
+    return tuple(tuple(row.get(k, 0) for k in range(total)) for row in map(dict, reps))
+
+
 class _WalkPlan:
-    """What the Ext^1 walk of one side pair needs that no prime changes.
+    """What the Ext^1 walk of one side pair needs that no prime changes:
+    the raw sides, the cocycle layout, the Ext^1 basis over the integers
+    (ext_basis, from _ext_basis; _ext_classes reduces it mod p, and
+    e = dim Ext^1(X, Y) is its length at every p, known before any class is
+    visited) and the |Aut| shapes.
     The classifier (base, connecting) is built on the first nonzero class."""
 
     def __init__(self, n: int, xs: tuple[IndecLabel, ...], ys: tuple[IndecLabel, ...]) -> None:
@@ -585,7 +623,14 @@ class _WalkPlan:
         self.n, self.xs = n, xs
         self.x, self.y = raw_sum(xs, n), raw_sum(ys, n)
         self.hom_xy = sum(table[(a, b)] for a in xs for b in ys)
-        self.blocks, self.loop_eqs, self.coboundaries = _cocycle_system(n, self.x, self.y)
+        self.blocks, loop_eqs, coboundaries = _cocycle_system(n, self.x, self.y)
+        b_rank = sum(map(mul, self.x[0], self.y[0])) - self.hom_xy
+        try:
+            self.ext_basis = _ext_basis(self.blocks, loop_eqs, coboundaries, b_rank)
+        except (ArithmeticError, InternalInvariantError) as err:
+            raise InternalInvariantError(
+                f"Ext^1({multiset_to_str(xs)}, {multiset_to_str(ys)}): {err}"
+            ) from err
         self.aut = (_aut_shape(xs, n), _aut_shape(ys, n))
         self.split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
         # the middle term of each rank vector r(c) met so far (_middle_labels)
@@ -619,30 +664,26 @@ _walk_plan = lru_cache(maxsize=4)(_WalkPlan)
 
 
 def _ext_classes(plan: _WalkPlan, p: int):
-    """Representatives of Ext^1(X, Y) over F_p as cocycle vectors: rows
-    spanning a complement of B^1 in Z^1 (layout in _cocycle_system).
+    """Representatives of Ext^1(X, Y) over F_p as cocycle vectors: the RREF
+    rows spanning a complement of B^1 in Z^1 (layout in _cocycle_system),
+    read off plan.ext_basis mod p.
 
-    The kernel of h -> coboundary is Hom(X, Y), so
-    dim B^1 = sum_v dim X_v dim Y_v - dim Hom(X, Y); that count is checked.
+    These are the rows a per-prime elimination gives: take the kernel of
+    the loop equations mod p (gf.null_space), put the coboundaries in RREF
+    (gf.row_reduce), reduce the cocycles against them (gf.reduce_vector)
+    and put the result in RREF. Proof: _ext_basis does the same three steps
+    over the integers, each elimination with +-1 pivots only, and those are
+    row operations over every F_p (gf.unit_pivot_rref). So its RREF of the
+    loop equations is, mod p, the RREF mod p, and its kernel vectors are
+    null_space's; likewise for B^1, and its rank, checked once per plan
+    against sum_v dim X_v dim Y_v - dim Hom(X, Y) (the kernel of
+    h -> coboundary is Hom(X, Y)), is the rank mod every p. Reducing
+    against B^1 commutes with reduction mod p, so the reduced cocycles are
+    the per-prime ones mod p, and the integer RREF of them, with its +1
+    pivots, reduces mod p to a matrix in RREF with the same row space.
+    RREF is unique, so that is the per-prime result, row for row.
     """
-    lr, lc, loff = plan.blocks[-1]
-    total = loff + lr * lc
-    cocycles = [tuple(int(i == j) for j in range(total)) for i in range(loff)]
-    loop_eqs = [[e % p for e in eq] for eq in plan.loop_eqs]
-    cocycles += [(0,) * loff + vec for vec in null_space(loop_eqs, p, lr * lc)]
-    coboundaries = []
-    for sparse in plan.coboundaries:
-        z = [0] * total
-        for i, e in sparse:
-            z[i] = e % p
-        coboundaries.append(z)
-    brows, brank, bpivs = row_reduce(coboundaries, p, ncols=total)
-    if brank != sum(map(mul, plan.x[0], plan.y[0])) - plan.hom_xy:
-        raise InternalInvariantError(f"coboundary rank {brank} disagrees with dim Hom(X, Y)")
-    reps, _, _ = row_reduce(
-        [reduce_vector(z, brows, bpivs, p) for z in cocycles], p, ncols=total
-    )
-    return reps
+    return tuple(tuple(e % p for e in row) for row in plan.ext_basis)
 
 
 def _nonzero_classes(reps, p: int):
@@ -710,8 +751,9 @@ def riedtmann_hall_numbers(
     (_connecting_patterns), without gluing it; the multiplicities are
     checked to be nonnegative and to add up to the dimension vector of
     X + Y, once per distinct r(c). Everything that does not depend on p,
-    the middle term of each r(c) included, comes from _walk_plan, built
-    once per side pair.
+    the Ext^1 basis (eliminated over the integers, reduced mod p by
+    _ext_classes) and the middle term of each r(c) included, comes from
+    _walk_plan, built once per side pair.
     """
     n, p = ctx.n, ctx.p
     plan = _walk_plan(

@@ -51,9 +51,20 @@ class IndecLabel:
             raise LabelError(f"index j must be positive, got {self.j}")
         if self.kind == "W" and self.j < self.i:
             raise LabelError(f"W({self.i},{self.j}) needs i <= j")
+        # labels key every cache and table, so the hash and the sort key are
+        # computed once; the hash is the one the dataclass would generate
+        object.__setattr__(self, "_hash", hash((self.kind, self.i, self.j)))
+        object.__setattr__(self, "_sort_key", ({"W": 0, "V": 1, "U": 2}[self.kind], self.i, self.j))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the fields: a string hash differs between processes
+        return IndecLabel, (self.kind, self.i, self.j)
 
     def sort_key(self) -> tuple[int, int, int]:
-        return ({"W": 0, "V": 1, "U": 2}[self.kind], self.i, self.j)
+        return self._sort_key
 
     def __str__(self) -> str:
         if self.kind == "V":
@@ -114,10 +125,6 @@ def label_dims(label: IndecLabel, n: int) -> tuple[int, ...]:
     if k == "V":
         return tuple(0 if v < i else 1 for v in range(1, n + 1))
     return tuple(1 if i <= v <= j else 0 for v in range(1, n + 1))
-
-
-def label_total_dim(label: IndecLabel, n: int) -> int:
-    return sum(label_dims(label, n))
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,6 @@ from hallq.quiver_rep import (
     all_labels,
     check_relation,
     label_dims,
-    label_total_dim,
     make_indec,
     multisets_with_dims,
     rep_of_multiset,
@@ -273,7 +272,7 @@ def test_c7_oracle_cross_checks(rng):
         total = 0
         for _ in range(rng.randint(1, 4)):
             lab = rng.choice(labels)
-            d = label_total_dim(lab, n)
+            d = sum(label_dims(lab, n))
             if total + d <= 14:
                 ms.append(lab)
                 total += d
@@ -293,13 +292,13 @@ def test_c7_oracle_cross_checks(rng):
         total = 0
         for _ in range(rng.randint(1, 4)):
             lab = rng.choice(labels)
-            d = label_total_dim(lab, n)
+            d = sum(label_dims(lab, n))
             if total + d <= 8:
                 ms.append(lab)
                 total += d
         if not ms:
             ms = [labels[0]]
-            total = label_total_dim(labels[0], n)
+            total = sum(label_dims(labels[0], n))
         p = 3 if total <= 5 and rng.random() < 0.4 else 2
         ctx = AlgebraContext(n, p)
         mtuple = tuple(sorted(ms, key=IndecLabel.sort_key))
@@ -331,7 +330,7 @@ def test_c7_oracle_cross_checks(rng):
         n = rng.choice((2, 3))
         labels = all_labels(n)
         a, b, c = (rng.choice(labels) for _ in range(3))
-        if sum(label_total_dim(l, n) for l in (a, b, c)) > 7:
+        if sum(sum(label_dims(l, n)) for l in (a, b, c)) > 7:
             continue
         ctx = AlgebraContext(n, rng.choice((2, 3)))
         lhs: dict = {}

@@ -15,6 +15,7 @@ from hallq.gf import (
     null_space,
     reduce_vector,
     row_reduce,
+    unit_pivot_rref,
 )
 
 
@@ -145,6 +146,35 @@ def test_null_space_is_the_kernel(rng):
                 }
                 assert len(basis) == d - matrix_rank(rows, p)
                 assert span_of(basis, p, d) == kernel
+
+
+def test_unit_pivot_rref_is_row_reduce_at_every_prime(rng):
+    # random sparse 0/+-1 matrices; where every pivot is +-1 the integer
+    # RREF reduces mod p to row_reduce's, row for row
+    solved = 0
+    for _ in range(300):
+        nrows, d = rng.randrange(1, 7), rng.randrange(1, 8)
+        dense = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(d)] for _ in range(nrows)]
+        sparse = [[(c, e) for c, e in enumerate(row) if e] for row in dense]
+        try:
+            rows, pivots = unit_pivot_rref(sparse)
+        except ArithmeticError:
+            continue
+        solved += 1
+        assert all(dict(row)[piv] == 1 for row, piv in zip(rows, pivots))
+        assert list(pivots) == sorted(pivots)
+        for p in (2, 3, 5, 7):
+            want, rank, want_pivots = row_reduce([[e % p for e in row] for row in dense], p, ncols=d)
+            got = tuple(tuple(dict(row).get(c, 0) % p for c in range(d)) for row in rows)
+            assert (got, pivots) == (want, want_pivots), (dense, p)
+    assert solved >= 200
+
+
+def test_unit_pivot_rref_rejects_a_non_unit_pivot():
+    # eliminating column 0 leaves -2 alone in column 1, which is 0 mod 2
+    with pytest.raises(ArithmeticError, match="column 1"):
+        unit_pivot_rref([[(0, 1), (1, 1)], [(0, 1), (1, -1)]])
+    assert unit_pivot_rref([[(0, 0)], []]) == ((), ())
 
 
 def test_rank_modulo_a_subspace(rng):

@@ -5,11 +5,13 @@ import pytest
 
 from hallq import hom_decomp
 from hallq.errors import InternalInvariantError
-from hallq.gf import matrix_rank, null_space
+from hallq import gf
+from hallq.gf import first_primes, matrix_rank, null_space, reduce_vector, row_reduce
 from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
+    _cocycle_system,
     _connecting_ranks,
     _decompose_raw,
     _ext_classes,
@@ -286,6 +288,95 @@ def test_walk_plan_is_built_once_per_side_pair():
             assert len(riedtmann_hall_numbers(xs, ys, AlgebraContext(2, p))) > 1
         info = _walk_plan.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+    finally:
+        _walk_plan.cache_clear()
+
+
+def _per_prime_ext_classes(plan, p):
+    # the reference: the cocycle system eliminated over F_p, as the walk
+    # did at every prime before its basis moved into the plan
+    blocks, loop_eqs, coboundaries = _cocycle_system(plan.n, plan.x, plan.y)
+    lr, lc, loff = blocks[-1]
+    total = loff + lr * lc
+
+    def dense(rows):
+        out = []
+        for sparse in rows:
+            z = [0] * total
+            for i, e in sparse:
+                z[i] = e % p
+            out.append(z)
+        return out
+
+    cocycles = null_space(dense(loop_eqs), p, total)
+    brows, brank, bpivs = row_reduce(dense(coboundaries), p, ncols=total)
+    assert brank == sum(map(mul, plan.x[0], plan.y[0])) - plan.hom_xy
+    reps, _, _ = row_reduce([reduce_vector(z, brows, bpivs, p) for z in cocycles], p, ncols=total)
+    return reps
+
+
+def test_ext_classes_match_the_per_prime_elimination(rng):
+    # every indecomposable pair at n = 2..5, then seeded sums of one to
+    # three labels on each side
+    pairs = [(n, (a,), (b,)) for n in range(2, 6) for a in all_labels(n) for b in all_labels(n)]
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        xs, ys = (
+            tuple(sorted(rng.choices(all_labels(n), k=rng.randint(1, 3)), key=IndecLabel.sort_key))
+            for _ in range(2)
+        )
+        pairs.append((n, xs, ys))
+    for n, xs, ys in pairs:
+        plan = _walk_plan(n, xs, ys)
+        for p in first_primes(6):
+            assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p), (n, xs, ys, p)
+
+
+def test_ext_basis_is_built_once_per_plan(monkeypatch):
+    # three integer eliminations when the plan is built, none per prime
+    calls = []
+    real = gf.unit_pivot_rref
+    monkeypatch.setattr(hom_decomp, "unit_pivot_rref", lambda rows: calls.append(1) or real(rows))
+    xs, ys = (IndecLabel("W", 1, 1),), (IndecLabel("V", 2), IndecLabel("U", 2, 2))
+    _walk_plan.cache_clear()
+    try:
+        plan = _walk_plan(2, xs, ys)
+        assert len(calls) == 3
+        assert len(plan.ext_basis) == 3
+        for p in first_primes(6):
+            assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p)
+            riedtmann_hall_numbers(xs, ys, AlgebraContext(2, p))
+        assert len(calls) == 3
+    finally:
+        _walk_plan.cache_clear()
+
+
+def test_walk_plan_names_the_pair_without_a_unit_pivot(monkeypatch):
+    # loop equations (1, 1) and (1, -1) need the pivot -2, which is 0 mod 2
+    real = _cocycle_system
+
+    def system(n, x, y):
+        blocks, _, coboundaries = real(n, x, y)
+        return blocks, (((0, 1), (1, 1)), ((0, 1), (1, -1))), coboundaries
+
+    monkeypatch.setattr(hom_decomp, "_cocycle_system", system)
+    _walk_plan.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match=r"Ext\^1\(U1,2, U2,1\): column 1 has no unit pivot"):
+            _walk_plan(2, (IndecLabel("U", 1, 2),), (IndecLabel("U", 2, 1),))
+    finally:
+        _walk_plan.cache_clear()
+
+
+def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
+    # with the coboundaries dropped, B^1 has rank 0 where
+    # sum_v dim X_v dim Y_v - dim Hom(V1, V2) = 1 - 0 asks for 1
+    real = _cocycle_system
+    monkeypatch.setattr(hom_decomp, "_cocycle_system", lambda n, x, y: real(n, x, y)[:2] + ((),))
+    _walk_plan.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match=r"V1, V2\): coboundary rank 0 disagrees"):
+            riedtmann_hall_numbers((IndecLabel("V", 1),), (IndecLabel("V", 2),), AlgebraContext(2, 3))
     finally:
         _walk_plan.cache_clear()
 

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from functools import reduce
 
 import pytest
@@ -45,6 +48,25 @@ def test_label_validation():
         check_label(IndecLabel("W", 2, 2), 2)
     with pytest.raises(LabelError):
         check_label(IndecLabel("U", 3, 1), 2)
+
+
+def test_label_hash_and_sort_key_are_the_dataclass_ones():
+    # both are computed once per label; the hash stays the generated one,
+    # so no set or dict order changes, and equality, repr and fields stay
+    for label in all_labels(4):
+        twin = IndecLabel(label.kind, label.i, label.j)
+        assert hash(label) == hash((label.kind, label.i, label.j)) == hash(twin)
+        assert label == twin and label is not twin
+        assert label.sort_key() == ({"W": 0, "V": 1, "U": 2}[label.kind], label.i, label.j)
+        assert IndecLabel.sort_key(label) == label.sort_key()
+        assert pickle.loads(pickle.dumps(label)) == label
+        assert b"_hash" not in pickle.dumps(label)
+        assert hash(copy.deepcopy(label)) == hash(label)
+    assert [f.name for f in dataclasses.fields(IndecLabel)] == ["kind", "i", "j"]
+    assert repr(IndecLabel("U", 2, 1)) == "IndecLabel(kind='U', i=2, j=1)"
+    assert IndecLabel("V", 1) != IndecLabel("W", 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        IndecLabel("V", 1).i = 2
 
 
 def test_parse_and_render():
