@@ -591,8 +591,7 @@ def _ext_basis(blocks, loop_eqs, coboundaries, b_rank: int):
     lr, lc, loff = blocks[-1]
     total = loff + lr * lc
     lrows, lpivs = unit_pivot_rref(loop_eqs)
-    free = set(range(total)).difference(lpivs)
-    cocycles = {f: {f: 1} for f in sorted(free)}
+    cocycles = {f: {f: 1} for f in range(total) if f not in lpivs}
     for row, piv in zip(lrows, lpivs):
         for c, e in row:
             if c != piv:
