@@ -11,7 +11,7 @@ from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError
-from .gf import mat_mul, matrix_rank, row_reduce, unit_pivot_rref
+from .gf import mat_mul, matrix_rank, unit_pivot_rref
 from .quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -24,59 +24,20 @@ from .quiver_rep import (
 )
 
 
-def _hom_equations(
-    n: int,
-    p: int,
-    dx: tuple[int, ...],
-    ax: tuple[tuple[tuple[int, ...], ...], ...],
-    lx: tuple[tuple[int, ...], ...],
-    dm: tuple[int, ...],
-    am: tuple[tuple[tuple[int, ...], ...], ...],
-    lm: tuple[tuple[int, ...], ...],
-) -> tuple[list[list[int]], int]:
-    # the linear system whose solutions are the module maps x -> m, and its
-    # number of unknowns; entry (a, c) of f_v is unknown offsets[v] + a dx_v + c
-    offsets = []
-    total = 0
-    for v in range(n):
-        offsets.append(total)
-        total += dm[v] * dx[v]
-    rows: list[list[int]] = []
-    if total == 0:
-        return rows, 0
-
-    def add_block(t_src: int, mat_x: tuple, mat_m: tuple, var_tgt: int) -> None:
-        # equations f_tgt . mat_x = mat_m . f_src, one per (r, c)
-        for r in range(dm[var_tgt]):
-            mat_m_r = mat_m[r] if mat_m else ()
-            for c in range(dx[t_src]):
-                row = [0] * total
-                hit = False
-                base_tgt = offsets[var_tgt] + r * dx[var_tgt]
-                for b in range(dx[var_tgt]):
-                    coeff = mat_x[b][c] if mat_x else 0
-                    if coeff:
-                        row[base_tgt + b] = (row[base_tgt + b] + coeff) % p
-                        hit = True
-                for a in range(dm[t_src]):
-                    coeff = mat_m_r[a]
-                    if coeff:
-                        idx = offsets[t_src] + a * dx[t_src] + c
-                        row[idx] = (row[idx] - coeff) % p
-                        hit = True
-                if hit:
-                    rows.append(row)
-
-    for t in range(n - 1):
-        add_block(t, ax[t], am[t], t + 1)
-    add_block(n - 1, lx, lm, n - 1)
-    return rows, total
-
-
 def hom_dim_raw(n: int, p: int, dx, ax, lx, dm, am, lm) -> int:
-    """hom_dim on raw entry tuples, for callers that avoid Representation."""
-    rows, total = _hom_equations(n, p, dx, ax, lx, dm, am, lm)
-    return total - matrix_rank(rows, p)
+    """hom_dim on raw entry tuples, for callers that avoid Representation:
+    the nullity mod p of the coboundary map delta of _cocycle_system, whose
+    rows are one per coordinate of h in sum_v Hom(x_v, m_v)."""
+    blocks, _, coboundaries = _cocycle_system(n, (dx, ax, lx), (dm, am, lm))
+    lr, lc, loff = blocks[-1]
+    rows = []
+    for cob in coboundaries:
+        if cob:
+            row = [0] * (loff + lr * lc)
+            for c, e in cob:
+                row[c] = e % p
+            rows.append(row)
+    return len(coboundaries) - matrix_rank(rows, p)
 
 
 def raw_rep(rep: Representation) -> RawRep:
@@ -87,9 +48,12 @@ def raw_rep(rep: Representation) -> RawRep:
 def hom_dim(x: Representation, m: Representation) -> int:
     """Dimension of the space of module maps x -> m.
 
-    A map is one matrix f_v per vertex with f_{v+1} A^x_v = A^m_v f_v at
-    every arrow and f_n L^x = L^m f_n at the loop; the count is the nullity
-    of the stacked constraint system.
+    A map is one matrix h_v per vertex with h_{v+1} A^x_v = A^m_v h_v at
+    every arrow and h_n L^x = L^m h_n at the loop: an h in
+    sum_v Hom(x_v, m_v) whose coboundary in the cocycle system of
+    extensions of x by m (_cocycle_system) is 0. So Hom(x, m) = ker delta.
+    It does not read the path-rank profiles (_profile_raw), and the tests
+    use it as their oracle.
     """
     if x.ctx != m.ctx:
         raise ValueError("hom_dim needs a common algebra context")
@@ -107,25 +71,18 @@ def probe_reps(n: int) -> dict[IndecLabel, RawRep]:
 def hom_table(n: int, p: int | None = None) -> dict[tuple[IndecLabel, IndecLabel], int]:
     """hom_dim between all pairs of indecomposables, filled once per n.
 
-    The generic Hom system is solved over F_2; the table is the same over
-    every F_p by the field-independence argument in _profile_raw. p is
-    accepted and ignored, for callers of the old (n, p) signature
-    (perfbench/make_reference.py).
+    Column Y, dim Hom(L, Y) over every label L, is the path-rank profile
+    of Y (_profile_raw) over F_2; the table is the same over every F_p by
+    the field-independence argument there. p is accepted and ignored, for
+    callers of the old (n, p) signature (perfbench/make_reference.py).
 
-    The fill also checks that _profile_raw of each label equals its column
-    of the table, which decompose's correctness rests on, and raises
-    InternalInvariantError if not.
+    The table is checked against the cocycle system where Ext^1 is
+    computed: every side pair the walk plans checks its coboundary rank
+    against the table's dim Hom(X, Y) (_WalkPlan), and the tests compare
+    the table with hom_dim_raw for every label pair.
     """
-    probes = probe_reps(n)
-    table = {
-        (a, b): hom_dim_raw(n, 2, *ra, *rb)
-        for a, ra in probes.items()
-        for b, rb in probes.items()
-    }
-    for y, raw in probes.items():
-        if _profile_raw(n, 2, raw) != tuple(table[(l, y)] for l in probes):
-            raise InternalInvariantError(f"path-rank profile of {y} disagrees with hom_table")
-    return table
+    columns = {y: _profile_raw(n, 2, raw) for y, raw in probe_reps(n).items()}
+    return {(x, y): col[k] for k, x in enumerate(columns) for y, col in columns.items()}
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +139,8 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
     entry is 1, so every product of them, and each block matrix above,
     does too. The column space of such a matrix is spanned by the unit
     vectors of its nonzero rows, so each rank is a count of nonzero rows
-    and the same over every F_p. Hence hom_table does not depend on p, and
-    nor does _c_inverse.
+    and the same over every F_p. Hence hom_table, whose columns are these
+    profiles of the labels, does not depend on p, and nor does _c_inverse.
     """
     dims, arrows, loop = raw
     # paths[s][t] = A_{s->t} for 0-based vertices s <= t
@@ -272,19 +229,24 @@ class DecompositionMultiset:
 def _c_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     # inverse of the hom-count matrix C[X][Y] = hom_dim(X, Y); its
     # invertibility is what makes hom profiles decide isomorphism classes.
-    # It is integral for every n the tests build (2..6), with entries in
-    # {-1, 0, 1}, which keeps the solve in integers. It is found over F_97,
-    # lifted to [-48, 48] and accepted only if C . B = I over the integers;
-    # a fractional or large inverse is an invariant breach
+    # It is integral for every n the tests build (2..8), with entries in
+    # {-1, 0, 1}. It is the right half of the RREF of [C | I] over the
+    # integers (gf.unit_pivot_rref), accepted only if C . B = I; a
+    # fractional inverse, or one whose elimination needs a pivot other
+    # than +-1, is an invariant breach
     labels = all_labels(n)
     table = hom_table(n)
-    k, q = len(labels), 97
+    k = len(labels)
     c_rows = [[table[(x, y)] for y in labels] for x in labels]
-    aug = [[e % q for e in row] + [int(r == c) for c in range(k)] for r, row in enumerate(c_rows)]
-    red, _, pivots = row_reduce(aug, q)
+    try:
+        red, pivots = unit_pivot_rref(
+            [*((c, e) for c, e in enumerate(row) if e), (k + r, 1)] for r, row in enumerate(c_rows)
+        )
+    except ArithmeticError as err:
+        raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse: {err}") from err
     if pivots[:k] != tuple(range(k)):
-        raise InternalInvariantError(f"hom-count matrix at n={n} is singular mod {q}")
-    inv = tuple(tuple(x if x <= q // 2 else x - q for x in row[k:]) for row in red)
+        raise InternalInvariantError(f"hom-count matrix at n={n} is singular")
+    inv = tuple(tuple(dict(row).get(k + c, 0) for c in range(k)) for row in red)
     cols = tuple(zip(*inv))
     for r, row in enumerate(c_rows):
         if any(sum(map(mul, row, col)) != int(r == c) for c, col in enumerate(cols)):
@@ -328,8 +290,8 @@ def decompose(m: Representation) -> DecompositionMultiset:
     - Hom profiles add over direct sums: each entry of _profile_raw is a
       vertex dimension minus the rank of a block-diagonal matrix, one block
       per summand, so profile(R) = sum of mult_Y profile(Y) over labels Y;
-    - profile(Y) is column Y of C for every label Y (checked once per n
-      when hom_table is filled).
+    - profile(Y) is column Y of C for every label Y, by construction:
+      hom_table reads its columns off _profile_raw.
     Together, profile(R)_L = sum over Y of C[L][Y] mult_Y = h_L. What is
     left to check is h itself: a negative multiplicity means h is not the
     profile of any module, and the dimension check catches a profile that
@@ -374,8 +336,11 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
     L_Y h_n - h_n L_X come from h in sum_v Hom(X_v, Y_v). Block v < n-1 is
     c_v and block n-1 the loop block, each as (rows, cols, offset); the
     loop equations and the coboundaries are sparse rows of (coordinate,
-    coefficient) over all blocks, zero rows dropped, so the cocycles Z^1
-    are the kernel of the loop equations.
+    coefficient) over all blocks, in coordinate order. The cocycles Z^1
+    are the kernel of the loop equations, whose zero rows are dropped.
+    The coboundaries are the matrix of delta: one row per coordinate
+    (v, r, s) of h, entry (r, s) of h_v, in that order, zero rows
+    included, so ker delta = Hom(X, Y) (hom_dim).
     """
     dx, ax, lx = x
     dy, ay, ly = y
@@ -386,36 +351,39 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
         blocks.append((rows, dx[v], total))
         total += rows * dx[v]
     lr, lc, loff = blocks[n - 1]
+
+    def loop_row(r: int, s: int, left, right) -> list:
+        # left[k] at (k, s) for every row k and right[k] at (r, k) for every
+        # column k of the loop block, nonzero entries in coordinate order:
+        # rows above r, then row r, where (r, s) takes both, then rows below
+        mid = list(right)
+        mid[s] += left[r]
+        return (
+            [(loff + k * lc + s, e) for k, e in enumerate(left[:r]) if e]
+            + [(loff + r * lc + k, e) for k, e in enumerate(mid) if e]
+            + [(loff + k * lc + s, e) for k, e in enumerate(left[r + 1 :], r + 1) if e]
+        )
+
     loop_eqs = []
     for r in range(lr):
         for s in range(lc):
-            eq = [0] * (lr * lc)
-            for k in range(lr):
-                eq[k * lc + s] += ly[r][k]
-            for k in range(lc):
-                eq[r * lc + k] += lx[k][s]
-            if any(eq):
-                loop_eqs.append(tuple((loff + i, e) for i, e in enumerate(eq) if e))
+            eq = loop_row(r, s, ly[r], [m[s] for m in lx])
+            if eq:
+                loop_eqs.append(tuple(eq))
     coboundaries = []
     for v in range(n):
         for r in range(dy[v]):
             for s in range(dx[v]):
-                z = [0] * total
-                if v < n - 1:
-                    rows, cols, off = blocks[v]
-                    for a in range(rows):
-                        z[off + a * cols + s] += ay[v][a][r]
+                row = []
                 if v > 0:
-                    rows, cols, off = blocks[v - 1]
-                    for b in range(cols):
-                        z[off + r * cols + b] -= ax[v - 1][s][b]
-                if v == n - 1:
-                    for a in range(lr):
-                        z[loff + a * lc + s] += ly[a][r]
-                    for b in range(lc):
-                        z[loff + r * lc + b] -= lx[s][b]
-                if any(z):
-                    coboundaries.append(tuple((i, e) for i, e in enumerate(z) if e))
+                    _, cols, off = blocks[v - 1]
+                    row += [(off + r * cols + b, -e) for b, e in enumerate(ax[v - 1][s]) if e]
+                if v < n - 1:
+                    _, cols, off = blocks[v]
+                    row += [(off + a * cols + s, m[r]) for a, m in enumerate(ay[v]) if m[r]]
+                else:
+                    row += loop_row(r, s, [m[r] for m in ly], [-e for e in lx[s]])
+                coboundaries.append(tuple(row))
     return tuple(blocks), tuple(loop_eqs), tuple(coboundaries)
 
 
@@ -615,7 +583,13 @@ class _WalkPlan:
     (ext_basis, from _ext_basis; _ext_classes reduces it mod p, and
     e = dim Ext^1(X, Y) is its length at every p, known before any class is
     visited) and the |Aut| shapes.
-    The classifier (base, connecting) is built on the first nonzero class."""
+    The classifier (base, connecting) is built on the first nonzero class.
+
+    The coboundary rank must be sum_v dim X_v dim Y_v - dim Hom(X, Y), for
+    dim Hom(X, Y) summed from hom_table, since ker delta = Hom(X, Y). So
+    every side pair walked checks the path-rank table against the cocycle
+    system (hom_dim_raw) at run time.
+    """
 
     def __init__(self, n: int, xs: tuple[IndecLabel, ...], ys: tuple[IndecLabel, ...]) -> None:
         table = hom_table(n)

@@ -6,7 +6,7 @@ import pytest
 from hallq import hom_decomp
 from hallq.errors import InternalInvariantError
 from hallq import gf
-from hallq.gf import first_primes, matrix_rank, null_space, reduce_vector, row_reduce
+from hallq.gf import first_primes, mat_mul, matrix_rank, null_space, reduce_vector, row_reduce
 from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
@@ -15,7 +15,6 @@ from hallq.hom_decomp import (
     _connecting_ranks,
     _decompose_raw,
     _ext_classes,
-    _hom_equations,
     _middle_labels,
     _middle_term,
     _nonzero_classes,
@@ -137,13 +136,51 @@ def _random_modules(rng, n, p, extensions, sums):
 
 
 def test_path_profile_matches_hom_systems(rng):
-    # the path-rank kernel against one generic Hom linear system per label
+    # the path-rank kernel against the coboundary rank of one cocycle
+    # system per label
     for n in range(2, 7):
         for p in (2, 3, 5, 7):
             probes = probe_reps(n).values()
             for m in _random_modules(rng, n, p, extensions=8, sums=4):
                 want = tuple(hom_dim_raw(n, p, *probe, *m) for probe in probes)
                 assert _profile_raw(n, p, m) == want, (n, p, m)
+
+
+def _module_maps(n, p, x, m):
+    # the number of tuples of vertex maps x_v -> m_v, every one enumerated,
+    # that commute with the arrows and the loop
+    (dx, ax, lx), (dm, am, lm) = x, m
+    per_vertex = [
+        [
+            tuple(tuple(flat[a * dx[v] : (a + 1) * dx[v]]) for a in range(dm[v]))
+            for flat in product(range(p), repeat=dm[v] * dx[v])
+        ]
+        for v in range(n)
+    ]
+    squares = [(v + 1, ax[v], am[v], v) for v in range(n - 1)] + [(n - 1, lx, lm, n - 1)]
+    return sum(
+        all(
+            mat_mul(fs[t], a_x, p, ncols=dx[s]) == mat_mul(a_m, fs[s], p, ncols=dx[s])
+            for t, a_x, a_m, s in squares
+        )
+        for fs in product(*per_vertex)
+    )
+
+
+def test_hom_dim_counts_module_maps(rng):
+    # p^hom_dim_raw against brute force, on up to 15 ordered pairs per n and
+    # p of glued middle terms and raw sums with sum_v dim x_v dim m_v <= 8
+    compared = nonzero = 0
+    for n in (2, 3):
+        for p in (2, 3):
+            modules = _random_modules(rng, n, p, extensions=10, sums=10)
+            pairs = [(x, m) for x in modules for m in modules if sum(map(mul, x[0], m[0])) <= 8]
+            for x, m in rng.sample(pairs, min(15, len(pairs))):
+                e = hom_dim_raw(n, p, *x, *m)
+                assert _module_maps(n, p, x, m) == p**e, (n, p, x, m)
+                compared += 1
+                nonzero += e > 0
+    assert compared >= 40 and nonzero >= 20, (compared, nonzero)
 
 
 def test_hom_table_agrees_with_direct_computation():
@@ -177,8 +214,8 @@ def test_labels_pairwise_non_isomorphic():
 
 
 def test_hom_count_matrix_invertible():
-    # the lifted F_97 inverse is the inverse over the integers
-    for n in range(2, 7):
+    # the integer RREF of [C | I] gives the inverse over the integers
+    for n in range(2, 9):
         labels = all_labels(n)
         table = hom_table(n)
         inv = _c_inverse(n)
@@ -207,27 +244,6 @@ def test_hom_count_inverse_rejects_non_unimodular(monkeypatch, corner, message):
             _c_inverse(2)
     finally:
         _c_inverse.cache_clear()
-
-
-def test_hom_table_rejects_a_label_profile_off_its_column(monkeypatch):
-    # decompose rests on each label's path-rank profile being its column of
-    # hom_table; the table fill checks that once per n
-    n = 3
-    label = IndecLabel("U", 2, 3)
-    skewed = probe_reps(n)[label]
-    real = _profile_raw
-
-    def profile(n, p, raw):
-        h = real(n, p, raw)
-        return (h[0] + 1,) + h[1:] if raw == skewed else h
-
-    monkeypatch.setattr(hom_decomp, "_profile_raw", profile)
-    hom_table.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantError, match="U2,3 disagrees with hom_table"):
-            hom_table(n)
-    finally:
-        hom_table.cache_clear()
 
 
 def test_decompose_rejects_a_profile_of_other_dims(monkeypatch):
@@ -539,8 +555,16 @@ def test_endomorphism_rings_are_local(n):
     # (p - 1) p^(dim End L - 1); the |Aut| of Riedtmann's formula rests on it
     for p in (2, 3):
         for label, raw in probe_reps(n).items():
-            rows, total = _hom_equations(n, p, *raw, *raw)
-            basis = null_space(rows, p, total)
+            # End(L) = ker delta: the null space of the transposed matrix of
+            # delta, whose rows are the coboundaries, one per coordinate of h
+            blocks, _, coboundaries = _cocycle_system(n, raw, raw)
+            lr, lc, loff = blocks[-1]
+            total = len(coboundaries)
+            delta_t = [[0] * total for _ in range(loff + lr * lc)]
+            for k, cob in enumerate(coboundaries):
+                for c, e in cob:
+                    delta_t[c][k] = e % p
+            basis = null_space(delta_t, p, total)
             assert len(basis) == hom_table(n)[(label, label)]
             units = 0
             for coeffs in product(range(p), repeat=len(basis)):
