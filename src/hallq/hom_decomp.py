@@ -364,10 +364,11 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
             + [(loff + k * lc + s, e) for k, e in enumerate(left[r + 1 :], r + 1) if e]
         )
 
+    ly_cols, lx_cols = tuple(zip(*ly)), tuple(zip(*lx))
     loop_eqs = []
     for r in range(lr):
         for s in range(lc):
-            eq = loop_row(r, s, ly[r], [m[s] for m in lx])
+            eq = loop_row(r, s, ly[r], lx_cols[s])
             if eq:
                 loop_eqs.append(tuple(eq))
     coboundaries = []
@@ -382,7 +383,7 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
                     _, cols, off = blocks[v]
                     row += [(off + a * cols + s, m[r]) for a, m in enumerate(ay[v]) if m[r]]
                 else:
-                    row += loop_row(r, s, [m[r] for m in ly], [-e for e in lx[s]])
+                    row += loop_row(r, s, ly_cols[r], [-e for e in lx[s]])
                 coboundaries.append(tuple(row))
     return tuple(blocks), tuple(loop_eqs), tuple(coboundaries)
 
