@@ -72,9 +72,11 @@ def hom_table(n: int, p: int | None = None) -> dict[tuple[IndecLabel, IndecLabel
     """hom_dim between all pairs of indecomposables, filled once per n.
 
     Column Y, dim Hom(L, Y) over every label L, is the path-rank profile
-    of Y (_profile_raw) over F_2; the table is the same over every F_p by
-    the field-independence argument there. p is accepted and ignored, for
-    callers of the old (n, p) signature (perfbench/make_reference.py).
+    of Y (_profile_raw). The labels' entries are 0 or 1 and every column
+    is 0 or a unit vector, so _profile_raw counts rows and never reduces
+    mod p; the table is the same over every F_p by the field-independence
+    argument there. p is accepted and ignored, for callers of the old
+    (n, p) signature (perfbench/make_reference.py).
 
     The table is checked against the cocycle system where Ext^1 is
     computed: every side pair the walk plans checks its coboundary rank
@@ -134,16 +136,60 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
         dim Hom(U(i,j), M) = dim M_i + dim M_j - rk [A_{i->n} | L A_{j->n}],
     where the sign of the second block, -L A_{j->n}, drops out of the rank.
 
-    Field independence: every arrow and loop matrix of a canonical
-    indecomposable has at most one nonzero entry in each column, and that
-    entry is 1, so every product of them, and each block matrix above,
-    does too. The column space of such a matrix is spanned by the unit
-    vectors of its nonzero rows, so each rank is a count of nonzero rows
-    and the same over every F_p. Hence hom_table, whose columns are these
-    profiles of the labels, does not depend on p, and nor does _c_inverse.
+    Two branches, chosen by the input alone. When every column of every
+    arrow and of the loop is 0 or a unit vector e_r (_column_maps), as for
+    canonical raw sums (raw_sum, rep_of_multiset), the path maps are
+    composed as column maps and each rank is the number of distinct rows
+    the block's columns hit. Any other input, such as a Representation
+    read from a file (rep_from_json), the brute-force oracle's sub and
+    quotient modules or a glued middle term, takes the dense branch: the
+    path maps are multiplied out mod p (gf.mat_mul) and each rank is a
+    gf.matrix_rank elimination.
+
+    Field independence, and why the count is the rank: every arrow and
+    loop matrix of a canonical indecomposable has at most one nonzero
+    entry in each column, and that entry is 1, so every product of them,
+    and each block matrix above, does too (entry (r, c) of G F is G[r, f]
+    for f the row that column c of F hits, which is what composing the
+    column maps gives). The column space of such a matrix is spanned by the unit
+    vectors of its nonzero rows, so each rank is a count of nonzero rows,
+    the rows the columns hit, and the same over every F_p. This holds for
+    any input that passes the check, canonical or not. Hence hom_table,
+    whose columns are these profiles of the labels, does not depend on p,
+    and nor does _c_inverse.
     """
-    dims, arrows, loop = raw
-    # paths[s][t] = A_{s->t} for 0-based vertices s <= t
+    dims = raw[0]
+    maps = _column_maps(n, raw)
+    if maps is not None:
+        paths, loop = maps
+        loop_top = [_then(row[n - 1], loop) for row in paths]
+
+        def rank(*blocks) -> int:
+            return len({r for m in blocks for r in m if r >= 0})
+
+    else:
+        paths, loop = _path_matrices(n, p, raw), raw[2]
+        loop_top = [mat_mul(loop, row[n - 1], p, ncols=dims[s]) for s, row in enumerate(paths)]
+
+        def rank(*blocks) -> int:
+            return matrix_rank([sum(rows, ()) for rows in zip(*blocks)], p)
+
+    out = []
+    for label in all_labels(n):
+        i = label.i - 1
+        if label.kind == "W":
+            out.append(dims[i] - rank(paths[i][label.j]))
+        elif label.kind == "V":
+            out.append(dims[i] - rank(loop_top[i]))
+        else:
+            j = label.j - 1
+            out.append(dims[i] + dims[j] - rank(paths[i][n - 1], loop_top[j]))
+    return tuple(out)
+
+
+def _path_matrices(n: int, p: int, raw: RawRep) -> list:
+    # paths[s][t] = A_{s->t} mod p for 0-based vertices s <= t
+    dims, arrows, _ = raw
     paths = []
     for s in range(n):
         d = dims[s]
@@ -151,20 +197,7 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
         for t in range(s + 1, n):
             row.append(mat_mul(arrows[t - 1], row[t - 1], p, ncols=d))
         paths.append(row)
-    top = [paths[s][n - 1] for s in range(n)]
-    loop_top = [mat_mul(loop, a, p, ncols=dims[s]) for s, a in enumerate(top)]
-    out = []
-    for label in all_labels(n):
-        i = label.i - 1
-        if label.kind == "W":
-            out.append(dims[i] - matrix_rank(paths[i][label.j], p))
-        elif label.kind == "V":
-            out.append(dims[i] - matrix_rank(loop_top[i], p))
-        else:
-            j = label.j - 1
-            joined = [a + b for a, b in zip(top[i], loop_top[j])]
-            out.append(dims[i] + dims[j] - matrix_rank(joined, p))
-    return tuple(out)
+    return paths
 
 
 def hom_profile(rep: Representation) -> tuple[int, ...]:
@@ -389,29 +422,33 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
 
 
 def _column_maps(n: int, raw: RawRep):
-    # the path maps A_{s->t} (paths[s][t], s <= t) and the loop of a raw sum
-    # as column maps: each column's one nonzero entry, a 1, as its row, or -1
-    # for a zero column; composing the maps composes the matrices
+    # the path maps A_{s->t} (paths[s][t], s <= t) and the loop of a raw
+    # module as column maps: each column's one nonzero entry, a 1, as its row, or -1
+    # for a zero column; composing the maps composes the matrices. None when
+    # some column of an arrow or the loop is neither 0 nor a unit vector
     dims, arrows, loop = raw
 
-    def as_map(mat, ncols: int) -> tuple[int, ...]:
+    def as_map(mat, ncols: int) -> tuple[int, ...] | None:
         img = [-1] * ncols
         for r, row in enumerate(mat):
             for col, e in enumerate(row):
                 if e:
                     if e != 1 or img[col] >= 0:
-                        raise InternalInvariantError("a canonical matrix column is neither 0 nor a unit vector")
+                        return None
                     img[col] = r
         return tuple(img)
 
     steps = [as_map(a, dims[v]) for v, a in enumerate(arrows)]
+    loop_map = as_map(loop, dims[n - 1])
+    if loop_map is None or None in steps:
+        return None
     paths = []
     for s in range(n):
         row = [()] * s + [tuple(range(dims[s]))]
         for t in range(s + 1, n):
             row.append(_then(row[-1], steps[t - 1]))
         paths.append(row)
-    return paths, as_map(loop, dims[n - 1])
+    return paths, loop_map
 
 
 def _then(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
@@ -452,7 +489,8 @@ def _connecting_patterns(n: int, labels, x: RawRep, y: RawRep, blocks) -> list:
 
     Q_L and K_L without elimination: every arrow and loop matrix of a
     canonical raw sum has at most one nonzero entry, a 1, in each column
-    (_profile_raw; checked in _column_maps), and so do their products and
+    (_profile_raw; checked here, where a side whose _column_maps is None
+    raises InternalInvariantError), and so do their products and
     the blocks of A_L(Y) and A_L(X). The column space of such a matrix is
     spanned by the unit vectors of its nonzero rows, so Q_L keeps the zero
     rows of A_L(Y). Its kernel is spanned by the unit vectors of its zero
@@ -462,9 +500,11 @@ def _connecting_patterns(n: int, labels, x: RawRep, y: RawRep, blocks) -> list:
     columns share a row, so the differences come from the concatenated U
     block only, pairing X_i with X_j.
     """
+    xmaps, ymaps = _column_maps(n, x), _column_maps(n, y)
+    if xmaps is None or ymaps is None:
+        raise InternalInvariantError("a canonical matrix column is neither 0 nor a unit vector")
     dx, dy = x[0], y[0]
-    px, lx = _column_maps(n, x)
-    py, ly = _column_maps(n, y)
+    (px, lx), (py, ly) = xmaps, ymaps
     top = n - 1
     lr, lc, loff = blocks[top]
 

@@ -157,6 +157,26 @@ def test_decompose_file(capsys, tmp_path):
     assert out == "W1,1 + V1\n"
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_decompose_file_in_a_rescaled_basis(capsys, tmp_path, p):
+    # U1,2 + W1,2 + V2 with its coordinates at vertex 2 doubled: arrow
+    # entries 2 and 1/2 fail the unit-column check, so the profile is
+    # eliminated
+    labels = (IndecLabel("U", 1, 2), IndecLabel("W", 1, 2), IndecLabel("V", 2))
+    data = rep_to_json(rep_of_multiset(labels, AlgebraContext(3, p)))
+    into, out_of = data["arrows"]
+    data["arrows"] = [
+        [[2 * e % p for e in row] for row in into],
+        [[pow(2, -1, p) * e % p for e in row] for row in out_of],
+    ]
+    assert any(e > 1 for mat in data["arrows"] for row in mat for e in row)
+    path = tmp_path / "rescaled.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "decompose", str(path))
+    assert code == 0
+    assert out == "W1,2 + V2 + U1,2\n"
+
+
 def test_decompose_rejects_bad_loop(capsys, tmp_path):
     ctx = AlgebraContext(2, 2)
     rep = rep_of_multiset((IndecLabel("U", 1, 1),), ctx)

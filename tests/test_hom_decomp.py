@@ -135,15 +135,68 @@ def _random_modules(rng, n, p, extensions, sums):
     return out
 
 
-def test_path_profile_matches_hom_systems(rng):
+def _dense_calls(monkeypatch) -> list:
+    # one entry per _profile_raw call that takes the dense branch
+    calls = []
+    real = hom_decomp._path_matrices
+    monkeypatch.setattr(hom_decomp, "_path_matrices", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_path_profile_matches_hom_systems(rng, monkeypatch):
     # the path-rank kernel against the coboundary rank of one cocycle
-    # system per label
+    # system per label, on both branches: raw sums have unit columns and
+    # are counted, glued middle terms with an entry other than 0 or 1 are
+    # eliminated
+    dense = _dense_calls(monkeypatch)
+    taken = {"columns": 0, "dense": 0}
     for n in range(2, 7):
         for p in (2, 3, 5, 7):
             probes = probe_reps(n).values()
-            for m in _random_modules(rng, n, p, extensions=8, sums=4):
+            glued = 8
+            for k, m in enumerate(_random_modules(rng, n, p, extensions=glued, sums=4)):
+                before = len(dense)
+                got = _profile_raw(n, p, m)
+                branch = "dense" if len(dense) > before else "columns"
+                taken[branch] += 1
+                if k >= glued:
+                    assert branch == "columns", (n, p, m)
+                elif any(e > 1 for mat in (*m[1], m[2]) for row in mat for e in row):
+                    assert branch == "dense", (n, p, m)
                 want = tuple(hom_dim_raw(n, p, *probe, *m) for probe in probes)
-                assert _profile_raw(n, p, m) == want, (n, p, m)
+                assert got == want, (n, p, m)
+    assert taken["columns"] >= 80 and taken["dense"] >= 80, taken
+
+
+def _scaled(raw, v, p):
+    # raw with its coordinates at vertex v doubled, an isomorphic module:
+    # arrows into v times 2, arrows out of v times 1/2, the loop unchanged
+    dims, arrows, loop = raw
+    half = pow(2, -1, p)
+    arrows = list(arrows)
+    if v > 0:
+        arrows[v - 1] = tuple(tuple(2 * e % p for e in row) for row in arrows[v - 1])
+    if v < len(dims) - 1:
+        arrows[v] = tuple(tuple(half * e % p for e in row) for row in arrows[v])
+    return dims, tuple(arrows), loop
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_path_profile_of_a_rescaled_sum_takes_the_dense_branch(monkeypatch, p):
+    # an isomorphic copy of a canonical sum whose arrow entries are 2 and
+    # 1/2 at one vertex: the check sends it to gf, and the profile is the
+    # canonical sum's
+    n = 3
+    labels = (IndecLabel("U", 1, 2), IndecLabel("W", 1, 2), IndecLabel("V", 2))
+    raw = raw_rep(rep_of_multiset(labels, AlgebraContext(n, p)))
+    dense = _dense_calls(monkeypatch)
+    want = _profile_raw(n, p, raw)
+    assert dense == []
+    scaled = _scaled(raw, 1, p)
+    got = _profile_raw(n, p, scaled)
+    assert dense == [1]
+    assert got == want
+    assert _decompose_raw(n, p, scaled) == DecompositionMultiset.from_labels(labels)
 
 
 def _module_maps(n, p, x, m):
@@ -393,6 +446,31 @@ def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
     try:
         with pytest.raises(InternalInvariantError, match=r"V1, V2\): coboundary rank 0 disagrees"):
             riedtmann_hall_numbers((IndecLabel("V", 1),), (IndecLabel("V", 2),), AlgebraContext(2, 3))
+    finally:
+        _walk_plan.cache_clear()
+
+
+def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
+    # X = U1,1 with the first entry of its arrow, the identity, bent to 2:
+    # the plan's Ext^1 basis still has unit pivots, and the connecting
+    # matrices refuse the side. hom_table is filled before raw_sum is bent
+    n, xs, ys = 2, (IndecLabel("U", 1, 1),), (IndecLabel("W", 1, 1),)
+    hom_table(n)
+    real = hom_decomp.raw_sum
+
+    def bent(labels, n):
+        dims, arrows, loop = real(labels, n)
+        if tuple(labels) == xs:
+            assert arrows == (((1, 0), (0, 1)),)
+            arrows = (((2, 0), (0, 1)),)
+        return dims, arrows, loop
+
+    monkeypatch.setattr(hom_decomp, "raw_sum", bent)
+    _walk_plan.cache_clear()
+    try:
+        plan = _walk_plan(n, xs, ys)
+        with pytest.raises(InternalInvariantError, match="neither 0 nor a unit vector"):
+            plan.connecting
     finally:
         _walk_plan.cache_clear()
 
