@@ -64,7 +64,6 @@ class RunConfig:
 
     n: int
     primes: tuple[int, ...] | None
-    dim_ceiling: int | None
     output_format: str
 
     def __post_init__(self) -> None:
@@ -78,14 +77,18 @@ class RunConfig:
                     raise ValueError(f"unsupported prime {p}")
         if self.output_format not in ("tsv", "json", "latex"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.dim_ceiling is not None and self.dim_ceiling < 1:
+
+
+def _resolve_ceiling(args) -> int:
+    # the counting engine's ceiling (hall-number, hall-poly): flag wins over
+    # environment, environment over DEFAULT_DIM_CEILING
+    if args.dim_ceiling is not None:
+        if args.dim_ceiling < 1:
             raise ValueError("dimension ceiling must be positive")
-
-
-def _env_ceiling() -> int | None:
+        return args.dim_ceiling
     raw = os.environ.get(ENV_CEILING)
     if raw is None:
-        return None
+        return DEFAULT_DIM_CEILING
     try:
         value = int(raw)
     except ValueError:
@@ -93,14 +96,6 @@ def _env_ceiling() -> int | None:
     if value < 1:
         raise ValueError(f"{ENV_CEILING} must be positive, got {value}")
     return value
-
-
-def _resolve_ceiling(args, default: int | None) -> int | None:
-    # flag wins over environment, environment over the command's default
-    if getattr(args, "dim_ceiling", None) is not None:
-        return args.dim_ceiling
-    env = _env_ceiling()
-    return default if env is None else env
 
 
 def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
@@ -112,14 +107,10 @@ def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
         raise ValueError(f"could not parse prime list {raw!r}")
 
 
-def _config(
-    args, fmt: str | None = None, ceiling: int | None = DEFAULT_DIM_CEILING
-) -> RunConfig:
-    # the Lie commands pass ceiling=None: no ceiling unless one is asked for
+def _config(args, fmt: str | None = None) -> RunConfig:
     return RunConfig(
         n=args.n,
         primes=_parse_primes(getattr(args, "primes", None)),
-        dim_ceiling=_resolve_ceiling(args, ceiling),
         output_format=fmt if fmt is not None else getattr(args, "format", "tsv"),
     )
 
@@ -167,29 +158,31 @@ def _load_m(args, n: int):
 
 def cmd_hall_number(args) -> int:
     cfg = _config(args)
+    ceiling = _resolve_ceiling(args)
     if not is_supported_prime(args.p):
         raise ValueError(f"unsupported prime {args.p}")
     x = as_multiset(parse_multiset(args.x), cfg.n)
     y = as_multiset(parse_multiset(args.y), cfg.n)
     m = _load_m(args, cfg.n)
-    value = hall_number(x, y, m, AlgebraContext(cfg.n, args.p), dim_ceiling=cfg.dim_ceiling)
-    print(value)
+    value = hall_number(x, y, m, AlgebraContext(cfg.n, args.p), dim_ceiling=ceiling)
+    _emit(f"{value}\n", args.out)
     return EXIT_OK
 
 
 def cmd_hall_poly(args) -> int:
     cfg = _config(args)
+    ceiling = _resolve_ceiling(args)
     x = as_multiset(parse_multiset(args.x), cfg.n)
     y = as_multiset(parse_multiset(args.y), cfg.n)
     m = _load_m(args, cfg.n)
-    poly = interpolate_hall_poly(x, y, m, cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
-    print(poly)
+    poly = interpolate_hall_poly(x, y, m, cfg.n, cfg.primes, dim_ceiling=ceiling)
+    _emit(f"{poly}\n", args.out)
     return EXIT_OK
 
 
 def cmd_verify_prop(args) -> int:
     cfg = _config(args)
-    reports = reconcile_poly_table(cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
+    reports = reconcile_poly_table(cfg.n, cfg.primes)
     text = (
         reconciliation_to_json(reports)
         if cfg.output_format == "json"
@@ -210,7 +203,7 @@ def cmd_verify_identities(args) -> int:
     cfg = _config(args)
     if not is_supported_prime(args.p):
         raise ValueError(f"unsupported prime {args.p}")
-    checks = verify_product_identities(cfg.n, args.p, dim_ceiling=cfg.dim_ceiling)
+    checks = verify_product_identities(cfg.n, args.p)
     text = (
         identities_to_json(checks)
         if cfg.output_format == "json"
@@ -224,8 +217,8 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_lie_table(args) -> int:
     fmt = "latex" if args.latex else getattr(args, "format", "tsv")
-    cfg = _config(args, fmt=fmt, ceiling=None)
-    table = build_bracket_table(cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
+    cfg = _config(args, fmt=fmt)
+    table = build_bracket_table(cfg.n, cfg.primes)
     if cfg.output_format == "json":
         text = bracket_table_to_json(table)
     elif cfg.output_format == "latex":
@@ -241,8 +234,8 @@ def cmd_lie_table(args) -> int:
 
 
 def cmd_lie_verify(args) -> int:
-    cfg = _config(args, ceiling=None)
-    table = build_bracket_table(cfg.n, cfg.primes, dim_ceiling=cfg.dim_ceiling)
+    cfg = _config(args)
+    table = build_bracket_table(cfg.n, cfg.primes)
     report = verify_lie_axioms(table)
     payload = {
         "n": report.n,
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, primes=False, prime=False, fmt=True, latex=False):
+    def add_common(sp, *, primes=False, prime=False, fmt=True, latex=False, ceiling=False):
         sp.add_argument("--n", type=int, required=True, help="number of vertices")
         if primes:
             sp.add_argument(
@@ -303,20 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
                 "--latex", action="store_true", help="emit a LaTeX tabular instead"
             )
         sp.add_argument("--out", help="write the report to this path")
-        sp.add_argument(
-            "--dim-ceiling",
-            type=int,
-            dest="dim_ceiling",
-            help=f"refuse composites above this total dimension "
-            f"(default {DEFAULT_DIM_CEILING}; env {ENV_CEILING} overrides)",
-        )
+        if ceiling:
+            sp.add_argument(
+                "--dim-ceiling",
+                type=int,
+                dest="dim_ceiling",
+                help=f"refuse composites above this total dimension "
+                f"(default {DEFAULT_DIM_CEILING}; env {ENV_CEILING} overrides)",
+            )
 
     sp = sub.add_parser("indec-list", help="list indecomposable labels with dimensions")
     add_common(sp)
     sp.set_defaults(func=cmd_indec_list)
 
     sp = sub.add_parser("hall-number", help="count submodules with fixed sub and quotient")
-    add_common(sp, prime=True, fmt=False)
+    add_common(sp, prime=True, fmt=False, ceiling=True)
     sp.add_argument("x", help="quotient isoclass, e.g. W1,1 or V1+W1,1")
     sp.add_argument("y", help="submodule isoclass")
     sp.add_argument("m", nargs="?", help="composite isoclass")
@@ -324,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_hall_number)
 
     sp = sub.add_parser("hall-poly", help="interpolate the counting polynomial")
-    add_common(sp, primes=True, fmt=False)
+    add_common(sp, primes=True, fmt=False, ceiling=True)
     sp.add_argument("x")
     sp.add_argument("y")
     sp.add_argument("m", nargs="?")

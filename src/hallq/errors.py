@@ -20,7 +20,8 @@ class WitnessError(HallqError):
 
 
 class CeilingError(HallqError):
-    """Requested computation exceeds the configured dimension ceiling."""
+    """Requested computation exceeds a work bound: the counting engine's
+    total-dimension ceiling, or the Ext^1 walk's bound on its class count."""
 
 
 class HypothesisError(HallqError):

@@ -332,15 +332,6 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
     return count
 
 
-def check_ceiling(total: int, dim_ceiling: int) -> None:
-    """Refuse an ambient module of total dimension above the ceiling."""
-    if total > dim_ceiling:
-        raise CeilingError(
-            f"total dimension {total} of the ambient module exceeds the ceiling "
-            f"{dim_ceiling}; raise dim_ceiling to allow this enumeration"
-        )
-
-
 def hall_number(
     x: LabelSet,
     y: LabelSet,
@@ -349,13 +340,18 @@ def hall_number(
     dim_ceiling: int = DEFAULT_DIM_CEILING,
 ) -> int:
     """Number of submodules of M isomorphic to y with quotient isomorphic
-    to x, counted over F_p by filtered exhaustive enumeration."""
+    to x, counted over F_p by filtered exhaustive enumeration. An ambient
+    module of total dimension above dim_ceiling raises CeilingError."""
     n, p = ctx.n, ctx.p
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
     dm = multiset_dims(ms, n)
-    check_ceiling(sum(dm), dim_ceiling)
+    if sum(dm) > dim_ceiling:
+        raise CeilingError(
+            f"total dimension {sum(dm)} of the ambient module exceeds the ceiling "
+            f"{dim_ceiling}; raise dim_ceiling to allow this enumeration"
+        )
     dx = multiset_dims(xs, n)
     dy = multiset_dims(ys, n)
     if tuple(a + b for a, b in zip(dx, dy)) != dm:
@@ -425,24 +421,16 @@ class IsoClassCombo:
         )
 
 
-def hall_product(
-    n1: LabelSet,
-    n2: LabelSet,
-    ctx: AlgebraContext,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
-) -> IsoClassCombo:
+def hall_product(n1: LabelSet, n2: LabelSet, ctx: AlgebraContext) -> IsoClassCombo:
     """[n1] . [n2] = sum over M of F^M_{n1,n2} [M].
 
     The M with a nonzero coefficient are the middle terms of
     Ext^1(n1, n2), and riedtmann_hall_numbers counts them all in one walk
-    over 1 + (p^e - 1)/(p - 1) classes, e = dim Ext^1(n1, n2); the
-    ceiling applies to the summed total dimension, as in hall_number.
+    over 1 + (p^e - 1)/(p - 1) classes, e = dim Ext^1(n1, n2); a walk
+    above its bound (MAX_WALK_CLASSES) raises CeilingError before it starts.
     """
     n = ctx.n
-    a = as_multiset(n1, n)
-    b = as_multiset(n2, n)
-    check_ceiling(sum(multiset_dims(a + b, n)), dim_ceiling)
-    counts = riedtmann_hall_numbers(a, b, ctx)
+    counts = riedtmann_hall_numbers(as_multiset(n1, n), as_multiset(n2, n), ctx)
     return IsoClassCombo.from_dict(
         {DecompositionMultiset.from_labels(m): c for m, c in counts.items()}
     )
@@ -469,6 +457,8 @@ def verify_hall_identity(
     A failure of the hypothesis raises HypothesisError; the conclusion is
     reported in the returned value. A term's right factor may be the empty
     multiset (the unit), for which the inner sum collapses to F^M_{L_k,Y}.
+    dim_ceiling bounds the hall_number counts only; the products are
+    bounded by their walks' class counts.
     """
     n = ctx.n
     xs = as_multiset(x, n)
@@ -482,7 +472,7 @@ def verify_hall_identity(
     for c, left, right in norm:
         if c == 0:
             continue
-        prod = hall_product(left, right, ctx, dim_ceiling=dim_ceiling)
+        prod = hall_product(left, right, ctx)
         for key, coeff in prod.terms:
             combo[key] = combo.get(key, Fraction(0)) + c * coeff
     combo = {k: v for k, v in combo.items() if v}

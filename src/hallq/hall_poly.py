@@ -20,7 +20,6 @@ from .hall_core import (
     DEFAULT_DIM_CEILING,
     IsoClassCombo,
     as_multiset,
-    check_ceiling,
     hall_number,
     hall_product,
     signed_sum,
@@ -32,7 +31,6 @@ from .quiver_rep import (
     all_labels,
     check_label,
     label_dims,
-    multiset_dims,
     multiset_to_str,
 )
 
@@ -176,19 +174,17 @@ def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> H
 
 
 def product_counts(
-    xs, ys, n: int, primes: Sequence[int] | None, where: str, dim_ceiling: int | None
+    xs, ys, n: int, primes: Sequence[int] | None, where: str
 ) -> tuple[tuple[int, ...], list[dict[tuple[IndecLabel, ...], int]]]:
     """The primes of fit_primes for label tuples xs and ys and, at each
     prime, every nonzero F^M_{X,Y}.
 
     One Ext^1 walk (riedtmann_hall_numbers) per prime answers every
     composite M of X.Y at once; an M missing from a prime's dict counts 0
-    there. The summed total dimension is checked against dim_ceiling after
-    the primes are fixed and before any walk, unless the ceiling is None.
+    there. A walk above its class bound raises CeilingError before it
+    starts.
     """
     plist = fit_primes(xs, ys, n, primes, where)
-    if dim_ceiling is not None:
-        check_ceiling(sum(multiset_dims(xs + ys, n)), dim_ceiling)
     return plist, [riedtmann_hall_numbers(xs, ys, AlgebraContext(n, p)) for p in plist]
 
 
@@ -304,10 +300,7 @@ def _verdict(expected, interpolated: HallPolynomial) -> str:
 
 
 def reconcile_poly_table(
-    n: int,
-    primes: Sequence[int] | None = None,
-    *,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
+    n: int, primes: Sequence[int] | None = None
 ) -> list[ReconciliationReport]:
     """Compare every additive indecomposable triple against the closed forms.
 
@@ -334,7 +327,7 @@ def reconcile_poly_table(
             if not composites:
                 continue
             where = triple_str((x,), (y,), composites[:1])
-            plist, counts = product_counts((x,), (y,), n, primes, where, dim_ceiling)
+            plist, counts = product_counts((x,), (y,), n, primes, where)
             for m in composites:
                 expected = expected_hall_poly(x, y, m, n)
                 interpolated = fit_hall_poly(
@@ -396,9 +389,7 @@ def _combo(n: int, *pairs) -> IsoClassCombo:
     )
 
 
-def verify_product_identities(
-    n: int, p: int, *, dim_ceiling: int = DEFAULT_DIM_CEILING
-) -> list[ProductIdentityCheck]:
+def verify_product_identities(n: int, p: int) -> list[ProductIdentityCheck]:
     """Check the eight two-term product expansions behind the existence proof.
 
     Each expansion is asserted with its published coefficients at q = p, for
@@ -432,7 +423,7 @@ def verify_product_identities(
     checks: list[ProductIdentityCheck] = []
 
     def add(family: str, left: IndecLabel, right: IndecLabel, *pairs) -> None:
-        got = hall_product(left, right, ctx, dim_ceiling=dim_ceiling)
+        got = hall_product(left, right, ctx)
         expected = _combo(n, *pairs)
         checks.append(
             ProductIdentityCheck(family, left, right, expected, got, got == expected)

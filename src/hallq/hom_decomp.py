@@ -10,7 +10,7 @@ from itertools import product
 from operator import add, mul
 from typing import Iterable, Mapping
 
-from .errors import InternalInvariantError
+from .errors import CeilingError, InternalInvariantError
 from .gf import mat_mul, matrix_rank, unit_pivot_rref
 from .quiver_rep import (
     AlgebraContext,
@@ -746,6 +746,15 @@ def _middle_term(n: int, x: RawRep, y: RawRep, blocks, c) -> RawRep:
     return dims, arrows, glue(n - 1, ly, lx)
 
 
+# the most classes one Ext^1 walk may visit. A class costs 68-86 us on a
+# 2-vCPU VM (Python 3.11), so the bound is about 7-9 s of walking. It keeps
+# every indecomposable pair (e <= 2 for n <= 9: at most 99 classes for
+# primes up to 97) and W1,1+W1,1+W1,1 by V2+U2,2+U2,2 at n = 2, p = 2
+# (e = 15, 32,768 classes, 2.5 s), and refuses that pair at p = 3
+# (7,174,454 classes)
+MAX_WALK_CLASSES = 10**5
+
+
 def riedtmann_hall_numbers(
     xs: Iterable[IndecLabel], ys: Iterable[IndecLabel], ctx: AlgebraContext
 ) -> dict[tuple[IndecLabel, ...], int]:
@@ -768,11 +777,22 @@ def riedtmann_hall_numbers(
     the Ext^1 basis (eliminated over the integers, reduced mod p by
     _ext_classes) and the middle term of each r(c) included, comes from
     _walk_plan, built once per side pair.
+
+    The plan knows e, so the walk's size is known before any class is
+    visited: above MAX_WALK_CLASSES classes it raises CeilingError instead.
     """
     n, p = ctx.n, ctx.p
-    plan = _walk_plan(
-        n, tuple(sorted(xs, key=IndecLabel.sort_key)), tuple(sorted(ys, key=IndecLabel.sort_key))
-    )
+    xs = tuple(sorted(xs, key=IndecLabel.sort_key))
+    ys = tuple(sorted(ys, key=IndecLabel.sort_key))
+    plan = _walk_plan(n, xs, ys)
+    e = len(plan.ext_basis)
+    classes = 1 + (p**e - 1) // (p - 1)
+    if classes > MAX_WALK_CLASSES:
+        raise CeilingError(
+            f"Ext^1({multiset_to_str(xs)}, {multiset_to_str(ys)}) has dimension {e}, "
+            f"so the walk at p={p} would visit {classes} classes, above the bound "
+            f"{MAX_WALK_CLASSES}"
+        )
     per_ranks: dict[tuple[int, ...], int] = {}
     for c in _nonzero_classes(_ext_classes(plan, p), p):
         ranks = _connecting_ranks(plan, p, c)

@@ -39,30 +39,25 @@ ZERO_COMBO = IsoClassCombo(())
 
 
 def bracket(
-    x: IndecLabel,
-    y: IndecLabel,
-    n: int,
-    primes: Sequence[int] | None = None,
-    *,
-    dim_ceiling: int | None = None,
+    x: IndecLabel, y: IndecLabel, n: int, primes: Sequence[int] | None = None
 ) -> IsoClassCombo:
     """Commutator of two indecomposable classes at T = 1.
 
     F^M_{x,y} is nonzero exactly when M is the middle term of an extension
     of x by y, so only the middle terms of Ext^1(x, y) and Ext^1(y, x) are
     fitted; off them both polynomials are zero. The counts come from
-    product_counts (the schedule unless primes are given; no ceiling unless
-    one is given), and fit_hall_poly fits and certifies each, so a prime
-    list too short for some composite raises InterpolationError. Any nonzero
-    coefficient on a decomposable composite is a fatal invariant breach, not
-    a result.
+    product_counts (the schedule unless primes are given; each walk bounded
+    by its class count), and fit_hall_poly fits and certifies each, so a
+    prime list too short for some composite raises InterpolationError. Any
+    nonzero coefficient on a decomposable composite is a fatal invariant
+    breach, not a result.
     """
     check_label(x, n)
     check_label(y, n)
     if x == y:
         return ZERO_COMBO
-    primes_xy, counts_xy = product_counts((x,), (y,), n, primes, f"({x}; {y})", dim_ceiling)
-    primes_yx, counts_yx = product_counts((y,), (x,), n, primes, f"({y}; {x})", dim_ceiling)
+    primes_xy, counts_xy = product_counts((x,), (y,), n, primes, f"({x}; {y})")
+    primes_yx, counts_yx = product_counts((y,), (x,), n, primes, f"({y}; {x})")
     support = set().union(*counts_xy, *counts_yx)
     out: dict[IndecLabel, int] = {}
     # in the order of multisets_with_dims, so the first failing fit is too
@@ -163,12 +158,7 @@ class BracketTable:
         raise KeyError(f"pair ({x}, {y}) not in the table")
 
 
-def build_bracket_table(
-    n: int,
-    primes: Sequence[int] | None = None,
-    *,
-    dim_ceiling: int | None = None,
-) -> BracketTable:
+def build_bracket_table(n: int, primes: Sequence[int] | None = None) -> BracketTable:
     """Bracket every unordered pair and compare against the closed forms.
 
     Without an explicit prime list the table records the primes of the
@@ -189,7 +179,7 @@ def build_bracket_table(
     mismatches = []
     for idx, x in enumerate(labels):
         for y in labels[idx + 1 :]:
-            got = bracket(x, y, n, primes, dim_ceiling=dim_ceiling)
+            got = bracket(x, y, n, primes)
             exp = expected_bracket(x, y, n)
             entries.append((x, y, got))
             if got != exp:

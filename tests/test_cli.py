@@ -29,6 +29,22 @@ def test_hall_number_example(capsys):
     assert out == "3\n"
 
 
+def test_hall_number_and_hall_poly_write_out(capsys, tmp_path):
+    target = tmp_path / "number.txt"
+    code, out, _ = run(
+        capsys, "hall-number", "--n", "2", "--p", "3", "W1,1", "U2,1", "U1,1",
+        "--out", str(target),
+    )
+    assert (code, out) == (0, "")
+    assert target.read_text() == "3\n"
+    target = tmp_path / "poly.txt"
+    code, out, _ = run(
+        capsys, "hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1", "--out", str(target)
+    )
+    assert (code, out) == (0, "")
+    assert target.read_text() == "T\n"
+
+
 def test_hall_number_dims_mismatch_prints_zero(capsys):
     code, out, _ = run(capsys, "hall-number", "--n", "2", "--p", "2", "V1", "V1", "U1,2")
     assert code == 0
@@ -109,6 +125,13 @@ def test_verify_identities_exit_codes(capsys, monkeypatch):
     assert code == 1
     assert "1 fail" in err
     assert out.strip().split("\n")[-1].endswith("\tfail")
+
+
+def test_verify_identities_at_n7_needs_no_ceiling(capsys):
+    # total dimension 14 and more, but every walk visits a few classes
+    code, _, err = run(capsys, "verify-identities", "--n", "7", "--p", "3")
+    assert code == 0
+    assert err == "126 expansions: 0 fail\n"
 
 
 def test_inseparable_rivals_exit_internal(capsys, monkeypatch):
@@ -251,6 +274,9 @@ def test_usage_errors(capsys):
     # --parallelism was a no-op and is gone; argparse now rejects it
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "0")[0] == 2
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "2")[0] == 2
+    # --dim-ceiling is the counting engine's: only hall-number and hall-poly take it
+    assert run(capsys, "lie-table", "--n", "2", "--dim-ceiling", "3")[0] == 2
+    assert run(capsys, "indec-list", "--n", "2", "--dim-ceiling", "1")[0] == 2
 
 
 def test_short_prime_list_exits_2(capsys):
@@ -280,6 +306,13 @@ def test_ceiling_env(capsys, monkeypatch):
     assert out == "2\n"
     monkeypatch.setenv("HALLQ_DIM_CEILING", "banana")
     assert run(capsys, "hall-number", "--n", "2", "--p", "2", "V1", "V2", "U2,1")[0] == 2
+
+
+def test_ceiling_env_is_read_by_the_engine_commands_only(capsys, monkeypatch):
+    monkeypatch.setenv("HALLQ_DIM_CEILING", "banana")
+    assert run(capsys, "indec-list", "--n", "2")[0] == 0
+    assert run(capsys, "lie-verify", "--n", "2")[0] == 0
+    assert run(capsys, "hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1")[0] == 2
 
 
 def test_label_roundtrip_through_wire_syntax():

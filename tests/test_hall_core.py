@@ -24,6 +24,7 @@ from hallq.quiver_rep import (
     make_indec,
     multiset_dims,
     multisets_with_dims,
+    parse_multiset,
     rep_of_multiset,
     simple,
     submodule_and_quotient,
@@ -162,16 +163,18 @@ def test_hall_number_ceiling():
 
 
 def test_hall_product_ceiling(monkeypatch):
-    # V1 + V2 has total dimension 3; the product refuses with hall_number's
-    # message before it walks a single class of Ext^1
-    ctx = AlgebraContext(2, 2)
-    v1, v2 = IndecLabel("V", 1), IndecLabel("V", 2)
-    assert hall_product(v1, v2, ctx, dim_ceiling=3) == hall_product(v1, v2, ctx)
+    # total dimension 8, under the engine's ceiling, but e = 15: the walk
+    # would visit 7,174,454 classes at p = 3 and 7,629,394,532 at p = 5, so
+    # the product refuses before it walks one
+    x = parse_multiset("W1,1+W1,1+W1,1")
+    y = parse_multiset("V2+U2,2+U2,2")
     monkeypatch.setattr(
-        "hallq.hall_core.riedtmann_hall_numbers", lambda *a: pytest.fail("walked Ext^1")
+        "hallq.hom_decomp._nonzero_classes", lambda *a: pytest.fail("walked Ext^1")
     )
-    with pytest.raises(CeilingError, match="total dimension 3 .* exceeds the ceiling 2;"):
-        hall_product(v1, v2, ctx, dim_ceiling=2)
+    for p, classes in ((3, 7174454), (5, 7629394532)):
+        with pytest.raises(CeilingError, match=f"at p={p} would visit {classes} classes"):
+            hall_product(x, y, AlgebraContext(2, p))
+    assert sum(multiset_dims(x + y, 2)) == 8 < DEFAULT_DIM_CEILING
 
 
 def test_hall_product_case4():

@@ -4,7 +4,7 @@ from operator import add, mul
 import pytest
 
 from hallq import hom_decomp
-from hallq.errors import InternalInvariantError
+from hallq.errors import CeilingError, InternalInvariantError
 from hallq import gf
 from hallq.gf import first_primes, mat_mul, matrix_rank, null_space, reduce_vector, row_reduce
 from hallq.hall_core import enumerate_submodules, hall_number
@@ -359,6 +359,32 @@ def test_walk_plan_is_built_once_per_side_pair():
         assert (info.misses, info.hits) == (1, 2)
     finally:
         _walk_plan.cache_clear()
+
+
+def test_walk_refuses_above_its_class_bound(monkeypatch):
+    # W1,1 by U2,2 at n = 2 has e = 2, so 1 + (3^2 - 1)/2 = 5 classes at
+    # p = 3: the split class and 4 nonzero lines
+    xs, ys, ctx = (IndecLabel("W", 1, 1),), (IndecLabel("U", 2, 2),), AlgebraContext(2, 3)
+    assert len(_walk_plan(2, xs, ys).ext_basis) == 2
+    walked = []
+
+    def counted(reps, p):
+        for c in _nonzero_classes(reps, p):
+            walked.append(c)
+            yield c
+
+    monkeypatch.setattr(hom_decomp, "_nonzero_classes", counted)
+    monkeypatch.setattr(hom_decomp, "MAX_WALK_CLASSES", 5)
+    assert len(riedtmann_hall_numbers(xs, ys, ctx)) > 1
+    assert len(walked) == 4
+    monkeypatch.setattr(hom_decomp, "MAX_WALK_CLASSES", 4)
+    monkeypatch.setattr(hom_decomp, "_nonzero_classes", lambda *a: pytest.fail("walked Ext^1"))
+    with pytest.raises(
+        CeilingError,
+        match=r"Ext\^1\(W1,1, U2,2\) has dimension 2, so the walk at p=3 would visit "
+        r"5 classes, above the bound 4$",
+    ):
+        riedtmann_hall_numbers(xs, ys, ctx)
 
 
 def _per_prime_ext_classes(plan, p):
