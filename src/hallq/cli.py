@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .errors import (
     WitnessError,
 )
 from .gf import is_supported_prime
-from .hall_core import DEFAULT_DIM_CEILING, as_multiset, hall_number
+from .hall_core import as_multiset, hall_number
 from .hall_poly import (
     identities_to_json,
     identities_to_tsv,
@@ -54,8 +53,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-ENV_CEILING = "HALLQ_DIM_CEILING"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -77,25 +74,6 @@ class RunConfig:
                     raise ValueError(f"unsupported prime {p}")
         if self.output_format not in ("tsv", "json", "latex"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-
-
-def _resolve_ceiling(args) -> int:
-    # the counting engine's ceiling (hall-number, hall-poly): flag wins over
-    # environment, environment over DEFAULT_DIM_CEILING
-    if args.dim_ceiling is not None:
-        if args.dim_ceiling < 1:
-            raise ValueError("dimension ceiling must be positive")
-        return args.dim_ceiling
-    raw = os.environ.get(ENV_CEILING)
-    if raw is None:
-        return DEFAULT_DIM_CEILING
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_CEILING} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{ENV_CEILING} must be positive, got {value}")
-    return value
 
 
 def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
@@ -140,7 +118,7 @@ def cmd_indec_list(args) -> int:
     return EXIT_OK
 
 
-def _load_m(args, n: int):
+def _load_m(args, n: int, p: int | None = None):
     if args.m_file:
         if args.m is not None:
             raise ValueError("give the composite either inline or as a file, not both")
@@ -150,6 +128,10 @@ def _load_m(args, n: int):
             raise ValueError(
                 f"representation file has n={rep.ctx.n}, command asked for n={n}"
             )
+        if p is not None and rep.ctx.p != p:
+            raise ValueError(
+                f"representation file has p={rep.ctx.p}, command asked for p={p}"
+            )
         return decompose(rep).as_labels()
     if args.m is None:
         raise ValueError("missing the composite argument")
@@ -158,24 +140,22 @@ def _load_m(args, n: int):
 
 def cmd_hall_number(args) -> int:
     cfg = _config(args)
-    ceiling = _resolve_ceiling(args)
     if not is_supported_prime(args.p):
         raise ValueError(f"unsupported prime {args.p}")
     x = as_multiset(parse_multiset(args.x), cfg.n)
     y = as_multiset(parse_multiset(args.y), cfg.n)
-    m = _load_m(args, cfg.n)
-    value = hall_number(x, y, m, AlgebraContext(cfg.n, args.p), dim_ceiling=ceiling)
+    m = _load_m(args, cfg.n, args.p)
+    value = hall_number(x, y, m, AlgebraContext(cfg.n, args.p))
     _emit(f"{value}\n", args.out)
     return EXIT_OK
 
 
 def cmd_hall_poly(args) -> int:
     cfg = _config(args)
-    ceiling = _resolve_ceiling(args)
     x = as_multiset(parse_multiset(args.x), cfg.n)
     y = as_multiset(parse_multiset(args.y), cfg.n)
     m = _load_m(args, cfg.n)
-    poly = interpolate_hall_poly(x, y, m, cfg.n, cfg.primes, dim_ceiling=ceiling)
+    poly = interpolate_hall_poly(x, y, m, cfg.n, cfg.primes)
     _emit(f"{poly}\n", args.out)
     return EXIT_OK
 
@@ -279,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, primes=False, prime=False, fmt=True, latex=False, ceiling=False):
+    def add_common(sp, *, primes=False, prime=False, fmt=True, latex=False):
         sp.add_argument("--n", type=int, required=True, help="number of vertices")
         if primes:
             sp.add_argument(
@@ -296,21 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "--latex", action="store_true", help="emit a LaTeX tabular instead"
             )
         sp.add_argument("--out", help="write the report to this path")
-        if ceiling:
-            sp.add_argument(
-                "--dim-ceiling",
-                type=int,
-                dest="dim_ceiling",
-                help=f"refuse composites above this total dimension "
-                f"(default {DEFAULT_DIM_CEILING}; env {ENV_CEILING} overrides)",
-            )
 
     sp = sub.add_parser("indec-list", help="list indecomposable labels with dimensions")
     add_common(sp)
     sp.set_defaults(func=cmd_indec_list)
 
     sp = sub.add_parser("hall-number", help="count submodules with fixed sub and quotient")
-    add_common(sp, prime=True, fmt=False, ceiling=True)
+    add_common(sp, prime=True, fmt=False)
     sp.add_argument("x", help="quotient isoclass, e.g. W1,1 or V1+W1,1")
     sp.add_argument("y", help="submodule isoclass")
     sp.add_argument("m", nargs="?", help="composite isoclass")
@@ -318,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_hall_number)
 
     sp = sub.add_parser("hall-poly", help="interpolate the counting polynomial")
-    add_common(sp, primes=True, fmt=False, ceiling=True)
+    add_common(sp, primes=True, fmt=False)
     sp.add_argument("x")
     sp.add_argument("y")
     sp.add_argument("m", nargs="?")

@@ -20,8 +20,9 @@ class WitnessError(HallqError):
 
 
 class CeilingError(HallqError):
-    """Requested computation exceeds a work bound: the counting engine's
-    total-dimension ceiling, or the Ext^1 walk's bound on its class count."""
+    """Requested computation exceeds a work bound, counted before the work
+    starts: the subspaces the counting engine's search could visit, or the
+    classes of an Ext^1 walk."""
 
 
 class HypothesisError(HallqError):

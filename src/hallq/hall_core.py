@@ -8,7 +8,8 @@ hall_number adds three layers on top: a hom-count prune that rejects
 impossible (quotient, sub, total) triples before any enumeration, per-vertex
 rank screens that cut subtrees whose partial witness already disagrees with
 the required summands, and a profile shortcut that accepts leaves without
-classification whenever the rank profile pins the isomorphism class.
+classification whenever the rank profile pins the isomorphism class. A
+search whose size bound (_search_nodes) is too large is refused before it starts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .gf import (
     SubspaceBasis,
     echelon_supersets,
     enumerate_subspaces,
+    gaussian_binomial,
     mat_mul,
     mat_vec,
     matrix_rank,
@@ -49,8 +51,6 @@ from .quiver_rep import (
     multisets_with_dims,
     raw_sum,
 )
-
-DEFAULT_DIM_CEILING = 12
 
 LabelSet = IndecLabel | Iterable[IndecLabel]
 
@@ -332,26 +332,52 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
     return count
 
 
-def hall_number(
-    x: LabelSet,
-    y: LabelSet,
-    m: LabelSet,
-    ctx: AlgebraContext,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
-) -> int:
+# the most subspaces one search of the counting engine may visit, by
+# _search_nodes. Searches above 2*10^4 nodes cost 15-65 us per node on a
+# 2-vCPU VM (Python 3.11; BENCH_engine_guard.json), so the bound is about
+# 5-20 s of searching. It keeps every Tier-1 search (at most 33,672 nodes)
+# and refuses the composites of U3,3+V3 by U3,3+U2,3 at n = 3, p = 5
+# (2,558,558 nodes, 58-65 s each)
+MAX_SEARCH_NODES = 3 * 10**5
+
+
+def _search_nodes(n: int, p: int, ys: tuple[IndecLabel, ...], dm: tuple[int, ...]) -> int:
+    """An upper bound on the subspaces (nodes) that echelon_supersets yields
+    to _count_witnesses for a submodule Y = ys of a module with dims dm.
+
+    Vertices count from 1 here, from 0 in the code; write k_1 = 0. At
+    vertex v >= 2 the search extends the arrow image of a parent S_{v-1}
+    that passed screens_ok at v - 1, so that image has the rank of the
+    arrow Y_{v-1} -> Y_v, by the exact sequence of _rank_screens
+    k_v = dim Y_{v-1} - dim Hom(W(v-1,v-1), Y). A parent thus has exactly
+    [dim M_v - k_v, dim Y_v - k_v]_p children, the dim Y_v-spaces over its
+    image, so level v has at most prod_{u<=v} of these factors and the
+    search at most their sum over v. The factors are defined once
+    dim Y <= dim M at each vertex, as k_v <= dim Y_v.
+    """
+    dy, fwd, _ = _rank_screens(n, ys)
+    ks = (0,) + tuple(row[0] for row in fwd[:-1])
+    total, level = 0, 1
+    for d, y, k in zip(dm, dy, ks):
+        level *= gaussian_binomial(d - k, y - k, p)
+        total += level
+    return total
+
+
+def triple_str(xs, ys, ms) -> str:
+    return f"({multiset_to_str(xs)}; {multiset_to_str(ys)}; {multiset_to_str(ms)})"
+
+
+def hall_number(x: LabelSet, y: LabelSet, m: LabelSet, ctx: AlgebraContext) -> int:
     """Number of submodules of M isomorphic to y with quotient isomorphic
-    to x, counted over F_p by filtered exhaustive enumeration. An ambient
-    module of total dimension above dim_ceiling raises CeilingError."""
+    to x, counted over F_p by filtered exhaustive enumeration. After the
+    dimension check, the empty sides and the hom prune, a search whose bound
+    (_search_nodes) exceeds MAX_SEARCH_NODES raises CeilingError unstarted."""
     n, p = ctx.n, ctx.p
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
     dm = multiset_dims(ms, n)
-    if sum(dm) > dim_ceiling:
-        raise CeilingError(
-            f"total dimension {sum(dm)} of the ambient module exceeds the ceiling "
-            f"{dim_ceiling}; raise dim_ceiling to allow this enumeration"
-        )
     dx = multiset_dims(xs, n)
     dy = multiset_dims(ys, n)
     if tuple(a + b for a, b in zip(dx, dy)) != dm:
@@ -366,6 +392,12 @@ def hall_number(
             return 0
         if tm[i] > tx[i] + ty[i] or sm[i] > sx[i] + sy[i]:
             return 0
+    nodes = _search_nodes(n, p, ys, dm)
+    if nodes > MAX_SEARCH_NODES:
+        raise CeilingError(
+            f"the search for {triple_str(xs, ys, ms)} at p={p} could visit {nodes} "
+            f"subspaces, above the bound {MAX_SEARCH_NODES}"
+        )
     return _count_witnesses(
         n, p, _module_data(n, p, ms), _side_spec(n, ys), _side_spec(n, xs)
     )
@@ -449,7 +481,6 @@ def verify_hall_identity(
     y: LabelSet,
     m: LabelSet,
     ctx: AlgebraContext,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
 ) -> ExpansionCheck:
     """Check F^M_{X,Y} = sum_k c_k sum_Z F^M_{L_k,Z} F^Z_{R_k,Y} given that
     [X] = sum_k c_k [L_k] . [R_k] holds in the Hall algebra at this prime.
@@ -457,8 +488,8 @@ def verify_hall_identity(
     A failure of the hypothesis raises HypothesisError; the conclusion is
     reported in the returned value. A term's right factor may be the empty
     multiset (the unit), for which the inner sum collapses to F^M_{L_k,Y}.
-    dim_ceiling bounds the hall_number counts only; the products are
-    bounded by their walks' class counts.
+    Each count refuses above its search bound and each product above its
+    walk's class bound, with CeilingError.
     """
     n = ctx.n
     xs = as_multiset(x, n)
@@ -482,7 +513,7 @@ def verify_hall_identity(
             f"[{multiset_to_str(xs)}] does not equal the stated combination "
             f"of products at p={ctx.p}"
         )
-    lhs = hall_number(xs, ys, ms, ctx, dim_ceiling=dim_ceiling)
+    lhs = hall_number(xs, ys, ms, ctx)
     dm = multiset_dims(ms, n)
     rhs = Fraction(0)
     for c, left, right in norm:
@@ -493,10 +524,10 @@ def verify_hall_identity(
         if any(d < 0 for d in z_dims):
             continue
         for z in multisets_with_dims(n, z_dims):
-            f1 = hall_number(left, z, ms, ctx, dim_ceiling=dim_ceiling)
+            f1 = hall_number(left, z, ms, ctx)
             if not f1:
                 continue
-            f2 = hall_number(right, ys, z, ctx, dim_ceiling=dim_ceiling)
+            f2 = hall_number(right, ys, z, ctx)
             if f2:
                 rhs += c * f1 * f2
     return ExpansionCheck(Fraction(lhs) == rhs, lhs, rhs)

@@ -17,12 +17,12 @@ from typing import Sequence
 from .errors import InterpolationError, LabelError
 from .gf import SUPPORTED_PRIMES, first_primes, is_supported_prime
 from .hall_core import (
-    DEFAULT_DIM_CEILING,
     IsoClassCombo,
     as_multiset,
     hall_number,
     hall_product,
     signed_sum,
+    triple_str,
 )
 from .hom_decomp import DecompositionMultiset, hom_table, riedtmann_hall_numbers
 from .quiver_rep import (
@@ -31,7 +31,6 @@ from .quiver_rep import (
     all_labels,
     check_label,
     label_dims,
-    multiset_to_str,
 )
 
 
@@ -93,10 +92,6 @@ def scheduled_primes(bound: int) -> tuple[int, ...]:
     """The default schedule for a fit of degree at most bound: bound + 1
     primes to fit through, and the next prime to certify the fit."""
     return first_primes(bound + 2)
-
-
-def triple_str(xs, ys, ms) -> str:
-    return f"({multiset_to_str(xs)}; {multiset_to_str(ys)}; {multiset_to_str(ms)})"
 
 
 def fit_primes(xs, ys, n: int, primes: Sequence[int] | None, where: str) -> tuple[int, ...]:
@@ -194,26 +189,26 @@ def interpolate_hall_poly(
     m,
     n: int,
     primes: Sequence[int] | None = None,
-    *,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
 ) -> HallPolynomial:
     """Fit the submodule count as an integer polynomial in the field size.
 
     The counts come from hall_number at the primes of fit_primes, and
     fit_hall_poly fits and certifies them; no list is ever widened, and a
     degree bound that needs more primes than are supported fails before
-    any counting starts.
+    any counting starts. hall_number's search bound grows with p, so the
+    largest prime is counted first: a search it refuses (CeilingError) is
+    refused before any prime is counted.
     """
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
     where = triple_str(xs, ys, ms)
     plist = fit_primes(xs, ys, n, primes, where)
-    values = [
-        hall_number(xs, ys, ms, AlgebraContext(n, p), dim_ceiling=dim_ceiling)
-        for p in plist
-    ]
-    return fit_hall_poly(plist, values, where)
+    values = {
+        p: hall_number(xs, ys, ms, AlgebraContext(n, p))
+        for p in sorted(plist, reverse=True)
+    }
+    return fit_hall_poly(plist, [values[p] for p in plist], where)
 
 
 def expected_hall_poly(x: IndecLabel, y: IndecLabel, m: IndecLabel, n: int):

@@ -247,6 +247,21 @@ def test_hall_number_file_wrong_n(capsys, tmp_path):
     assert "n=3" in err
 
 
+def test_hall_number_file_wrong_p(capsys, tmp_path):
+    rep = rep_of_multiset((IndecLabel("U", 1, 1),), AlgebraContext(2, 3))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rep_to_json(rep)))
+    code, out, err = run(
+        capsys, "hall-number", "--n", "2", "--p", "5", "W1,1", "U2,1",
+        "--m-file", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert "p=3" in err and "p=5" in err
+    # hall-poly has no --p and reads the file for its isoclass only
+    code, out, _ = run(capsys, "hall-poly", "--n", "2", "W1,1", "U2,1", "--m-file", str(path))
+    assert (code, out) == (0, "T\n")
+
+
 def test_rep_file_non_integers_exit_2(capsys, tmp_path):
     data = rep_to_json(rep_of_multiset((IndecLabel("U", 1, 1),), AlgebraContext(2, 3)))
     path = tmp_path / "m.json"
@@ -274,9 +289,16 @@ def test_usage_errors(capsys):
     # --parallelism was a no-op and is gone; argparse now rejects it
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "0")[0] == 2
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "2")[0] == 2
-    # --dim-ceiling is the counting engine's: only hall-number and hall-poly take it
+    # --dim-ceiling is gone: every counter refuses on its own work count
     assert run(capsys, "lie-table", "--n", "2", "--dim-ceiling", "3")[0] == 2
     assert run(capsys, "indec-list", "--n", "2", "--dim-ceiling", "1")[0] == 2
+    assert run(
+        capsys, "hall-number", "--n", "2", "--p", "2", "W1,1", "U2,1", "U1,1",
+        "--dim-ceiling", "3",
+    )[0] == 2
+    assert run(
+        capsys, "hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1", "--dim-ceiling", "3"
+    )[0] == 2
 
 
 def test_short_prime_list_exits_2(capsys):
@@ -293,26 +315,17 @@ def test_help_exits_clean(capsys):
 
 
 def test_ceiling_env(capsys, monkeypatch):
-    monkeypatch.setenv("HALLQ_DIM_CEILING", "3")
-    code, _, err = run(capsys, "hall-number", "--n", "2", "--p", "2", "W1,1", "U2,1", "U1,1")
-    assert code == 2
-    assert "ceiling" in err.lower()
-    # explicit flag wins over the environment
-    code, out, _ = run(
-        capsys, "hall-number", "--n", "2", "--p", "2", "W1,1", "U2,1", "U1,1",
-        "--dim-ceiling", "12",
-    )
-    assert code == 0
-    assert out == "2\n"
-    monkeypatch.setenv("HALLQ_DIM_CEILING", "banana")
-    assert run(capsys, "hall-number", "--n", "2", "--p", "2", "V1", "V2", "U2,1")[0] == 2
-
-
-def test_ceiling_env_is_read_by_the_engine_commands_only(capsys, monkeypatch):
-    monkeypatch.setenv("HALLQ_DIM_CEILING", "banana")
-    assert run(capsys, "indec-list", "--n", "2")[0] == 0
-    assert run(capsys, "lie-verify", "--n", "2")[0] == 0
-    assert run(capsys, "hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1")[0] == 2
+    # HALLQ_DIM_CEILING is gone: no command reads it, whatever it holds
+    for value in ("3", "banana"):
+        monkeypatch.setenv("HALLQ_DIM_CEILING", value)
+        code, out, _ = run(
+            capsys, "hall-number", "--n", "2", "--p", "2", "W1,1", "U2,1", "U1,1"
+        )
+        assert (code, out) == (0, "2\n")
+        code, out, _ = run(capsys, "hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1")
+        assert (code, out) == (0, "T\n")
+        assert run(capsys, "indec-list", "--n", "2")[0] == 0
+        assert run(capsys, "lie-verify", "--n", "2")[0] == 0
 
 
 def test_label_roundtrip_through_wire_syntax():

@@ -4,17 +4,18 @@ from operator import add
 import pytest
 
 from hallq.errors import CeilingError, HypothesisError
-from hallq.gf import mat_mul, matrix_rank
+from hallq.gf import echelon_supersets, mat_mul, matrix_rank
 from hallq.hall_core import (
-    DEFAULT_DIM_CEILING,
     IsoClassCombo,
     _rank_screens,
+    _search_nodes,
     as_multiset,
     enumerate_submodules,
     hall_number,
     hall_product,
     verify_hall_identity,
 )
+from hallq.hall_poly import interpolate_hall_poly
 from hallq.hom_decomp import DecompositionMultiset, decompose
 from hallq.quiver_rep import (
     AlgebraContext,
@@ -153,19 +154,93 @@ def test_hall_number_decomposable_sides():
         assert hall_number(x, y, m, ctx) == hall_number_reference(x, y, m, ctx)
 
 
-def test_hall_number_ceiling():
+# the products pool's budget example: X = U3,3+V3, Y = U3,3+U2,3 at n = 3;
+# the hom prune passes both composites, and each search could visit
+# 2,558,558 subspaces at p = 5
+BUDGET = parse_multiset("U3,3+V3"), parse_multiset("U3,3+U2,3")
+BUDGET_COMPOSITES = (
+    parse_multiset("V3+U2,3+U3,3+U3,3"),
+    parse_multiset("V2+U3,3+U3,3+U3,3"),
+)
+
+
+def forbid_engine(monkeypatch):
+    for name in ("_module_data", "_side_spec", "_count_witnesses"):
+        monkeypatch.setattr(
+            f"hallq.hall_core.{name}", lambda *a, name=name: pytest.fail(f"{name} ran")
+        )
+
+
+def test_hall_number_ceiling(monkeypatch):
+    # thirteen copies of V2 with an empty quotient: no search, so no bound
     ctx = AlgebraContext(2, 2)
     big = tuple([IndecLabel("V", 2)] * 13)
-    with pytest.raises(CeilingError):
-        hall_number((), big, big, ctx)
-    assert hall_number((), big, big, ctx, dim_ceiling=13) == 1
-    assert sum(multiset_dims(big, 2)) > DEFAULT_DIM_CEILING
+    assert hall_number((), big, big, ctx) == 1
+    # the budget composites are refused before the engine builds anything
+    forbid_engine(monkeypatch)
+    for m in BUDGET_COMPOSITES:
+        with pytest.raises(CeilingError, match="at p=5 could visit 2558558 subspaces"):
+            hall_number(*BUDGET, m, AlgebraContext(3, 5))
+
+
+def test_hall_poly_refuses_before_any_count(monkeypatch):
+    # the largest prime has the largest bound and is counted first
+    forbid_engine(monkeypatch)
+    with pytest.raises(CeilingError, match="at p=17 "):
+        interpolate_hall_poly(*BUDGET, BUDGET_COMPOSITES[0], 3)
+
+
+def test_search_bound_edge(monkeypatch):
+    ctx = AlgebraContext(2, 2)
+    x, y = parse_multiset("W1,1+V2"), parse_multiset("V2+V2+U2,2")
+    m = parse_multiset("V2+V2+V2+U2,1")
+    nodes = _search_nodes(2, 2, as_multiset(y, 2), multiset_dims(as_multiset(m, 2), 2))
+    expect = hall_number_reference(x, y, m, ctx)
+    monkeypatch.setattr("hallq.hall_core.MAX_SEARCH_NODES", nodes)
+    assert hall_number(x, y, m, ctx) == expect
+    monkeypatch.setattr("hallq.hall_core.MAX_SEARCH_NODES", nodes - 1)
+    with pytest.raises(CeilingError, match=f"could visit {nodes} subspaces"):
+        hall_number(x, y, m, ctx)
+
+
+def test_search_bound_is_sound(rng, monkeypatch):
+    # differential: the subspaces the search enumerates never exceed the
+    # bound, on every composite of seeded sides of 1-3 summands; draws of
+    # total dimension above 8 or with a bound above 2*10^4 are skipped to
+    # keep the test short
+    nodes = 0
+
+    def counted(*args):
+        nonlocal nodes
+        for item in echelon_supersets(*args):
+            nodes += 1
+            yield item
+
+    monkeypatch.setattr("hallq.hall_core.echelon_supersets", counted)
+    searched = tight = 0
+    for _ in range(200):
+        n, p = rng.randrange(2, 5), rng.choice((2, 3, 5))
+        labels = all_labels(n)
+        xs, ys = (
+            as_multiset([rng.choice(labels) for _ in range(rng.randrange(1, 4))], n)
+            for _ in range(2)
+        )
+        dims = tuple(map(add, multiset_dims(xs, n), multiset_dims(ys, n)))
+        bound = _search_nodes(n, p, ys, dims)
+        if sum(dims) > 8 or bound > 2 * 10**4:
+            continue
+        for m in multisets_with_dims(n, dims):
+            nodes = 0
+            hall_number(xs, ys, m, AlgebraContext(n, p))
+            assert nodes <= bound, (n, p, xs, ys, m)
+            searched += nodes > 0
+            tight += nodes == bound
+    assert searched > 100 and tight > 0
 
 
 def test_hall_product_ceiling(monkeypatch):
-    # total dimension 8, under the engine's ceiling, but e = 15: the walk
-    # would visit 7,174,454 classes at p = 3 and 7,629,394,532 at p = 5, so
-    # the product refuses before it walks one
+    # e = 15: the walk would visit 7,174,454 classes at p = 3 and
+    # 7,629,394,532 at p = 5, so the product refuses before it walks one
     x = parse_multiset("W1,1+W1,1+W1,1")
     y = parse_multiset("V2+U2,2+U2,2")
     monkeypatch.setattr(
@@ -174,7 +249,8 @@ def test_hall_product_ceiling(monkeypatch):
     for p, classes in ((3, 7174454), (5, 7629394532)):
         with pytest.raises(CeilingError, match=f"at p={p} would visit {classes} classes"):
             hall_product(x, y, AlgebraContext(2, p))
-    assert sum(multiset_dims(x + y, 2)) == 8 < DEFAULT_DIM_CEILING
+        # the engine's search for the split composite is small: it answers
+        assert hall_number(x, y, x + y, AlgebraContext(2, p)) == 1
 
 
 def test_hall_product_case4():
