@@ -8,9 +8,7 @@ their full report to stdout (or --out) and a one-line summary to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     CeilingError,
@@ -20,6 +18,7 @@ from .errors import (
     RelationError,
     WitnessError,
 )
+from .frozen import Frozen, set_field
 from .gf import is_supported_prime
 from .hall_core import as_multiset, hall_number
 from .hall_poly import (
@@ -54,26 +53,36 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Validated per-invocation settings; primes=None means the default
     per-triple prime schedule."""
 
-    n: int
-    primes: tuple[int, ...] | None
-    output_format: str
+    __slots__ = _fields = ("n", "primes", "output_format")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, primes: tuple[int, ...] | None, output_format: str) -> None:
+        if n < 2:
             raise ValueError("need n >= 2")
-        if self.primes is not None:
-            if len(set(self.primes)) != len(self.primes):
+        if primes is not None:
+            if len(set(primes)) != len(primes):
                 raise ValueError("primes must be distinct")
-            for p in self.primes:
+            for p in primes:
                 if not is_supported_prime(p):
                     raise ValueError(f"unsupported prime {p}")
-        if self.output_format not in ("tsv", "json", "latex"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        if output_format not in ("tsv", "json", "latex"):
+            raise ValueError(f"unknown output format {output_format!r}")
+        set_field(self, "n", n)
+        set_field(self, "primes", primes)
+        set_field(self, "output_format", output_format)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.primes, self.output_format) == (
+                other.n, other.primes, other.output_format
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.primes, self.output_format))
 
 
 def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
@@ -102,6 +111,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_indec_list(args) -> int:
+    # imported where used: a TSV report, the default, never loads json
+    import json
     cfg = _config(args)
     rows = [
         (str(label), label_dims(label, cfg.n)) for label in all_labels(cfg.n)
@@ -119,6 +130,7 @@ def cmd_indec_list(args) -> int:
 
 
 def _load_m(args, n: int, p: int | None = None):
+    import json
     if args.m_file:
         if args.m is not None:
             raise ValueError("give the composite either inline or as a file, not both")
@@ -214,6 +226,7 @@ def cmd_lie_table(args) -> int:
 
 
 def cmd_lie_verify(args) -> int:
+    import json
     cfg = _config(args)
     table = build_bracket_table(cfg.n, cfg.primes)
     report = verify_lie_axioms(table)
@@ -244,6 +257,7 @@ def cmd_lie_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    import json
     with open(args.file, encoding="utf-8") as fh:
         rep = rep_from_json(json.load(fh))
     ms = decompose(rep)

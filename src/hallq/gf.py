@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
+
+from .frozen import Frozen, set_field
 
 SUPPORTED_PRIMES: tuple[int, ...] = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -277,19 +278,38 @@ class PrimeFieldMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Frozen):
     """A subspace of F_p^d in canonical form.
 
     row_basis holds the reduced row-echelon basis (one row per vector), which
-    makes equality of subspaces a plain tuple comparison. The column-echelon
-    matrix is its transpose, exposed as .basis.
+    makes equality of subspaces a plain tuple comparison; the pivots follow
+    from it and are not compared. The column-echelon matrix is its
+    transpose, exposed as .basis.
     """
 
-    p: int
-    ambient_dim: int
-    row_basis: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = field(compare=False)
+    __slots__ = _fields = ("p", "ambient_dim", "row_basis", "pivots")
+
+    def __init__(
+        self,
+        p: int,
+        ambient_dim: int,
+        row_basis: tuple[tuple[int, ...], ...],
+        pivots: tuple[int, ...],
+    ) -> None:
+        set_field(self, "p", p)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "row_basis", row_basis)
+        set_field(self, "pivots", pivots)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.ambient_dim, self.row_basis) == (
+                other.p, other.ambient_dim, other.row_basis
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.ambient_dim, self.row_basis))
 
     @classmethod
     def from_rows(cls, p: int, ambient_dim: int, rows: Sequence[Sequence[int]]) -> SubspaceBasis:

@@ -14,12 +14,11 @@ search whose size bound (_search_nodes) is too large is refused before it starts
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingError, HypothesisError, InternalInvariantError
+from .frozen import Frozen, set_field
 from .gf import (
     SubspaceBasis,
     echelon_supersets,
@@ -51,6 +50,9 @@ from .quiver_rep import (
     multisets_with_dims,
     raw_sum,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LabelSet = IndecLabel | Iterable[IndecLabel]
 
@@ -140,8 +142,7 @@ def _colspace(mat, nrows: int, ncols: int, p: int):
     return rows, pivots, rank
 
 
-@dataclass(frozen=True)
-class _ModuleData:
+class _ModuleData(NamedTuple):
     dims: tuple[int, ...]
     arrows: tuple
     loop: tuple
@@ -174,8 +175,7 @@ def _module_data(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _ModuleData:
     return _ModuleData(dims, arrows, loop, tuple(map(tuple, path)), loop_path, col, loop_col)
 
 
-@dataclass(frozen=True)
-class _SideSpec:
+class _SideSpec(NamedTuple):
     ms: tuple[IndecLabel, ...]
     dims: tuple[int, ...]
     fwd: tuple
@@ -416,12 +416,22 @@ def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return out or "0"
 
 
-@dataclass(frozen=True)
-class IsoClassCombo:
+class IsoClassCombo(Frozen):
     """Integer combination of isoclasses, sorted and zero-free: keyed by
     DecompositionMultiset for a Hall product, by IndecLabel for a bracket."""
 
-    terms: tuple[tuple[DecompositionMultiset | IndecLabel, int], ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[DecompositionMultiset | IndecLabel, int], ...]) -> None:
+        set_field(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @classmethod
     def from_dict(cls, d: dict) -> IsoClassCombo:
@@ -468,8 +478,7 @@ def hall_product(n1: LabelSet, n2: LabelSet, ctx: AlgebraContext) -> IsoClassCom
     )
 
 
-@dataclass(frozen=True)
-class ExpansionCheck:
+class ExpansionCheck(NamedTuple):
     holds: bool
     lhs: int
     rhs: Fraction
@@ -491,6 +500,10 @@ def verify_hall_identity(
     Each count refuses above its search bound and each product above its
     walk's class bound, with CeilingError.
     """
+    # imported here: fractions loads decimal, about a quarter of the
+    # package's import time on Python 3.11, and no other code needs it
+    from fractions import Fraction
+
     n = ctx.n
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)

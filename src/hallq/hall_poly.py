@@ -9,12 +9,11 @@ closed forms are encoded in expected_hall_poly and compared entry by entry.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InterpolationError, LabelError
+from .frozen import Frozen, set_field
 from .gf import SUPPORTED_PRIMES, first_primes, is_supported_prime
 from .hall_core import (
     IsoClassCombo,
@@ -34,17 +33,24 @@ from .quiver_rep import (
 )
 
 
-@dataclass(frozen=True)
-class HallPolynomial:
+class HallPolynomial(Frozen):
     """Integer polynomial in T; coefficients[k] is the degree-k coefficient."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = _fields = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        coeffs = tuple(int(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        set_field(self, "coefficients", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coefficients == other.coefficients
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients,))
 
     @property
     def degree(self) -> int:
@@ -269,8 +275,7 @@ def expected_hall_poly(x: IndecLabel, y: IndecLabel, m: IndecLabel, n: int):
     return "unlisted"
 
 
-@dataclass(frozen=True)
-class ReconciliationReport:
+class ReconciliationReport(NamedTuple):
     """One table entry compared against the interpolated truth."""
 
     triple: tuple[IndecLabel, IndecLabel, IndecLabel]
@@ -345,6 +350,8 @@ def reconciliation_to_tsv(reports: list[ReconciliationReport]) -> str:
 
 
 def reconciliation_to_json(reports: list[ReconciliationReport]) -> str:
+    # imported where used: a TSV report, the default, never loads json
+    import json
     rows = [
         {
             "triple": [str(lab) for lab in r.triple],
@@ -363,8 +370,7 @@ def combo_to_str(combo: IsoClassCombo) -> str:
     return " + ".join(f"{coeff}*{ms}" for ms, coeff in combo.terms)
 
 
-@dataclass(frozen=True)
-class ProductIdentityCheck:
+class ProductIdentityCheck(NamedTuple):
     """One two-sided product expansion checked at a concrete field size."""
 
     family: str
@@ -472,6 +478,7 @@ def identities_to_tsv(checks: list[ProductIdentityCheck]) -> str:
 
 
 def identities_to_json(checks: list[ProductIdentityCheck]) -> str:
+    import json
     rows = [
         {
             "family": c.family,

@@ -4,13 +4,13 @@ numbers from the middle terms of extensions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import CeilingError, InternalInvariantError
+from .frozen import Frozen, set_field
 from .gf import mat_mul, matrix_rank, unit_pivot_rref
 from .quiver_rep import (
     AlgebraContext,
@@ -27,8 +27,10 @@ from .quiver_rep import (
 def hom_dim_raw(n: int, p: int, dx, ax, lx, dm, am, lm) -> int:
     """hom_dim on raw entry tuples, for callers that avoid Representation:
     the nullity mod p of the coboundary map delta of _cocycle_system, whose
-    rows are one per coordinate of h in sum_v Hom(x_v, m_v)."""
-    blocks, _, coboundaries = _cocycle_system(n, (dx, ax, lx), (dm, am, lm))
+    rows are one per coordinate of h in sum_v Hom(x_v, m_v). It builds the
+    coboundaries alone, without the loop equations."""
+    blocks = _cocycle_blocks(n, dx, dm)
+    coboundaries = _coboundaries(n, (dx, ax, lx), (dm, am, lm), blocks)
     lr, lc, loff = blocks[-1]
     rows = []
     for cob in coboundaries:
@@ -216,11 +218,21 @@ def is_iso(m: Representation, nrep: Representation) -> bool:
     return m.dims == nrep.dims and hom_profile(m) == hom_profile(nrep)
 
 
-@dataclass(frozen=True)
-class DecompositionMultiset:
+class DecompositionMultiset(Frozen):
     """Multiset of indecomposable summands, stored in canonical label order."""
 
-    items: tuple[tuple[IndecLabel, int], ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[tuple[IndecLabel, int], ...]) -> None:
+        set_field(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[IndecLabel, int]]) -> DecompositionMultiset:
@@ -375,35 +387,49 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
     (v, r, s) of h, entry (r, s) of h_v, in that order, zero rows
     included, so ker delta = Hom(X, Y) (hom_dim).
     """
-    dx, ax, lx = x
-    dy, ay, ly = y
+    blocks = _cocycle_blocks(n, x[0], y[0])
+    loop = blocks[n - 1]
+    lr, lc, _ = loop
+    ly, lx_cols = y[2], tuple(zip(*x[2]))
+    loop_eqs = []
+    for r in range(lr):
+        for s in range(lc):
+            eq = _loop_row(loop, r, s, ly[r], lx_cols[s])
+            if eq:
+                loop_eqs.append(tuple(eq))
+    return blocks, tuple(loop_eqs), _coboundaries(n, x, y, blocks)
+
+
+def _cocycle_blocks(n: int, dx, dy) -> tuple[tuple[int, int, int], ...]:
+    # (rows, cols, offset) of each block of _cocycle_system
     blocks = []
     total = 0
     for v in range(n):
         rows = dy[v + 1] if v < n - 1 else dy[v]
         blocks.append((rows, dx[v], total))
         total += rows * dx[v]
-    lr, lc, loff = blocks[n - 1]
+    return tuple(blocks)
 
-    def loop_row(r: int, s: int, left, right) -> list:
-        # left[k] at (k, s) for every row k and right[k] at (r, k) for every
-        # column k of the loop block, nonzero entries in coordinate order:
-        # rows above r, then row r, where (r, s) takes both, then rows below
-        mid = list(right)
-        mid[s] += left[r]
-        return (
-            [(loff + k * lc + s, e) for k, e in enumerate(left[:r]) if e]
-            + [(loff + r * lc + k, e) for k, e in enumerate(mid) if e]
-            + [(loff + k * lc + s, e) for k, e in enumerate(left[r + 1 :], r + 1) if e]
-        )
 
-    ly_cols, lx_cols = tuple(zip(*ly)), tuple(zip(*lx))
-    loop_eqs = []
-    for r in range(lr):
-        for s in range(lc):
-            eq = loop_row(r, s, ly[r], lx_cols[s])
-            if eq:
-                loop_eqs.append(tuple(eq))
+def _loop_row(loop_block, r: int, s: int, left, right) -> list:
+    # left[k] at (k, s) for every row k and right[k] at (r, k) for every
+    # column k of the loop block, nonzero entries in coordinate order:
+    # rows above r, then row r, where (r, s) takes both, then rows below
+    _, lc, loff = loop_block
+    mid = list(right)
+    mid[s] += left[r]
+    return (
+        [(loff + k * lc + s, e) for k, e in enumerate(left[:r]) if e]
+        + [(loff + r * lc + k, e) for k, e in enumerate(mid) if e]
+        + [(loff + k * lc + s, e) for k, e in enumerate(left[r + 1 :], r + 1) if e]
+    )
+
+
+def _coboundaries(n: int, x: RawRep, y: RawRep, blocks) -> tuple[tuple, ...]:
+    # the coboundary rows of _cocycle_system, one per coordinate of h
+    dx, ax, lx = x
+    dy, ay, ly = y
+    ly_cols = tuple(zip(*ly))
     coboundaries = []
     for v in range(n):
         for r in range(dy[v]):
@@ -416,9 +442,9 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
                     _, cols, off = blocks[v]
                     row += [(off + a * cols + s, m[r]) for a, m in enumerate(ay[v]) if m[r]]
                 else:
-                    row += loop_row(r, s, ly_cols[r], [-e for e in lx[s]])
+                    row += _loop_row(blocks[v], r, s, ly_cols[r], [-e for e in lx[s]])
                 coboundaries.append(tuple(row))
-    return tuple(blocks), tuple(loop_eqs), tuple(coboundaries)
+    return tuple(coboundaries)
 
 
 def _column_maps(n: int, raw: RawRep):

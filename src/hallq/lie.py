@@ -10,11 +10,10 @@ entrywise when a table is built.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantError
+from .frozen import Frozen, set_field
 from .hall_core import IsoClassCombo, signed_sum
 from .hall_poly import (
     fit_hall_poly,
@@ -129,22 +128,37 @@ def expected_bracket(x: IndecLabel, y: IndecLabel, n: int) -> IsoClassCombo:
     return ZERO_COMBO
 
 
-@dataclass(frozen=True)
-class BracketTable:
-    """All brackets at one n, stored once per unordered pair (x before y)."""
+class BracketTable(Frozen):
+    """All brackets at one n, stored once per unordered pair (x before y).
+    _index, a lookup built from the entries, is not a field."""
 
-    n: int
-    primes: tuple[int, ...]
-    entries: tuple[tuple[IndecLabel, IndecLabel, IsoClassCombo], ...]
-    mismatches: tuple[tuple[IndecLabel, IndecLabel, IsoClassCombo, IsoClassCombo], ...]
-    notes: tuple[str, ...]
-    _index: dict = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
+    _fields = ("n", "primes", "entries", "mismatches", "notes")
+    __slots__ = _fields + ("_index",)
 
-    def __post_init__(self) -> None:
-        for x, y, combo in self.entries:
-            self._index[(x, y)] = combo
+    def __init__(
+        self,
+        n: int,
+        primes: tuple[int, ...],
+        entries: tuple[tuple[IndecLabel, IndecLabel, IsoClassCombo], ...],
+        mismatches: tuple[tuple[IndecLabel, IndecLabel, IsoClassCombo, IsoClassCombo], ...],
+        notes: tuple[str, ...],
+    ) -> None:
+        set_field(self, "n", n)
+        set_field(self, "primes", primes)
+        set_field(self, "entries", entries)
+        set_field(self, "mismatches", mismatches)
+        set_field(self, "notes", notes)
+        set_field(self, "_index", {(x, y): combo for x, y, combo in entries})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.primes, self.entries, self.mismatches, self.notes) == (
+                other.n, other.primes, other.entries, other.mismatches, other.notes
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.primes, self.entries, self.mismatches, self.notes))
 
     def get(self, x: IndecLabel, y: IndecLabel) -> IsoClassCombo:
         if x == y:
@@ -187,8 +201,7 @@ def build_bracket_table(n: int, primes: Sequence[int] | None = None) -> BracketT
     return BracketTable(n, plist, tuple(entries), tuple(mismatches), notes)
 
 
-@dataclass(frozen=True)
-class LieAxiomReport:
+class LieAxiomReport(NamedTuple):
     """Axiom check outcome over a full table."""
 
     n: int
@@ -272,6 +285,8 @@ def bracket_table_to_tsv(table: BracketTable) -> str:
 
 
 def bracket_table_to_json(table: BracketTable) -> str:
+    # imported where used: a TSV report, the default, never loads json
+    import json
     payload = {
         "n": table.n,
         "primes": list(table.primes),

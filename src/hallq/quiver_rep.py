@@ -4,64 +4,78 @@ and relation loop^2 = 0: indecomposables, direct sums, submodule witnesses."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import LabelError, RelationError, WitnessError
+from .frozen import Frozen, set_field
 from .gf import PrimeFieldMatrix, SubspaceBasis, is_supported_prime, mat_vec, reduce_vector
 
 # loop action on a 2-dimensional vertex space: e1 -> e2 -> 0
 M_ALPHA = ((0, 0), (1, 0))
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
-    n: int
-    p: int
+class AlgebraContext(Frozen):
+    __slots__ = _fields = ("n", "p")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 vertices, got n={self.n}")
-        if not is_supported_prime(self.p):
-            raise ValueError(f"unsupported field order {self.p}; need a prime in [2, 97]")
+    def __init__(self, n: int, p: int) -> None:
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices, got n={n}")
+        if not is_supported_prime(p):
+            raise ValueError(f"unsupported field order {p}; need a prime in [2, 97]")
+        set_field(self, "n", n)
+        set_field(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p))
 
 
-@dataclass(frozen=True)
-class IndecLabel:
+_KIND_RANK = {"W": 0, "V": 1, "U": 2}
+
+
+class IndecLabel(Frozen):
     """Isoclass label: U(i,j) any 1<=i,j<=n, V(i), or W(i,j) with i<=j<=n-1.
 
     V labels carry j=0 as a placeholder. Range checks against a concrete n
     happen in make_indec, not here.
     """
 
-    kind: str
-    i: int
-    j: int = 0
+    _fields = ("kind", "i", "j")
+    __slots__ = _fields + ("_hash", "_sort_key")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("U", "V", "W"):
-            raise LabelError(f"unknown label kind {self.kind!r}")
-        if self.i < 1:
-            raise LabelError(f"index i must be positive, got {self.i}")
-        if self.kind == "V":
-            if self.j != 0:
+    def __init__(self, kind: str, i: int, j: int = 0) -> None:
+        if kind not in ("U", "V", "W"):
+            raise LabelError(f"unknown label kind {kind!r}")
+        if i < 1:
+            raise LabelError(f"index i must be positive, got {i}")
+        if kind == "V":
+            if j != 0:
                 raise LabelError("V labels take a single index")
-        elif self.j < 1:
-            raise LabelError(f"index j must be positive, got {self.j}")
-        if self.kind == "W" and self.j < self.i:
-            raise LabelError(f"W({self.i},{self.j}) needs i <= j")
+        elif j < 1:
+            raise LabelError(f"index j must be positive, got {j}")
+        if kind == "W" and j < i:
+            raise LabelError(f"W({i},{j}) needs i <= j")
+        set_field(self, "kind", kind)
+        set_field(self, "i", i)
+        set_field(self, "j", j)
         # labels key every cache and table, so the hash and the sort key are
-        # computed once; the hash is the one the dataclass would generate
-        object.__setattr__(self, "_hash", hash((self.kind, self.i, self.j)))
-        object.__setattr__(self, "_sort_key", ({"W": 0, "V": 1, "U": 2}[self.kind], self.i, self.j))
+        # computed once; the hash is that of the field tuple, as for every
+        # value type (frozen.Frozen), so no set or dict order depends on it
+        set_field(self, "_hash", hash((kind, i, j)))
+        set_field(self, "_sort_key", (_KIND_RANK[kind], i, j))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.i == other.i and self.j == other.j
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # rebuild from the fields: a string hash differs between processes
-        return IndecLabel, (self.kind, self.i, self.j)
 
     def sort_key(self) -> tuple[int, int, int]:
         return self._sort_key
@@ -136,8 +150,7 @@ def all_labels(n: int) -> tuple[IndecLabel, ...]:
     return tuple(sorted(out, key=IndecLabel.sort_key))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """A module given by vertex spaces and matrices.
 
     arrow[v] maps vertex v+1 to vertex v+2 (0-based list over 1-based
@@ -290,8 +303,7 @@ def check_relation(r: Representation) -> bool:
     return all(not x for row in sq.entries for x in row)
 
 
-@dataclass(frozen=True)
-class SubmoduleWitness:
+class SubmoduleWitness(NamedTuple):
     parent: Representation
     spaces: tuple[SubspaceBasis, ...]
 

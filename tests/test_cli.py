@@ -1,11 +1,10 @@
 import json
-from dataclasses import replace
 
 import pytest
 
 from hallq.cli import main
 from hallq.hall_core import _rank_screens, _side_spec
-from hallq.hall_poly import verify_product_identities
+from hallq.hall_poly import ProductIdentityCheck, verify_product_identities
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -117,7 +116,10 @@ def test_verify_identities_exit_codes(capsys, monkeypatch):
         assert "0 fail" in err
     # every built-in expansion holds, so a failing check is injected to cover
     # the mismatch exit code
-    failing = replace(verify_product_identities(2, 2)[0], ok=False)
+    held = verify_product_identities(2, 2)[0]
+    failing = ProductIdentityCheck(
+        held.family, held.left, held.right, held.expected, held.got, ok=False
+    )
     monkeypatch.setattr(
         "hallq.cli.verify_product_identities", lambda *a, **kw: [failing]
     )
