@@ -250,6 +250,10 @@ class PrimeFieldMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PrimeFieldMatrix is immutable")
 
+    def __reduce__(self):
+        # pickling and copying rebuild through __init__, as for hallq.frozen
+        return PrimeFieldMatrix, (self.p, self.entries, (self.rows, self.cols))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeFieldMatrix):
             return NotImplemented

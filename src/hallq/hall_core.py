@@ -4,20 +4,22 @@ identity checks.
 
 The public enumeration walks vertices 1..n depth first, growing each vertex
 space over the image of the previous one. The counting engine used by
-hall_number adds three layers on top: a hom-count prune that rejects
-impossible (quotient, sub, total) triples before any enumeration, per-vertex
-rank screens that cut subtrees whose partial witness already disagrees with
-the required summands, and a profile shortcut that accepts leaves without
-classification whenever the rank profile pins the isomorphism class. A
-search whose size bound (_search_nodes) is too large is refused before it starts.
+hall_number adds two layers on top: a hom-count prune that rejects
+impossible (quotient, sub, total) triples before any enumeration, and
+per-vertex rank screens that cut subtrees whose partial witness already
+disagrees with the required summands. The screens cover every label's Hom
+dimension, so the Hom profile decides the class, as in decompose, and every
+choice that passes them is a witness (_count_witnesses). A search whose
+size bound (_search_nodes) is too large is refused before it starts.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CeilingError, HypothesisError, InternalInvariantError
+from .errors import CeilingError, HypothesisError
 from .frozen import Frozen, set_field
 from .gf import (
     SubspaceBasis,
@@ -32,9 +34,8 @@ from .gf import (
 )
 from .hom_decomp import (
     DecompositionMultiset,
-    hom_dim_raw,
+    _path_matrices,
     hom_profiles,
-    probe_reps,
     riedtmann_hall_numbers,
 )
 from .quiver_rep import (
@@ -104,18 +105,16 @@ def enumerate_submodules(m: Representation) -> Iterator[SubmoduleWitness]:
 # --- cached structural data ----------------------------------------------
 
 
-def _identity_entries(d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
 @lru_cache(maxsize=None)
-def _screen_positions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    # positions in all_labels(n) of W(v+1, w) for w > v, and of V(v+1)
+def _screen_positions(n: int):
+    # positions in all_labels(n) of W(v+1, w) for w > v, of V(v+1), and
+    # of U(i+1, j+1)
     index = {l: i for i, l in enumerate(all_labels(n))}
     fwd = tuple(
         tuple(index[IndecLabel("W", v + 1, w)] for w in range(v + 1, n)) for v in range(n)
     )
-    return fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n))
+    pair = tuple(tuple(index[IndecLabel("U", i + 1, j + 1)] for j in range(n)) for i in range(n))
+    return fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n)), pair
 
 
 @lru_cache(maxsize=None)
@@ -127,12 +126,19 @@ def _rank_screens(n: int, ms: tuple[IndecLabel, ...]):
     # P_w -> P_v -> coker -> 0 gives the exact sequence
     # 0 -> Hom(coker, M) -> M_v -> M_w, whose last map is the path map of M,
     # so rank(path v -> w on M) = dim M_v - dim Hom(W(v,w-1), M), and the
-    # same with V(v) for the loop after the path to n.
+    # same with V(v) for the loop after the path to n. In the same way
+    # U(i,j) is the cokernel of P_n -> P_i + P_j (_profile_raw), so the
+    # pair rank rk[A_{i->n} | L A_{j->n}] is
+    # dim M_i + dim M_j - dim Hom(U(i,j), M).
     dims = multiset_dims(ms, n)
     into = hom_profiles(n, ms)[0]
-    fwd_pos, loop_pos = _screen_positions(n)
+    fwd_pos, loop_pos, pair_pos = _screen_positions(n)
     fwd = tuple(tuple(dims[v] - into[i] for i in row) for v, row in enumerate(fwd_pos))
-    return dims, fwd, tuple(dims[v] - into[i] for v, i in enumerate(loop_pos))
+    pair = tuple(
+        tuple(dims[i] + dims[j] - into[k] for j, k in enumerate(row))
+        for i, row in enumerate(pair_pos)
+    )
+    return dims, fwd, tuple(dims[v] - into[i] for v, i in enumerate(loop_pos)), pair
 
 
 def _colspace(mat, nrows: int, ncols: int, p: int):
@@ -154,14 +160,9 @@ class _ModuleData(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _module_data(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _ModuleData:
-    dims, arrows, loop = raw_sum(ms, n)
-    # path[v][w] = composite matrix vertex v -> w, w >= v
-    path = [[None] * n for _ in range(n)]
-    for v in range(n):
-        path[v][v] = _identity_entries(dims[v])
-        for w in range(v + 1, n):
-            path[v][w] = mat_mul(arrows[w - 1], path[v][w - 1], p, ncols=dims[v])
-    loop_path = tuple(mat_mul(loop, path[v][n - 1], p, ncols=dims[v]) for v in range(n))
+    raw = dims, arrows, loop = raw_sum(ms, n)
+    path = _path_matrices(n, p, raw)
+    loop_path = tuple(mat_mul(loop, row[n - 1], p, ncols=dims[v]) for v, row in enumerate(path))
     col = tuple(
         tuple(
             _colspace(path[u][v], dims[v], dims[u], p) if u < v else None
@@ -180,128 +181,98 @@ class _SideSpec(NamedTuple):
     dims: tuple[int, ...]
     fwd: tuple
     loopfwd: tuple
-    auto: bool  # rank profile alone pins the class among equal-dims multisets
-    discriminators: tuple  # ((probe_raw, expected_hom), ...) when not auto
+    pairs: tuple  # pairs[v] = ((i, j, pair rank), ...) with max(i, j) = v
 
 
 @lru_cache(maxsize=None)
 def _side_spec(n: int, ms: tuple[IndecLabel, ...]) -> _SideSpec:
-    screens = dims, fwd, loopfwd = _rank_screens(n, ms)
-    rivals = [
-        alt
-        for alt in multisets_with_dims(n, dims)
-        if alt != ms and _rank_screens(n, alt) == screens
-    ]
-    if not rivals:
-        return _SideSpec(ms, dims, fwd, loopfwd, True, ())
-    labels = all_labels(n)
-    into = hom_profiles(n, ms)[0]
-    discs: set[int] = set()
-    for alt in rivals:
-        other = hom_profiles(n, alt)[0]
-        probe = next(
-            (i for i, l in enumerate(labels) if l.kind == "U" and into[i] != other[i]), None
-        )
-        if probe is None:
-            # cannot happen: the hom-count matrix separates isoclasses
-            raise InternalInvariantError(f"no separating hom count for {ms} vs {alt}")
-        discs.add(probe)
-    probes = probe_reps(n)
-    pack = tuple((probes[labels[i]], into[i]) for i in sorted(discs))
-    return _SideSpec(ms, dims, fwd, loopfwd, False, pack)
+    # A pair (i, j) needs no screen of its own when i = n - 1 (0-based),
+    # where A_{i->n} = 1 and the pair rank is dim M_n, or when the side's
+    # rank of A_{i->n} or of L A_{j->n} is 0: those single ranks are
+    # screened, and with one block 0 the pair rank is the other block's.
+    dims, fwd, loopfwd, pair = _rank_screens(n, ms)
+    pairs: list[list] = [[] for _ in range(n)]
+    for i in range(n - 1):
+        if fwd[i][-1]:
+            for j in range(n):
+                if loopfwd[j]:
+                    pairs[max(i, j)].append((i, j, pair[i][j]))
+    return _SideSpec(ms, dims, fwd, loopfwd, tuple(map(tuple, pairs)))
 
 
 # --- the counting engine ----------------------------------------------------
 
 
 def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _SideSpec) -> int:
+    """The number of submodules S of M = md with S ~ Y and M/S ~ X, where
+    ~ is isomorphism.
+
+    The search chooses S vertex by vertex and keeps a choice only if it
+    passes every rank screen: for S, the ranks of the path maps, of the
+    loop after the path to n and of the pairs [A_{i->n} | L A_{j->n}]
+    equal Y's; for M/S, the same ranks equal X's. Each rank of M/S is
+    read in M: the image of a map into M_w / S_w is (C + S_w) / S_w, for
+    C the column space of the map on M, so its rank is
+    dim C + dim (S_w mod C) - dim S_w.
+
+    Every choice that reaches the last vertex is a witness, with no
+    classification at the leaf. S has Y's dimension vector by
+    construction and M/S has M's minus Y's, which is X's (hall_number
+    checks it). Every Hom dimension dim Hom(L, N) is a vertex dimension of
+    N, or a sum of two, minus one of the screened ranks (_rank_screens;
+    _profile_raw gives the presentations), so S has Y's Hom profile and
+    M/S has X's. The hom-count matrix C[L][Y] = dim Hom(L, Y) is
+    invertible (_c_inverse), so the profile h of a module fixes its
+    multiplicities as C^{-1} h, and S ~ Y, M/S ~ X. Conversely a witness
+    has the sides' ranks, since isomorphic modules have equal Hom
+    dimensions. The pairs a side's spec leaves out are implied by its
+    other screens (_side_spec).
+    """
     dims_m = md.dims
     ky = yspec.dims
     count = 0
-    chosen_rows: list = [None] * n
-    chosen_pivs: list = [None] * n
-
-    def image_rank(mat, rows) -> int:
-        return matrix_rank([mat_vec(mat, vec, p) for vec in rows], p)
+    # images of the chosen rows under the path to the last vertex and the
+    # loop after it, per vertex, for Y's pair screens
+    top_imgs: list = [None] * n
+    loop_imgs: list = [None] * n
+    # quotient-side screens at the last vertex: the column spaces of
+    # L A_{u->n} and of X's screened pairs [A_{i->n} | L A_{j->n}] in M_n
+    top_screens = [(md.loop_col[u], xspec.loopfwd[u]) for u in range(n)]
+    for i, j, want in chain.from_iterable(xspec.pairs):
+        rows, rank, pivs = row_reduce(
+            [*md.col[i][n - 1][0], *md.loop_col[j][0]], p, ncols=dims_m[n - 1]
+        )
+        top_screens.append(((rows, pivs, rank), want))
 
     def rank_over(rows0, pivs0, rows) -> int:
         # rank of rows modulo the space spanned by the echelon rows0
         return matrix_rank([reduce_vector(vec, rows0, pivs0, p) for vec in rows], p)
 
     def screens_ok(v: int, rows) -> bool:
-        # sub-side ranks anchored at v (depend only on this choice)
-        if image_rank(md.loop_path[v], rows) != yspec.loopfwd[v]:
+        # sub-side ranks anchored at v (depend only on this choice and the
+        # choices below it)
+        imgs = loop_imgs[v] = [mat_vec(md.loop_path[v], vec, p) for vec in rows]
+        if matrix_rank(imgs, p) != yspec.loopfwd[v]:
             return False
         exp = yspec.fwd[v]
         for t in range(n - 2 - v, -1, -1):
-            if image_rank(md.path[v][v + 1 + t], rows) != exp[t]:
+            imgs = [mat_vec(md.path[v][v + 1 + t], vec, p) for vec in rows]
+            if t == n - 2 - v:
+                top_imgs[v] = imgs
+            if matrix_rank(imgs, p) != exp[t]:
+                return False
+        for i, j, want in yspec.pairs[v]:
+            if matrix_rank(top_imgs[i] + loop_imgs[j], p) != want:
                 return False
         # quotient-side ranks into v
         kv = len(rows)
         for u in range(v):
             rows0, pivs0, r0 = md.col[u][v]
-            want = xspec.fwd[u][v - u - 1] + kv
-            if r0 + rank_over(rows0, pivs0, rows) != want:
+            if r0 + rank_over(rows0, pivs0, rows) != xspec.fwd[u][v - u - 1] + kv:
                 return False
         if v == n - 1:
-            for u in range(n):
-                rows0, pivs0, r0 = md.loop_col[u]
-                want = xspec.loopfwd[u] + kv
-                if r0 + rank_over(rows0, pivs0, rows) != want:
-                    return False
-        return True
-
-    def sub_matrices():
-        arrows = []
-        for v in range(n - 1):
-            cols = []
-            for vec in chosen_rows[v]:
-                img = mat_vec(md.arrows[v], vec, p)
-                cols.append(tuple(img[piv] for piv in chosen_pivs[v + 1]))
-            arrows.append(
-                tuple(zip(*cols)) if cols else tuple(() for _ in range(ky[v + 1]))
-            )
-        cols = []
-        for vec in chosen_rows[n - 1]:
-            img = mat_vec(md.loop, vec, p)
-            cols.append(tuple(img[piv] for piv in chosen_pivs[n - 1]))
-        loop = tuple(zip(*cols)) if cols else tuple(() for _ in range(ky[n - 1]))
-        return tuple(arrows), loop
-
-    def quot_matrices():
-        compl = [
-            [c for c in range(dims_m[v]) if c not in set(chosen_pivs[v])]
-            for v in range(n)
-        ]
-
-        def induced(mat, v_src, v_tgt):
-            cols = []
-            t_rows = chosen_rows[v_tgt]
-            t_pivs = chosen_pivs[v_tgt]
-            for c in compl[v_src]:
-                img = reduce_vector([mrow[c] for mrow in mat], t_rows, t_pivs, p)
-                cols.append(tuple(img[c2] for c2 in compl[v_tgt]))
-            return (
-                tuple(zip(*cols))
-                if cols
-                else tuple(() for _ in range(len(compl[v_tgt])))
-            )
-
-        dims_q = tuple(len(compl[v]) for v in range(n))
-        arrows = tuple(induced(md.arrows[v], v, v + 1) for v in range(n - 1))
-        loop = induced(md.loop, n - 1, n - 1)
-        return dims_q, arrows, loop
-
-    def leaf_ok() -> bool:
-        if not yspec.auto:
-            arrows_s, loop_s = sub_matrices()
-            for (pd, pa, pl), expect in yspec.discriminators:
-                if hom_dim_raw(n, p, pd, pa, pl, ky, arrows_s, loop_s) != expect:
-                    return False
-        if not xspec.auto:
-            dims_q, arrows_q, loop_q = quot_matrices()
-            for (pd, pa, pl), expect in xspec.discriminators:
-                if hom_dim_raw(n, p, pd, pa, pl, dims_q, arrows_q, loop_q) != expect:
+            for (rows0, pivs0, r0), want in top_screens:
+                if r0 + rank_over(rows0, pivs0, rows) != want + kv:
                     return False
         return True
 
@@ -318,11 +289,8 @@ def _count_witnesses(n: int, p: int, md: _ModuleData, yspec: _SideSpec, xspec: _
                 continue
             if not screens_ok(v, rows):
                 continue
-            chosen_rows[v] = rows
-            chosen_pivs[v] = pivs
             if last:
-                if leaf_ok():
-                    count += 1
+                count += 1
             else:
                 imgs = [mat_vec(md.arrows[v], vec, p) for vec in rows]
                 red, _, red_pivs = row_reduce(imgs, p, ncols=dims_m[v + 1])
@@ -355,7 +323,7 @@ def _search_nodes(n: int, p: int, ys: tuple[IndecLabel, ...], dm: tuple[int, ...
     search at most their sum over v. The factors are defined once
     dim Y <= dim M at each vertex, as k_v <= dim Y_v.
     """
-    dy, fwd, _ = _rank_screens(n, ys)
+    dy, fwd = _rank_screens(n, ys)[:2]
     ks = (0,) + tuple(row[0] for row in fwd[:-1])
     total, level = 0, 1
     for d, y, k in zip(dm, dy, ks):

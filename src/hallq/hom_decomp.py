@@ -25,10 +25,10 @@ from .quiver_rep import (
 
 
 def hom_dim_raw(n: int, p: int, dx, ax, lx, dm, am, lm) -> int:
-    """hom_dim on raw entry tuples, for callers that avoid Representation:
-    the nullity mod p of the coboundary map delta of _cocycle_system, whose
-    rows are one per coordinate of h in sum_v Hom(x_v, m_v). It builds the
-    coboundaries alone, without the loop equations."""
+    """hom_dim on raw entry tuples: the nullity mod p of the coboundary map
+    delta of _cocycle_system, whose rows are one per coordinate of h in
+    sum_v Hom(x_v, m_v). It builds the coboundaries alone, without the loop
+    equations. It is the tests' Hom oracle; no counter calls it."""
     blocks = _cocycle_blocks(n, dx, dm)
     coboundaries = _coboundaries(n, (dx, ax, lx), (dm, am, lm), blocks)
     lr, lc, loff = blocks[-1]

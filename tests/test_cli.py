@@ -3,7 +3,6 @@ import json
 import pytest
 
 from hallq.cli import main
-from hallq.hall_core import _rank_screens, _side_spec
 from hallq.hall_poly import ProductIdentityCheck, verify_product_identities
 from hallq.quiver_rep import (
     AlgebraContext,
@@ -136,20 +135,19 @@ def test_verify_identities_at_n7_needs_no_ceiling(capsys):
     assert err == "126 expansions: 0 fail\n"
 
 
-def test_inseparable_rivals_exit_internal(capsys, monkeypatch):
-    # with every hom profile zero, U2,1 and its rival V1 + V2 agree on every
-    # rank screen and every U-probe: the engine reports an invariant breach
-    zero = (0,) * len(all_labels(2))
-    monkeypatch.setattr("hallq.hall_core.hom_profiles", lambda n, ms: (zero, zero))
-    _rank_screens.cache_clear()
-    _side_spec.cache_clear()
-    try:
-        code, _, err = run(capsys, "hall-number", "--n", "2", "--p", "3", "W1,1", "U2,1", "U1,1")
-    finally:
-        _rank_screens.cache_clear()
-        _side_spec.cache_clear()
-    assert code == 3
-    assert "no separating hom count" in err
+def test_internal_invariant_breach_exits_3(capsys, monkeypatch, tmp_path):
+    # a hom-count inverse of zeros gives every label multiplicity 0, which
+    # cannot have the module's dimensions: decompose reports the breach
+    ctx = AlgebraContext(2, 3)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(rep_of_multiset((IndecLabel("V", 1),), ctx))))
+    zero = ((0,) * len(all_labels(2)),) * len(all_labels(2))
+    monkeypatch.setattr("hallq.hom_decomp._c_inverse", lambda n: zero)
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal invariant breach: decomposition does not have the module's dimensions\n"
+    )
 
 
 def test_lie_verify_small(capsys):

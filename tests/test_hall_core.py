@@ -9,6 +9,7 @@ from hallq.hall_core import (
     IsoClassCombo,
     _rank_screens,
     _search_nodes,
+    _side_spec,
     as_multiset,
     enumerate_submodules,
     hall_number,
@@ -152,6 +153,43 @@ def test_hall_number_decomposable_sides():
     y = (IndecLabel("V", 2), IndecLabel("V", 2))
     for m in multisets_with_dims(2, (2, 2)):
         assert hall_number(x, y, m, ctx) == hall_number_reference(x, y, m, ctx)
+
+
+@pytest.mark.parametrize("n, side", [
+    (2, "V1+U2,2"), (2, "V2+U1,2"), (3, "V2+U3,3"), (3, "V3+U2,3"),
+])
+@pytest.mark.parametrize("p", [2, 3])
+def test_pair_screens_separate_equal_rank_sides(n, side, p):
+    # each side shares its dimension vector and its path and loop ranks with
+    # another multiset, so only the pair ranks rk[A_{i->n} | L A_{j->n}] tell
+    # them apart; taken as Y and as X beside every label of total dimension
+    # 1, over every composite, against brute force
+    ctx = AlgebraContext(n, p)
+    side = parse_multiset(side)
+    counted = 0
+    for other in all_labels(n):
+        if sum(label_dims(other, n)) != 1:
+            continue
+        for xs, ys in ((side, (other,)), ((other,), side)):
+            dims = tuple(map(add, multiset_dims(xs, n), multiset_dims(ys, n)))
+            for m in multisets_with_dims(n, dims):
+                got = hall_number(xs, ys, m, ctx)
+                assert got == hall_number_reference(xs, ys, m, ctx), (xs, ys, m)
+                counted += got > 0
+    assert counted > 4
+
+
+def test_side_spec_scans_no_multisets(monkeypatch):
+    # a side's screens come from its own Hom profile alone, so no multiset
+    # with the side's dimension vector is read: at n = 5, W4,4+V1+U1,5+U4,1
+    # shares its vector with 20,227 others, while the search for W2,3+V2
+    # by it is bounded by 68 nodes
+    monkeypatch.setattr(
+        "hallq.hall_core.multisets_with_dims", lambda *a: pytest.fail("multisets scanned")
+    )
+    _side_spec.cache_clear()
+    x, y = parse_multiset("W2,3+V2"), parse_multiset("W4,4+V1+U1,5+U4,1")
+    assert hall_number(x, y, x + y, AlgebraContext(5, 3)) == 3
 
 
 # the products pool's budget example: X = U3,3+V3, Y = U3,3+U2,3 at n = 3;
@@ -389,8 +427,9 @@ def test_verify_three_term_identity():
 def test_rank_screens_are_hom_dimensions(n, p):
     # the engine reads its rank screens from the hom profile of each side;
     # the oracle here multiplies out the path and loop-path composites of
-    # the direct sum, for every single label (the projective-like ones reach
-    # dimension 2n) and every multiset of total dimension <= 4
+    # the direct sum, and the pair blocks [A_{i->n} | L A_{j->n}], for every
+    # single label (the projective-like ones reach dimension 2n) and every
+    # multiset of total dimension <= 4
     ctx = AlgebraContext(n, p)
     cases = [(label,) for label in all_labels(n)]
     for dims in itertools.product(range(5), repeat=n):
@@ -399,7 +438,7 @@ def test_rank_screens_are_hom_dimensions(n, p):
     for ms in cases:
         rep = rep_of_multiset(ms, ctx)
         dims = rep.dims
-        fwd, loopfwd = [], []
+        fwd, loopfwd, top, loop_top = [], [], [], []
         for v in range(n):
             path = tuple(tuple(int(r == c) for c in range(dims[v])) for r in range(dims[v]))
             ranks = []
@@ -407,5 +446,13 @@ def test_rank_screens_are_hom_dimensions(n, p):
                 path = mat_mul(rep.arrow[w - 1].entries, path, p, ncols=dims[v])
                 ranks.append(matrix_rank(path, p))
             fwd.append(tuple(ranks))
-            loopfwd.append(matrix_rank(mat_mul(rep.loop.entries, path, p, ncols=dims[v]), p))
-        assert _rank_screens(n, ms) == (dims, tuple(fwd), tuple(loopfwd)), ms
+            top.append(path)
+            loop_top.append(mat_mul(rep.loop.entries, path, p, ncols=dims[v]))
+            loopfwd.append(matrix_rank(loop_top[v], p))
+        pair = tuple(
+            tuple(
+                matrix_rank([a + b for a, b in zip(top[i], loop_top[j])], p) for j in range(n)
+            )
+            for i in range(n)
+        )
+        assert _rank_screens(n, ms) == (dims, tuple(fwd), tuple(loopfwd), pair), ms

@@ -69,6 +69,21 @@ def test_label_hash_sort_key_and_fields_are_kept():
         IndecLabel("V", 1).i = 2
 
 
+def test_matrices_and_modules_pickle_and_copy():
+    # a matrix rebuilds from (p, entries, shape), so the 0 x 2 shape survives
+    rep = make_indec(IndecLabel("U", 1, 1), AlgebraContext(2, 3))
+    witness = SubmoduleWitness(
+        rep, (SubspaceBasis.from_rows(3, 2, [[1, 0]]), SubspaceBasis.full(3, 2))
+    )
+    empty = PrimeFieldMatrix(3, (), (0, 2))
+    for value in (empty, rep.loop, rep, witness):
+        for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert other == value and type(other) is type(value)
+    assert copy.deepcopy(empty).cols == 2
+    with pytest.raises(AttributeError, match="immutable"):
+        copy.deepcopy(rep.loop).p = 5
+
+
 def test_parse_and_render():
     assert parse_label("U2,1") == IndecLabel("U", 2, 1)
     assert parse_label("V3") == IndecLabel("V", 3)
