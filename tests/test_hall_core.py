@@ -184,8 +184,11 @@ def test_side_spec_scans_no_multisets(monkeypatch):
     # with the side's dimension vector is read: at n = 5, W4,4+V1+U1,5+U4,1
     # shares its vector with 20,227 others, while the search for W2,3+V2
     # by it is bounded by 68 nodes
+    import hallq.hall_core
+
+    assert not hasattr(hallq.hall_core, "multisets_with_dims")
     monkeypatch.setattr(
-        "hallq.hall_core.multisets_with_dims", lambda *a: pytest.fail("multisets scanned")
+        "hallq.quiver_rep.multisets_with_dims", lambda *a: pytest.fail("multisets scanned")
     )
     _side_spec.cache_clear()
     x, y = parse_multiset("W2,3+V2"), parse_multiset("W4,4+V1+U1,5+U4,1")
@@ -362,24 +365,64 @@ def test_conservation_small():
         assert acc == total
 
 
+def associativity_mismatches(ctx, triples):
+    # the triples (a, b, c) of labels with ([a][b])[c] != [a]([b][c]), from
+    # walk products memoised over the call
+    memo = {}
+
+    def product(left, right):
+        if (left, right) not in memo:
+            memo[left, right] = hall_product(left, right, ctx)
+        return memo[left, right]
+
+    def expand(scaled):
+        acc = {}
+        for k, left, right in scaled:
+            for key, c in product(left, right).terms:
+                acc[key] = acc.get(key, 0) + k * c
+        return IsoClassCombo.from_dict(acc)
+
+    return [
+        (a, b, c)
+        for a, b, c in triples
+        if expand((k, m.as_labels(), (c,)) for m, k in product((a,), (b,)).terms)
+        != expand((k, (a,), m.as_labels()) for m, k in product((b,), (c,)).terms)
+    ]
+
+
 def test_associativity_small():
-    ctx = AlgebraContext(2, 2)
-    a, b, c = IndecLabel("V", 1), IndecLabel("V", 2), IndecLabel("W", 1, 1)
-    left = {}
-    for ms, coeff in hall_product(a, b, ctx).terms:
-        for ms2, coeff2 in hall_product(ms.as_labels(), c, ctx).terms:
-            left[ms2] = left.get(ms2, 0) + coeff * coeff2
-    right = {}
-    for ms, coeff in hall_product(b, c, ctx).terms:
-        for ms2, coeff2 in hall_product(a, ms.as_labels(), ctx).terms:
-            right[ms2] = right.get(ms2, 0) + coeff * coeff2
-    assert {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
+    # every ordered triple of labels: 343 at n = 2 and 3,375 at n = 3
+    for n in (2, 3):
+        for p in (2, 3):
+            triples = itertools.product(all_labels(n), repeat=3)
+            assert associativity_mismatches(AlgebraContext(n, p), triples) == [], (n, p)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_shift_sweep(n):
+    # the modules that vanish at vertex 1 form a subcategory closed under
+    # submodules, quotients and extensions, which with every index shifted
+    # down by one is the module category at n - 1; so every product of
+    # their labels at n is the product of the shifted labels at n - 1
+    def down(labels):
+        return tuple(IndecLabel(l.kind, l.i - 1, l.j and l.j - 1) for l in labels)
+
+    shifted = [l for l in all_labels(n) if label_dims(l, n)[0] == 0]
+    assert sorted(down(shifted), key=IndecLabel.sort_key) == list(all_labels(n - 1))
+    for p in (2, 3):
+        for a, b in itertools.product(shifted, repeat=2):
+            got = {
+                DecompositionMultiset.from_labels(down(m.as_labels())): c
+                for m, c in hall_product(a, b, AlgebraContext(n, p)).terms
+            }
+            want = hall_product(down((a,)), down((b,)), AlgebraContext(n - 1, p))
+            assert IsoClassCombo.from_dict(got) == want, (n, p, a, b)
 
 
 def test_verify_compo_trivial_reduction():
     ctx = AlgebraContext(2, 2)
     x = IndecLabel("U", 2, 1)
-    assert verify_hall_identity(x, [(1, x, ()), (0, (), ())], IndecLabel("V", 2), x, ctx).holds
+    assert verify_hall_identity(x, [(1, x, ()), (0, (), ())], IndecLabel("V", 2), ctx).holds
 
 
 def test_verify_compo_case1():
@@ -387,19 +430,15 @@ def test_verify_compo_case1():
     w = IndecLabel("W", 1, 2)
     w11 = IndecLabel("W", 1, 1)
     w22 = IndecLabel("W", 2, 2)
-    for y, m in [
-        (IndecLabel("V", 3), (w, IndecLabel("V", 3))),
-        (IndecLabel("W", 1, 1), (w, IndecLabel("W", 1, 1))),
-        ((), (w,)),
-    ]:
-        assert verify_hall_identity(w, [(1, w11, w22), (-1, w22, w11)], y, m, ctx).holds
+    for y in (IndecLabel("V", 3), IndecLabel("W", 1, 1), ()):
+        assert verify_hall_identity(w, [(1, w11, w22), (-1, w22, w11)], y, ctx).holds
 
 
 def test_verify_compo_hypothesis_failure():
     ctx = AlgebraContext(2, 2)
     w11 = IndecLabel("W", 1, 1)
     with pytest.raises(HypothesisError):
-        verify_hall_identity(w11, [(1, w11, w11), (0, (), ())], (), (w11,), ctx).holds
+        verify_hall_identity(w11, [(1, w11, w11), (0, (), ())], (), ctx).holds
 
 
 def test_verify_three_term_identity():
@@ -413,13 +452,27 @@ def test_verify_three_term_identity():
         u21 = IndecLabel("U", 2, 1)
         qi = Fraction(1, p)
         terms = [(1, v2, v1), (qi, u21, ()), (-qi, v1, v2)]
-        for y, m in [
-            ((IndecLabel("V", 2),), (u12, IndecLabel("V", 2))),
-            ((), (u12,)),
-            ((IndecLabel("W", 1, 1),), (u12, IndecLabel("W", 1, 1))),
-        ]:
-            check = verify_hall_identity(u12, terms, y, m, ctx)
-            assert check.holds, (y, m, check)
+        for y in ((IndecLabel("V", 2),), (), (IndecLabel("W", 1, 1),)):
+            check = verify_hall_identity(u12, terms, y, ctx)
+            assert check.holds, (y, check)
+
+
+def test_identities_read_no_engine(monkeypatch):
+    # the conclusion of an identity comes from walk products alone
+    from fractions import Fraction
+
+    forbid_engine(monkeypatch)
+    monkeypatch.setattr("hallq.hall_core.hall_number", lambda *a: pytest.fail("hall_number ran"))
+    v1, v2 = IndecLabel("V", 1), IndecLabel("V", 2)
+    u12, u21 = IndecLabel("U", 1, 2), IndecLabel("U", 2, 1)
+    qi = Fraction(1, 3)
+    socle = [(1, v2, v1), (qi, u21, ()), (-qi, v1, v2)]
+    for y in ((), *all_labels(2)):
+        assert verify_hall_identity(u12, socle, y, AlgebraContext(2, 3)).holds, y
+    w, w11, w22 = IndecLabel("W", 1, 2), IndecLabel("W", 1, 1), IndecLabel("W", 2, 2)
+    chain = [(1, w11, w22), (-1, w22, w11)]
+    for y in ((), *all_labels(3)):
+        assert verify_hall_identity(w, chain, y, AlgebraContext(3, 2)).holds, y
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
