@@ -29,7 +29,7 @@ from .quiver_rep import (
     IndecLabel,
     all_labels,
     check_label,
-    label_dims,
+    degree_table,
 )
 
 
@@ -315,15 +315,13 @@ def reconcile_poly_table(
     if n < 2:
         raise ValueError("need n >= 2")
     labels = all_labels(n)
-    by_dims: dict[tuple[int, ...], list[IndecLabel]] = {}
-    for lab in labels:
-        by_dims.setdefault(label_dims(lab, n), []).append(lab)
+    degrees = degree_table(n)
     reports: list[ReconciliationReport] = []
     for x in labels:
-        dx = label_dims(x, n)
+        dx = degrees.by_label[x]
         for y in labels:
-            dy = label_dims(y, n)
-            composites = by_dims.get(tuple(a + b for a, b in zip(dx, dy)), ())
+            dy = degrees.by_label[y]
+            composites = degrees.by_dims.get(tuple(a + b for a, b in zip(dx, dy)), ())
             if not composites:
                 continue
             where = triple_str((x,), (y,), composites[:1])

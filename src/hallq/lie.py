@@ -3,9 +3,11 @@
 Setting T = 1 in the interpolated polynomials turns the counting product into
 integer structure constants; the commutator of two indecomposable classes is
 again a combination of indecomposable classes (decomposable contributions
-cancel pairwise, and this cancellation is asserted on every computed pair).
-The closed-form bracket table is encoded in expected_bracket and compared
-entrywise when a table is built.
+cancel pairwise, and this cancellation is asserted on every walked pair).
+A pair whose degree dim x + dim y is no label's brackets to 0 by the
+grading and is not walked (see bracket). The closed-form bracket table is
+encoded in expected_bracket and compared entrywise, skipped pairs included,
+when a table is built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .hall_poly import (
     scheduled_primes,
     triple_str,
 )
-from .quiver_rep import IndecLabel, all_labels, check_label, label_dims, multiset_to_str
+from .quiver_rep import IndecLabel, all_labels, check_label, degree_table, multiset_to_str
 
 # the interval family W(i,j) needs j <= n-1, so closed-form ranges written
 # up to n are clipped to that bound when instantiated
@@ -42,6 +44,30 @@ def bracket(
 ) -> IsoClassCombo:
     """Commutator of two indecomposable classes at T = 1.
 
+    The grading: F^M_{x,y} is nonzero only when M is the middle term of an
+    extension of x by y, so only when dim M = dim x + dim y, and the same
+    holds for F^M_{y,x}. The bracket keeps the indecomposable M alone, so
+    when no label has the degree dim x + dim y every coefficient is 0, and
+    the pair returns 0 before any walk, as x == y does. Such a pair reads
+    no primes and runs none of _walked_bracket's checks. Every other pair
+    is walked by _walked_bracket.
+    """
+    check_label(x, n)
+    check_label(y, n)
+    if x == y:
+        return ZERO_COMBO
+    degrees = degree_table(n)
+    dx, dy = degrees.by_label[x], degrees.by_label[y]
+    if tuple(a + b for a, b in zip(dx, dy)) not in degrees.by_dims:
+        return ZERO_COMBO
+    return _walked_bracket(x, y, n, primes)
+
+
+def _walked_bracket(
+    x: IndecLabel, y: IndecLabel, n: int, primes: Sequence[int] | None
+) -> IsoClassCombo:
+    """[x, y] from the Ext^1 walks, for two distinct valid labels.
+
     F^M_{x,y} is nonzero exactly when M is the middle term of an extension
     of x by y, so only the middle terms of Ext^1(x, y) and Ext^1(y, x) are
     fitted; off them both polynomials are zero. The counts come from
@@ -51,10 +77,6 @@ def bracket(
     nonzero coefficient on a decomposable composite is a fatal invariant
     breach, not a result.
     """
-    check_label(x, n)
-    check_label(y, n)
-    if x == y:
-        return ZERO_COMBO
     primes_xy, counts_xy = product_counts((x,), (y,), n, primes, f"({x}; {y})")
     primes_yx, counts_yx = product_counts((y,), (x,), n, primes, f"({y}; {x})")
     support = set().union(*counts_xy, *counts_yx)
@@ -176,8 +198,8 @@ def build_bracket_table(n: int, primes: Sequence[int] | None = None) -> BracketT
     """Bracket every unordered pair and compare against the closed forms.
 
     Without an explicit prime list the table records the primes of the
-    widest per-triple schedule, which are all the primes any fit evaluated,
-    and says so in a note.
+    widest per-triple schedule over every pair, skipped ones included, which
+    contain all the primes any fit evaluated, and says so in a note.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -231,9 +253,13 @@ def verify_lie_axioms(table: BracketTable) -> LieAxiomReport:
     """Antisymmetry, Jacobi, zero diagonal, and grading, all over the table.
 
     Nested brackets expand through table lookups with integer linearity, so
-    the Jacobi check is exact.
+    the Jacobi check is exact. It expands only the triples in which one of
+    [y,z], [z,x], [x,y] is a nonzero entry: when all three are 0 the Jacobi
+    sum is empty, so the skip assumes nothing of the table, not even the
+    grading. Triples are visited in label order either way.
     """
     labels = all_labels(table.n)
+    degrees = degree_table(table.n)
     violations: list[str] = []
     diagonal_ok = True
     for x in labels:
@@ -248,26 +274,31 @@ def verify_lie_axioms(table: BracketTable) -> LieAxiomReport:
                 violations.append(f"antisymmetry fails on ({x}, {y})")
     grading_ok = True
     for x, y, combo in table.entries:
-        want = tuple(
-            a + b for a, b in zip(label_dims(x, table.n), label_dims(y, table.n))
-        )
+        want = tuple(a + b for a, b in zip(degrees.dims(x), degrees.dims(y)))
         for lab, _ in combo.terms:
-            if label_dims(lab, table.n) != want:
+            if degrees.dims(lab) != want:
                 grading_ok = False
                 violations.append(f"entry ({x}, {y}) term {lab} off the grading")
     jacobi_ok = True
-    for ix, x in enumerate(labels):
-        for iy in range(ix + 1, len(labels)):
-            y = labels[iy]
-            for iz in range(iy + 1, len(labels)):
-                z = labels[iz]
-                acc: dict[IndecLabel, int] = {}
-                _bracket_into(table, x, table.get(y, z).as_dict(), acc, 1)
-                _bracket_into(table, y, table.get(z, x).as_dict(), acc, 1)
-                _bracket_into(table, z, table.get(x, y).as_dict(), acc, 1)
-                if any(c != 0 for c in acc.values()):
-                    jacobi_ok = False
-                    violations.append(f"Jacobi fails on ({x}, {y}, {z})")
+    index = {lab: i for i, lab in enumerate(labels)}
+    triples = set()
+    for x, y, combo in table.entries:
+        if x != y and not combo.is_zero():
+            ix, iy = index[x], index[y]
+            triples.update(
+                tuple(sorted((ix, iy, iz)))
+                for iz in range(len(labels))
+                if iz != ix and iz != iy
+            )
+    for ix, iy, iz in sorted(triples):
+        x, y, z = labels[ix], labels[iy], labels[iz]
+        acc: dict[IndecLabel, int] = {}
+        _bracket_into(table, x, table.get(y, z).as_dict(), acc, 1)
+        _bracket_into(table, y, table.get(z, x).as_dict(), acc, 1)
+        _bracket_into(table, z, table.get(x, y).as_dict(), acc, 1)
+        if any(c != 0 for c in acc.values()):
+            jacobi_ok = False
+            violations.append(f"Jacobi fails on ({x}, {y}, {z})")
     return LieAxiomReport(
         table.n, diagonal_ok, antisymmetry_ok, jacobi_ok, grading_ok, tuple(violations)
     )

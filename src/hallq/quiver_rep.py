@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import LabelError, RelationError, WitnessError
 from .frozen import Frozen, set_field
@@ -150,6 +151,32 @@ def all_labels(n: int) -> tuple[IndecLabel, ...]:
     return tuple(sorted(out, key=IndecLabel.sort_key))
 
 
+class DegreeTable(NamedTuple):
+    """Each label's dimension vector at one n, and the labels of each vector
+    in canonical order; read-only views, as degree_table's cache shares them."""
+
+    n: int
+    by_label: Mapping[IndecLabel, tuple[int, ...]]
+    by_dims: Mapping[tuple[int, ...], tuple[IndecLabel, ...]]
+
+    def dims(self, label: IndecLabel) -> tuple[int, ...]:
+        """label_dims(label, n) by lookup; LabelError for a label not at n."""
+        vec = self.by_label.get(label)
+        if vec is None:
+            raise LabelError(f"{label} out of range for n={self.n}")
+        return vec
+
+
+@lru_cache(maxsize=None)
+def degree_table(n: int) -> DegreeTable:
+    """The degree table at n, built on the first call for that n."""
+    by_label = {l: label_dims(l, n) for l in all_labels(n)}
+    by_dims: dict[tuple[int, ...], tuple[IndecLabel, ...]] = {}
+    for l, vec in by_label.items():
+        by_dims[vec] = by_dims.get(vec, ()) + (l,)
+    return DegreeTable(n, MappingProxyType(by_label), MappingProxyType(by_dims))
+
+
 class Representation(NamedTuple):
     """A module given by vertex spaces and matrices.
 
@@ -256,11 +283,8 @@ def zero_rep(ctx: AlgebraContext) -> Representation:
 
 
 def multiset_dims(labels: Iterable[IndecLabel], n: int) -> tuple[int, ...]:
-    dims = [0] * n
-    for l in labels:
-        for v, d in enumerate(label_dims(l, n)):
-            dims[v] += d
-    return tuple(dims)
+    dims = degree_table(n).dims
+    return tuple(map(sum, zip((0,) * n, *(dims(l) for l in labels))))
 
 
 @lru_cache(maxsize=None)

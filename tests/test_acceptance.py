@@ -224,8 +224,10 @@ def test_c5_composition_instances():
 def test_c6_lie_table_and_axioms():
     problems: list[str] = []
     for n in (2, 3, 4):
-        # bracket() itself raises if any decomposable coefficient survives
-        # the T=1 cancellation, so a completed build covers that clause
+        # bracket() raises if any decomposable coefficient survives the T=1
+        # cancellation on a pair it walks; a pair whose degree is no label's
+        # is 0 by the grading and not walked, and test_lie's
+        # test_walks_cover_skipped_pairs walks those at n <= 5
         table = build_bracket_table(n)
         expected_pairs = LABEL_COUNTS[n] * (LABEL_COUNTS[n] - 1) // 2
         if len(table.entries) != expected_pairs:

@@ -307,7 +307,7 @@ def test_short_prime_list_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "certification point p=3" in err
-    assert "(W1,1; V1; W1,1 + V1)" in err
+    assert "(W1,1; U1,2; W1,1 + U1,2)" in err
 
 
 def test_help_exits_clean(capsys):

@@ -4,10 +4,13 @@ import pytest
 
 from hallq.errors import LabelError
 from hallq.hall_core import IsoClassCombo
+import hallq.lie
 from hallq.lie import (
     RANGE_NOTE,
     SCHEDULE_NOTE,
     ZERO_COMBO,
+    BracketTable,
+    _walked_bracket,
     bracket,
     bracket_table_to_json,
     bracket_table_to_latex,
@@ -16,7 +19,7 @@ from hallq.lie import (
     expected_bracket,
     verify_lie_axioms,
 )
-from hallq.quiver_rep import IndecLabel, all_labels, label_dims
+from hallq.quiver_rep import IndecLabel, all_labels, degree_table, label_dims
 
 
 def U(i, j):
@@ -134,8 +137,6 @@ def test_axiom_check_catches_planted_defect(table2):
         if (x, y) == (W(1, 1), V(2)):
             c = combo((V(2), 1))  # wrong grading and breaks Jacobi inputs
         bad_entries.append((x, y, c))
-    from hallq.lie import BracketTable
-
     bad = BracketTable(2, table.primes, tuple(bad_entries), (), table.notes)
     report = verify_lie_axioms(bad)
     assert not report.grading_ok
@@ -172,3 +173,98 @@ def test_table_latex_export(table2):
 
 def test_all_labels_basis_size():
     assert len(all_labels(2)) == 7
+
+
+def _dense_jacobi_violations(table):
+    # the reference: every triple x < y < z expanded, none skipped
+    labels = all_labels(table.n)
+    out = []
+    for ix, x in enumerate(labels):
+        for iy in range(ix + 1, len(labels)):
+            y = labels[iy]
+            for z in labels[iy + 1 :]:
+                acc = {}
+                for a, (b, c) in ((x, (y, z)), (y, (z, x)), (z, (x, y))):
+                    for lab, k in table.get(b, c).terms:
+                        for lab2, k2 in table.get(a, lab).terms:
+                            acc[lab2] = acc.get(lab2, 0) + k * k2
+                if any(acc.values()):
+                    out.append(f"Jacobi fails on ({x}, {y}, {z})")
+    return out
+
+
+def test_axiom_check_catches_planted_jacobi_defect():
+    # doubling [W1,1, W2,2] = W1,2 keeps the grading; only Jacobi sees it
+    table = build_bracket_table(3, (2, 3, 5, 7))
+    entries = tuple(
+        (x, y, combo((W(1, 2), 2)) if (x, y) == (W(1, 1), W(2, 2)) else c)
+        for x, y, c in table.entries
+    )
+    report = verify_lie_axioms(BracketTable(3, table.primes, entries, (), table.notes))
+    assert report.grading_ok and report.diagonal_ok and report.antisymmetry_ok
+    assert not report.jacobi_ok
+
+
+def test_sparse_jacobi_matches_dense_on_planted_tables():
+    # one planted entry per table: a nonzero entry doubled, or a zero one
+    # given a label, so failing triples sit on every side of the pair
+    table = build_bracket_table(3, (2, 3, 5, 7))
+    labels = all_labels(3)
+    failing = 0
+    for k, (x, y, c) in enumerate(table.entries):
+        planted = combo(*((lab, 2 * v) for lab, v in c.terms)) if c.terms else combo(
+            (labels[k % len(labels)], 1)
+        )
+        entries = table.entries[:k] + ((x, y, planted),) + table.entries[k + 1 :]
+        bad = BracketTable(3, table.primes, entries, (), table.notes)
+        jacobi = [v for v in verify_lie_axioms(bad).violations if v.startswith("Jacobi")]
+        assert jacobi == _dense_jacobi_violations(bad), (x, y)
+        failing += bool(jacobi)
+    assert failing > 50
+
+
+def _pair_degree(x, y, n):
+    dims = degree_table(n).by_label
+    return tuple(a + b for a, b in zip(dims[x], dims[y]))
+
+
+# unordered pairs whose degree is some label's: the ones bracket walks
+WALKED_PAIRS = {2: 5, 3: 22, 4: 58, 5: 120}
+
+
+@pytest.mark.parametrize("n", sorted(WALKED_PAIRS))
+def test_walks_cover_skipped_pairs(n):
+    # every pair through the walks, so the decomposable-cancellation
+    # assertion, the coboundary-rank check and Riedtmann's integrality check
+    # still run on the pairs bracket answers by the grading alone
+    labels = all_labels(n)
+    walked = 0
+    for ix, x in enumerate(labels):
+        for y in labels[ix + 1 :]:
+            got = _walked_bracket(x, y, n, None)
+            if _pair_degree(x, y, n) in degree_table(n).by_dims:
+                walked += 1
+                assert got == bracket(x, y, n)
+            else:
+                assert got.is_zero(), (x, y, got)
+    assert walked == WALKED_PAIRS[n]
+
+
+def test_table_build_walks_only_graded_pairs(monkeypatch):
+    calls = []
+    real = hallq.lie.product_counts
+
+    def counting(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(hallq.lie, "product_counts", counting)
+    table = build_bracket_table(3, (2, 3, 5, 7))
+    assert len(table.entries) == 105
+    # one walk each way for the 22 pairs whose degree is a label's
+    assert len(calls) == 2 * WALKED_PAIRS[3]
+
+
+def test_short_list_unused_by_skipped_pairs():
+    # 2,3,5 is too short only for pairs that bracket to 0 by the grading
+    assert build_bracket_table(3, (2, 3, 5)).entries == build_bracket_table(3).entries

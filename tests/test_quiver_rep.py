@@ -15,9 +15,11 @@ from hallq.quiver_rep import (
     all_labels,
     check_label,
     check_relation,
+    degree_table,
     direct_sum,
     label_dims,
     make_indec,
+    multiset_dims,
     multiset_to_str,
     multisets_with_dims,
     parse_label,
@@ -278,6 +280,30 @@ def test_multisets_dims_are_consistent():
             for v, d in enumerate(label_dims(l, 3)):
                 dims[v] += d
         assert tuple(dims) == (1, 2, 2)
+
+
+def test_degree_table_inverts_label_dims():
+    for n in (2, 3, 4):
+        table = degree_table(n)
+        assert list(table.by_label) == list(all_labels(n))
+        for label in all_labels(n):
+            assert table.dims(label) == label_dims(label, n)
+            assert label in table.by_dims[label_dims(label, n)]
+        assert sum(map(len, table.by_dims.values())) == len(all_labels(n))
+        for labels in table.by_dims.values():
+            assert list(labels) == sorted(labels, key=IndecLabel.sort_key)
+    # U(i,j) and U(j,i) share a degree
+    assert degree_table(2).by_dims[(1, 2)] == (IndecLabel("U", 1, 2), IndecLabel("U", 2, 1))
+
+
+def test_degree_table_rejects_labels_off_the_basis():
+    for bad in (IndecLabel("W", 1, 2), IndecLabel("V", 3), IndecLabel("U", 1, 3)):
+        with pytest.raises(LabelError):
+            degree_table(2).dims(bad)
+        with pytest.raises(LabelError):
+            multiset_dims((IndecLabel("V", 1), bad), 2)
+    assert multiset_dims((), 2) == (0, 0)
+    assert multiset_dims((IndecLabel("V", 1), IndecLabel("U", 1, 2)), 2) == (2, 3)
 
 
 def test_json_round_trip():
