@@ -111,13 +111,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_indec_list(args) -> int:
-    # imported where used: a TSV report, the default, never loads json
-    import json
     cfg = _config(args)
     rows = [
         (str(label), label_dims(label, cfg.n)) for label in all_labels(cfg.n)
     ]
     if cfg.output_format == "json":
+        # imported where used: a TSV report, the default, never loads json
+        import json
         text = json.dumps(
             [{"label": name, "dims": list(dims)} for name, dims in rows], indent=2
         ) + "\n"
@@ -226,7 +226,6 @@ def cmd_lie_table(args) -> int:
 
 
 def cmd_lie_verify(args) -> int:
-    import json
     cfg = _config(args)
     table = build_bracket_table(cfg.n, cfg.primes)
     report = verify_lie_axioms(table)
@@ -240,6 +239,7 @@ def cmd_lie_verify(args) -> int:
         "violations": list(report.violations),
     }
     if cfg.output_format == "json":
+        import json
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [
@@ -265,81 +265,102 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand as (name, help, handler, options of _add_common); None
+# for decompose, which takes a file alone. In the order -h lists them
+COMMANDS = (
+    ("indec-list", "list indecomposable labels with dimensions", cmd_indec_list, {}),
+    (
+        "hall-number",
+        "count submodules with fixed sub and quotient",
+        cmd_hall_number,
+        {"prime": True, "fmt": False},
+    ),
+    ("hall-poly", "interpolate the counting polynomial", cmd_hall_poly, {"primes": True, "fmt": False}),
+    (
+        "verify-prop",
+        "reconcile interpolated polynomials with the closed forms",
+        cmd_verify_prop,
+        {"primes": True},
+    ),
+    (
+        "verify-identities",
+        "check the eight product expansions at one prime",
+        cmd_verify_identities,
+        {"prime": True},
+    ),
+    ("lie-table", "bracket table on indecomposable classes", cmd_lie_table, {"primes": True, "latex": True}),
+    ("lie-verify", "check antisymmetry and Jacobi on the table", cmd_lie_verify, {"primes": True}),
+    ("decompose", "split a JSON representation into indecomposables", cmd_decompose, None),
+)
+# the help of x, y, m and --m-file, for the subcommands that take a triple
+TRIPLE_HELP = {
+    "hall-number": (
+        "quotient isoclass, e.g. W1,1 or V1+W1,1",
+        "submodule isoclass",
+        "composite isoclass",
+        "JSON representation file for the composite",
+    ),
+    "hall-poly": (None, None, None, None),
+}
+
+
+def _add_common(sp, *, primes=False, prime=False, fmt=True, latex=False) -> None:
+    sp.add_argument("--n", type=int, required=True, help="number of vertices")
+    if primes:
+        sp.add_argument(
+            "--primes",
+            help="comma-separated evaluation primes; the last certifies the fit "
+            "(default: per triple, the first dim Hom(Y,X)+2 primes)",
+        )
+    if prime:
+        sp.add_argument("--p", type=int, required=True, help="field size (prime)")
+    if fmt:
+        sp.add_argument("--format", choices=["tsv", "json"], default="tsv")
+    if latex:
+        sp.add_argument(
+            "--latex", action="store_true", help="emit a LaTeX tabular instead"
+        )
+    sp.add_argument("--out", help="write the report to this path")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or, for command a subcommand name, the same
+    top-level parser with that subcommand's parser alone. Its usage line
+    still lists every subcommand, so each text it prints, usage errors
+    included, is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="hallq",
         description="Submodule counting and bracket tables for the one-cycle "
         "bound quiver algebra over prime fields.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *, primes=False, prime=False, fmt=True, latex=False):
-        sp.add_argument("--n", type=int, required=True, help="number of vertices")
-        if primes:
-            sp.add_argument(
-                "--primes",
-                help="comma-separated evaluation primes; the last certifies the fit "
-                "(default: per triple, the first dim Hom(Y,X)+2 primes)",
-            )
-        if prime:
-            sp.add_argument("--p", type=int, required=True, help="field size (prime)")
-        if fmt:
-            sp.add_argument("--format", choices=["tsv", "json"], default="tsv")
-        if latex:
-            sp.add_argument(
-                "--latex", action="store_true", help="emit a LaTeX tabular instead"
-            )
-        sp.add_argument("--out", help="write the report to this path")
-
-    sp = sub.add_parser("indec-list", help="list indecomposable labels with dimensions")
-    add_common(sp)
-    sp.set_defaults(func=cmd_indec_list)
-
-    sp = sub.add_parser("hall-number", help="count submodules with fixed sub and quotient")
-    add_common(sp, prime=True, fmt=False)
-    sp.add_argument("x", help="quotient isoclass, e.g. W1,1 or V1+W1,1")
-    sp.add_argument("y", help="submodule isoclass")
-    sp.add_argument("m", nargs="?", help="composite isoclass")
-    sp.add_argument("--m-file", dest="m_file", help="JSON representation file for the composite")
-    sp.set_defaults(func=cmd_hall_number)
-
-    sp = sub.add_parser("hall-poly", help="interpolate the counting polynomial")
-    add_common(sp, primes=True, fmt=False)
-    sp.add_argument("x")
-    sp.add_argument("y")
-    sp.add_argument("m", nargs="?")
-    sp.add_argument("--m-file", dest="m_file")
-    sp.set_defaults(func=cmd_hall_poly)
-
-    sp = sub.add_parser(
-        "verify-prop", help="reconcile interpolated polynomials with the closed forms"
-    )
-    add_common(sp, primes=True)
-    sp.set_defaults(func=cmd_verify_prop)
-
-    sp = sub.add_parser(
-        "verify-identities", help="check the eight product expansions at one prime"
-    )
-    add_common(sp, prime=True)
-    sp.set_defaults(func=cmd_verify_identities)
-
-    sp = sub.add_parser("lie-table", help="bracket table on indecomposable classes")
-    add_common(sp, primes=True, latex=True)
-    sp.set_defaults(func=cmd_lie_table)
-
-    sp = sub.add_parser("lie-verify", help="check antisymmetry and Jacobi on the table")
-    add_common(sp, primes=True)
-    sp.set_defaults(func=cmd_lie_verify)
-
-    sp = sub.add_parser("decompose", help="split a JSON representation into indecomposables")
-    sp.add_argument("file", help="JSON representation file")
-    sp.set_defaults(func=cmd_decompose)
-
+    chosen = [spec for spec in COMMANDS if spec[0] == command]
+    if chosen:
+        # a metavar would change the full parser's "invalid choice" message,
+        # which this parser never prints: its one choice is argv[0]
+        choices = ",".join(spec[0] for spec in COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{choices}}}")
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, common in chosen or COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        if common is None:
+            sp.add_argument("file", help="JSON representation file")
+        else:
+            _add_common(sp, **common)
+        if name in TRIPLE_HELP:
+            hx, hy, hm, hfile = TRIPLE_HELP[name]
+            sp.add_argument("x", help=hx)
+            sp.add_argument("y", help=hy)
+            sp.add_argument("m", nargs="?", help=hm)
+            sp.add_argument("--m-file", dest="m_file", help=hfile)
+        sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

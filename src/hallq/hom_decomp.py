@@ -276,7 +276,8 @@ def _c_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     # invertibility is what makes hom profiles decide isomorphism classes.
     # It is integral for every n the tests build (2..8), with entries in
     # {-1, 0, 1}. It is the right half of the RREF of [C | I] over the
-    # integers (gf.unit_pivot_rref), accepted only if C . B = I; a
+    # integers (gf.unit_pivot_rref), accepted only if C . B = I, checked
+    # column by column through the few nonzeros of each column of B; a
     # fractional inverse, or one whose elimination needs a pivot other
     # than +-1, is an invariant breach
     labels = all_labels(n)
@@ -291,23 +292,47 @@ def _c_inverse(n: int) -> tuple[tuple[int, ...], ...]:
         raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse: {err}") from err
     if pivots[:k] != tuple(range(k)):
         raise InternalInvariantError(f"hom-count matrix at n={n} is singular")
-    inv = tuple(tuple(dict(row).get(k + c, 0) for c in range(k)) for row in red)
-    cols = tuple(zip(*inv))
-    for r, row in enumerate(c_rows):
-        if any(sum(map(mul, row, col)) != int(r == c) for c, col in enumerate(cols)):
+    inv = []
+    for row in red:
+        dense = [0] * k
+        for c, e in row:
+            if c >= k:
+                dense[c - k] = e
+        inv.append(tuple(dense))
+    c_cols = tuple(zip(*c_rows))
+    for c, col in enumerate(_nonzeros(zip(*inv))):
+        # column c of C . B - I, from the columns of C that column c of B touches
+        got = [-int(r == c) for r in range(k)]
+        for j, b in col:
+            got = [g + b * e for g, e in zip(got, c_cols[j])]
+        if any(got):
             raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse")
-    return inv
+    return tuple(inv)
+
+
+def _nonzeros(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # each row as its nonzero entries (column, value), in column order
+    return tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _c_inverse_nonzeros(n: int):
+    # (rows, columns) of B = _c_inverse(n), each by its nonzeros, built once
+    # per n: B has at most 4 nonzeros per column for n = 2..10, so products
+    # with B cost its nonzeros, not k^2 for k labels
+    inv = _c_inverse(n)
+    return _nonzeros(inv), _nonzeros(zip(*inv))
 
 
 def _module_count(n: int, mult, dims: tuple[int, ...]) -> DecompositionMultiset:
     # the multiplicities mult over all labels as a multiset, checked to be a
     # module count with the dimension vector dims
     labels = all_labels(n)
-    for l, v in zip(labels, mult):
-        if v < 0:
-            raise InternalInvariantError(
-                f"hom profile produced multiplicity {v} for {l}; not a module count"
-            )
+    if min(mult) < 0:
+        l, v = next((l, v) for l, v in zip(labels, mult) if v < 0)
+        raise InternalInvariantError(
+            f"hom profile produced multiplicity {v} for {l}; not a module count"
+        )
     result = DecompositionMultiset.from_pairs(zip(labels, mult))
     if multiset_dims(result.as_labels(), n) != dims:
         raise InternalInvariantError("decomposition does not have the module's dimensions")
@@ -316,7 +341,8 @@ def _module_count(n: int, mult, dims: tuple[int, ...]) -> DecompositionMultiset:
 
 def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
     h = _profile_raw(n, p, raw)
-    return _module_count(n, [sum(map(mul, row, h)) for row in _c_inverse(n)], raw[0])
+    rows, _ = _c_inverse_nonzeros(n)
+    return _module_count(n, [sum(b * h[j] for j, b in row) for row in rows], raw[0])
 
 
 def decompose(m: Representation) -> DecompositionMultiset:
@@ -683,19 +709,21 @@ class _WalkPlan:
         return tuple(counts.get(l, 0) for l in all_labels(self.n))
 
     @cached_property
-    def connecting(self) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    def connecting(self) -> tuple[tuple[tuple, tuple[tuple[int, int], ...]], ...]:
         # per distinct pattern of a label with dim Hom(L, X) > 0, the sum of
-        # those labels' columns of _c_inverse: equal patterns, equal ranks
+        # those labels' columns of _c_inverse, by its nonzeros (label index,
+        # value): equal patterns, equal ranks
         n, labels = self.n, all_labels(self.n)
         live = [k for k, h in enumerate(hom_profiles(n, self.xs)[0]) if h]
         patterns = _connecting_patterns(n, [labels[k] for k in live], self.x, self.y, self.blocks)
-        cols = tuple(zip(*_c_inverse(n)))
+        _, cols = _c_inverse_nonzeros(n)
         out: dict = {}
         for k, pat in zip(live, patterns):
             if pat:
-                col = out.get(pat)
-                out[pat] = cols[k] if col is None else tuple(map(add, col, cols[k]))
-        return tuple(out.items())
+                col = out.setdefault(pat, {})
+                for i, b in cols[k]:
+                    col[i] = col.get(i, 0) + b
+        return tuple((pat, tuple((i, b) for i, b in col.items() if b)) for pat, col in out.items())
 
 
 # one plan per (n, sorted xs, sorted ys); lie.bracket walks one pair at every
@@ -750,7 +778,8 @@ def _middle_labels(plan: _WalkPlan, ranks: tuple[int, ...]) -> tuple[IndecLabel,
     mult = list(plan.base)
     for r, (_, col) in zip(ranks, plan.connecting):
         if r:
-            mult = [m - r * b for m, b in zip(mult, col)]
+            for i, b in col:
+                mult[i] -= r * b
     dims = tuple(map(add, plan.x[0], plan.y[0]))
     return _module_count(plan.n, mult, dims).as_labels()
 

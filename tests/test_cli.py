@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hallq.cli import main
+from hallq.cli import COMMANDS, build_parser, main
 from hallq.hall_poly import ProductIdentityCheck, verify_product_identities
 from hallq.quiver_rep import (
     AlgebraContext,
@@ -137,17 +141,43 @@ def test_verify_identities_at_n7_needs_no_ceiling(capsys):
 
 def test_internal_invariant_breach_exits_3(capsys, monkeypatch, tmp_path):
     # a hom-count inverse of zeros gives every label multiplicity 0, which
-    # cannot have the module's dimensions: decompose reports the breach
+    # cannot have the module's dimensions: decompose reports the breach. The
+    # inverse reaches decompose by its nonzeros, here none in any row
     ctx = AlgebraContext(2, 3)
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep_to_json(rep_of_multiset((IndecLabel("V", 1),), ctx))))
-    zero = ((0,) * len(all_labels(2)),) * len(all_labels(2))
-    monkeypatch.setattr("hallq.hom_decomp._c_inverse", lambda n: zero)
+    empty = ((),) * len(all_labels(2))
+    monkeypatch.setattr("hallq.hom_decomp._c_inverse_nonzeros", lambda n: (empty, empty))
     code, out, err = run(capsys, "decompose", str(path))
     assert (code, out) == (3, "")
     assert err == (
         "internal invariant breach: decomposition does not have the module's dimensions\n"
     )
+
+
+@pytest.mark.parametrize("command", ["indec-list", "lie-verify"])
+def test_tsv_report_never_loads_json(command):
+    # a fresh interpreter, since this one has json loaded already; the JSON
+    # branch of the same command does load it
+    code = (
+        "import sys\n"
+        "from hallq.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print('json' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    loaded = []
+    for fmt in ("tsv", "json"):
+        done = subprocess.run(
+            [sys.executable, "-c", code, command, "--n", "2", "--format", fmt],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded.append(done.stdout.splitlines()[-1])
+    assert loaded == ["False", "True"]
 
 
 def test_lie_verify_small(capsys):
@@ -299,6 +329,31 @@ def test_usage_errors(capsys):
     assert run(
         capsys, "hall-poly", "--n", "2", "W1,1", "U2,1", "U1,1", "--dim-ceiling", "3"
     )[0] == 2
+
+
+def test_one_subcommand_parser_prints_the_full_parsers_texts(capsys):
+    # main builds only the parser of the subcommand argv[0] names; the full
+    # parser is the reference for every help, usage and error text
+    cases = [[name, "-h"] for name, *_ in COMMANDS] + [
+        ["lie-table", "--n", "2", "extra"],
+        ["lie-table"],
+        ["lie-verify", "--n", "2", "--parallelism", "0"],
+        ["hall-number", "--n", "2", "--p", "3", "V1"],
+        ["indec-list", "--n", "x"],
+        ["decompose"],
+    ]
+    for argv in cases:
+        texts = []
+        for parser in (build_parser(), build_parser(argv[0])):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            texts.append((exc.value.code, *capsys.readouterr()))
+        assert texts[0] == texts[1], argv
+        assert texts[0][1] or texts[0][2], argv
+    # and it knows no other subcommand
+    with pytest.raises(SystemExit):
+        build_parser("lie-table").parse_args(["lie-verify", "--n", "2"])
+    capsys.readouterr()
 
 
 def test_short_prime_list_exits_2(capsys):

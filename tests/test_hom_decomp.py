@@ -11,6 +11,7 @@ from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
+    _c_inverse_nonzeros,
     _cocycle_system,
     _connecting_ranks,
     _decompose_raw,
@@ -276,6 +277,28 @@ def test_hom_count_matrix_invertible():
             for z, col in zip(labels, zip(*inv)):
                 got = sum(table[(x, y)] * b for y, b in zip(labels, col))
                 assert got == int(x == z), (n, x, z)
+
+
+def test_sparse_c_inverse_matches_dense():
+    # rows and columns by their nonzeros, each in index order, rebuild the
+    # dense inverse; no column has more than 4 nonzeros
+    for n in range(2, 9):
+        inv = _c_inverse(n)
+        k = len(inv)
+        rows, cols = _c_inverse_nonzeros(n)
+
+        def dense(sparse):
+            out = [[0] * k for _ in range(k)]
+            for r, entries in enumerate(sparse):
+                assert [c for c, _ in entries] == sorted(c for c, _ in entries)
+                for c, e in entries:
+                    assert e != 0
+                    out[r][c] = e
+            return [tuple(row) for row in out]
+
+        assert dense(rows) == list(inv), n
+        assert dense(cols) == list(zip(*inv)), n
+        assert max(len(col) for col in cols) <= 4, n
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,7 @@ def test_all_labels_basis_size():
 def _dense_jacobi_violations(table):
     # the reference: every triple x < y < z expanded, none skipped
     labels = all_labels(table.n)
+    terms = {(a, b): table.get(a, b).terms for a in labels for b in labels}
     out = []
     for ix, x in enumerate(labels):
         for iy in range(ix + 1, len(labels)):
@@ -185,8 +186,8 @@ def _dense_jacobi_violations(table):
             for z in labels[iy + 1 :]:
                 acc = {}
                 for a, (b, c) in ((x, (y, z)), (y, (z, x)), (z, (x, y))):
-                    for lab, k in table.get(b, c).terms:
-                        for lab2, k2 in table.get(a, lab).terms:
+                    for lab, k in terms[(b, c)]:
+                        for lab2, k2 in terms[(a, lab)]:
                             acc[lab2] = acc.get(lab2, 0) + k * k2
                 if any(acc.values()):
                     out.append(f"Jacobi fails on ({x}, {y}, {z})")
@@ -206,21 +207,84 @@ def test_axiom_check_catches_planted_jacobi_defect():
 
 
 def test_sparse_jacobi_matches_dense_on_planted_tables():
-    # one planted entry per table: a nonzero entry doubled, or a zero one
-    # given a label, so failing triples sit on every side of the pair
+    # one planted entry per table: a nonzero entry doubled, which keeps the
+    # grading, so only triples of a label's degree are expanded, or a zero
+    # one given a label, which mostly breaks it, so every triple with a
+    # nonzero entry is; failing triples sit on every side of the pair. At
+    # n = 4 every nonzero entry is planted, and every fifth zero one
+    for n, stride in ((3, 1), (4, 5)):
+        table = build_bracket_table(n, (2, 3, 5, 7))
+        labels = all_labels(n)
+        failing = graded = 0
+        for k, (x, y, c) in enumerate(table.entries):
+            if not c.terms and k % stride:
+                continue
+            planted = combo(*((lab, 2 * v) for lab, v in c.terms)) if c.terms else combo(
+                (labels[k % len(labels)], 1)
+            )
+            entries = table.entries[:k] + ((x, y, planted),) + table.entries[k + 1 :]
+            bad = BracketTable(n, table.primes, entries, (), table.notes)
+            report = verify_lie_axioms(bad)
+            jacobi = [v for v in report.violations if v.startswith("Jacobi")]
+            assert jacobi == _dense_jacobi_violations(bad), (n, x, y)
+            failing += bool(jacobi)
+            graded += report.grading_ok and bool(jacobi)
+        assert failing > 50, n
+        assert graded > 10, n
+
+
+def test_diagonal_check_reads_stored_entries(table2):
+    # get answers (x, x) with 0 whatever is stored, so the check reads the
+    # stored entry; a stored zero diagonal is no violation
+    planted = table2.entries + ((V(1), V(1), combo((U(1, 1), 1))), (V(2), V(2), ZERO_COMBO))
+    report = verify_lie_axioms(BracketTable(2, table2.primes, planted, (), table2.notes))
+    assert not report.diagonal_ok
+    assert report.antisymmetry_ok and report.jacobi_ok
+    assert [v for v in report.violations if "diagonal" in v] == ["nonzero diagonal at V1"]
+
+
+def _dense_antisymmetry_violations(table):
+    # the reference: every ordered pair of labels compared through get
+    labels = all_labels(table.n)
+    return [
+        f"antisymmetry fails on ({x}, {y})"
+        for x in labels
+        for y in labels
+        if table.get(x, y) != -table.get(y, x)
+    ]
+
+
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+def test_antisymmetry_on_pairs_stored_in_both_orders(consistent):
+    # every third entry stored once more in the opposite order, negated or
+    # not; get reads each order as stored, so only these pairs can fail
     table = build_bracket_table(3, (2, 3, 5, 7))
-    labels = all_labels(3)
-    failing = 0
-    for k, (x, y, c) in enumerate(table.entries):
-        planted = combo(*((lab, 2 * v) for lab, v in c.terms)) if c.terms else combo(
-            (labels[k % len(labels)], 1)
+    extra = tuple(
+        (y, x, -c if consistent else c) for x, y, c in table.entries[::3]
+    )
+    planted = BracketTable(3, table.primes, table.entries + extra, (), table.notes)
+    report = verify_lie_axioms(planted)
+    got = [v for v in report.violations if v.startswith("antisymmetry")]
+    assert got == _dense_antisymmetry_violations(planted)
+    assert report.antisymmetry_ok == consistent
+    if not consistent:
+        # both orders of each nonzero pair, in label order
+        assert len(got) == 2 * sum(1 for _, _, c in extra if not c.is_zero()) > 0
+
+
+def test_axiom_check_refuses_a_missing_pair(table2):
+    # a pair stored in neither order is not a table at all, also when no
+    # Jacobi triple reads it, as for this pair with bracket 0
+    with pytest.raises(KeyError, match=r"pair \(V2, U2,2\) not in the table"):
+        verify_lie_axioms(
+            BracketTable(
+                2,
+                table2.primes,
+                tuple(e for e in table2.entries if e[:2] != (V(2), U(2, 2))),
+                (),
+                table2.notes,
+            )
         )
-        entries = table.entries[:k] + ((x, y, planted),) + table.entries[k + 1 :]
-        bad = BracketTable(3, table.primes, entries, (), table.notes)
-        jacobi = [v for v in verify_lie_axioms(bad).violations if v.startswith("Jacobi")]
-        assert jacobi == _dense_jacobi_violations(bad), (x, y)
-        failing += bool(jacobi)
-    assert failing > 50
 
 
 def _pair_degree(x, y, n):
