@@ -1,5 +1,5 @@
 """Golden CLI outputs: stdout, stderr and exit code of the verification and
-table commands at small n, byte for byte.
+table commands at small n, and of every help text, byte for byte.
 
 The files under tests/golden/ were captured from the CLI itself, so these
 tests pin its present behaviour, not a closed form. To re-capture after a
@@ -13,12 +13,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from hallq.cli import main
+from hallq.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL_PRIMES = ("--primes", "2,3,5,7")
@@ -52,11 +54,17 @@ for _n in ("2", "3"):
             CASES[f"verify-identities-n{_n}-p{_p}-{_fmt}"] = (
                 "verify-identities", "--n", _n, "--p", _p, "--format", _fmt
             )
+# help texts: argparse wraps them to the terminal width, which run_cli pins
+CASES["help"] = ("-h",)
+for _name, *_ in COMMANDS:
+    CASES[f"help-{_name}"] = (_name, "-h")
 
 
 def run_cli(argv: tuple[str, ...]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(
+        os.environ, {"COLUMNS": "80"}
+    ):
         code = main(list(argv))
     return {"argv": list(argv), "exit": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
 
