@@ -22,12 +22,10 @@ from .frozen import Frozen, set_field
 from .gf import is_supported_prime
 from .hall_core import as_multiset, hall_number
 from .hall_poly import (
-    identities_to_json,
-    identities_to_tsv,
+    identity_rows,
     interpolate_hall_poly,
     reconcile_poly_table,
-    reconciliation_to_json,
-    reconciliation_to_tsv,
+    reconciliation_rows,
     verify_product_identities,
 )
 from .hom_decomp import decompose
@@ -94,11 +92,11 @@ def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
         raise ValueError(f"could not parse prime list {raw!r}")
 
 
-def _config(args, fmt: str | None = None) -> RunConfig:
+def _config(args) -> RunConfig:
     return RunConfig(
         n=args.n,
         primes=_parse_primes(getattr(args, "primes", None)),
-        output_format=fmt if fmt is not None else getattr(args, "format", "tsv"),
+        output_format=getattr(args, "format", "tsv"),
     )
 
 
@@ -110,22 +108,34 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _tsv_cell(value) -> str:
+    # a list of numbers is a dimension vector, joined by ','; labels contain
+    # commas (W1,1), so a list of them is joined by ';'
+    if isinstance(value, list):
+        return (";" if isinstance(value[0], str) else ",").join(map(str, value))
+    return str(value)
+
+
+def _rows_text(rows: list[dict], fmt: str) -> str:
+    """A tabular report, rows of field name to cell with the same fields in
+    the same order, as the JSON list of the rows or as TSV under a header
+    line of the field names (taken from the first row; there is always one)."""
+    if fmt == "json":
+        # imported where used: a TSV report, the default, never loads json
+        import json
+        return json.dumps(rows, indent=2) + "\n"
+    lines = ["\t".join(rows[0])]
+    lines.extend("\t".join(map(_tsv_cell, row.values())) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def cmd_indec_list(args) -> int:
     cfg = _config(args)
     rows = [
-        (str(label), label_dims(label, cfg.n)) for label in all_labels(cfg.n)
+        {"label": str(label), "dims": list(label_dims(label, cfg.n))}
+        for label in all_labels(cfg.n)
     ]
-    if cfg.output_format == "json":
-        # imported where used: a TSV report, the default, never loads json
-        import json
-        text = json.dumps(
-            [{"label": name, "dims": list(dims)} for name, dims in rows], indent=2
-        ) + "\n"
-    else:
-        lines = ["label\tdims"]
-        lines.extend(f"{name}\t{','.join(str(d) for d in dims)}" for name, dims in rows)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(_rows_text(rows, cfg.output_format), args.out)
     return EXIT_OK
 
 
@@ -175,12 +185,7 @@ def cmd_hall_poly(args) -> int:
 def cmd_verify_prop(args) -> int:
     cfg = _config(args)
     reports = reconcile_poly_table(cfg.n, cfg.primes)
-    text = (
-        reconciliation_to_json(reports)
-        if cfg.output_format == "json"
-        else reconciliation_to_tsv(reports)
-    )
-    _emit(text, args.out)
+    _emit(_rows_text(reconciliation_rows(reports), cfg.output_format), args.out)
     mismatches = [r for r in reports if r.verdict == "mismatch"]
     ambiguous = sum(1 for r in reports if r.verdict == "ambiguous")
     print(
@@ -196,20 +201,14 @@ def cmd_verify_identities(args) -> int:
     if not is_supported_prime(args.p):
         raise ValueError(f"unsupported prime {args.p}")
     checks = verify_product_identities(cfg.n, args.p)
-    text = (
-        identities_to_json(checks)
-        if cfg.output_format == "json"
-        else identities_to_tsv(checks)
-    )
-    _emit(text, args.out)
+    _emit(_rows_text(identity_rows(checks), cfg.output_format), args.out)
     bad = [c for c in checks if not c.ok]
     print(f"{len(checks)} expansions: {len(bad)} fail", file=sys.stderr)
     return EXIT_MISMATCH if bad else EXIT_OK
 
 
 def cmd_lie_table(args) -> int:
-    fmt = "latex" if args.latex else getattr(args, "format", "tsv")
-    cfg = _config(args, fmt=fmt)
+    cfg = _config(args)
     table = build_bracket_table(cfg.n, cfg.primes)
     if cfg.output_format == "json":
         text = bracket_table_to_json(table)
@@ -288,7 +287,12 @@ COMMANDS = (
         cmd_verify_identities,
         {"prime": True},
     ),
-    ("lie-table", "bracket table on indecomposable classes", cmd_lie_table, {"primes": True, "latex": True}),
+    (
+        "lie-table",
+        "bracket table on indecomposable classes",
+        cmd_lie_table,
+        {"primes": True, "fmt": ("tsv", "json", "latex")},
+    ),
     ("lie-verify", "check antisymmetry and Jacobi on the table", cmd_lie_verify, {"primes": True}),
     ("decompose", "split a JSON representation into indecomposables", cmd_decompose, None),
 )
@@ -304,7 +308,8 @@ TRIPLE_HELP = {
 }
 
 
-def _add_common(sp, *, primes=False, prime=False, fmt=True, latex=False) -> None:
+def _add_common(sp, *, primes=False, prime=False, fmt=("tsv", "json")) -> None:
+    # fmt: the choices of --format, or False for a command without it
     sp.add_argument("--n", type=int, required=True, help="number of vertices")
     if primes:
         sp.add_argument(
@@ -315,11 +320,7 @@ def _add_common(sp, *, primes=False, prime=False, fmt=True, latex=False) -> None
     if prime:
         sp.add_argument("--p", type=int, required=True, help="field size (prime)")
     if fmt:
-        sp.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    if latex:
-        sp.add_argument(
-            "--latex", action="store_true", help="emit a LaTeX tabular instead"
-        )
+        sp.add_argument("--format", choices=fmt, default="tsv")
     sp.add_argument("--out", help="write the report to this path")
 
 

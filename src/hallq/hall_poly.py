@@ -339,18 +339,9 @@ def reconcile_poly_table(
     return reports
 
 
-def reconciliation_to_tsv(reports: list[ReconciliationReport]) -> str:
-    lines = ["triple\texpected\tinterpolated\tverdict"]
-    for r in reports:
-        triple = ";".join(str(lab) for lab in r.triple)
-        lines.append(f"{triple}\t{r.expected_str()}\t{r.interpolated}\t{r.verdict}")
-    return "\n".join(lines) + "\n"
-
-
-def reconciliation_to_json(reports: list[ReconciliationReport]) -> str:
-    # imported where used: a TSV report, the default, never loads json
-    import json
-    rows = [
+def reconciliation_rows(reports: list[ReconciliationReport]) -> list[dict]:
+    """The verify-prop report, one row of field name to cell per triple."""
+    return [
         {
             "triple": [str(lab) for lab in r.triple],
             "expected": r.expected_str(),
@@ -359,7 +350,6 @@ def reconciliation_to_json(reports: list[ReconciliationReport]) -> str:
         }
         for r in reports
     ]
-    return json.dumps(rows, indent=2) + "\n"
 
 
 def combo_to_str(combo: IsoClassCombo) -> str:
@@ -457,27 +447,9 @@ def verify_product_identities(n: int, p: int) -> list[ProductIdentityCheck]:
     return checks
 
 
-def identities_to_tsv(checks: list[ProductIdentityCheck]) -> str:
-    lines = ["family\tleft\tright\texpected\tgot\tverdict"]
-    for c in checks:
-        lines.append(
-            "\t".join(
-                [
-                    c.family,
-                    str(c.left),
-                    str(c.right),
-                    combo_to_str(c.expected),
-                    combo_to_str(c.got),
-                    "pass" if c.ok else "fail",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def identities_to_json(checks: list[ProductIdentityCheck]) -> str:
-    import json
-    rows = [
+def identity_rows(checks: list[ProductIdentityCheck]) -> list[dict]:
+    """The verify-identities report, one row of field name to cell per expansion."""
+    return [
         {
             "family": c.family,
             "left": str(c.left),
@@ -488,4 +460,3 @@ def identities_to_json(checks: list[ProductIdentityCheck]) -> str:
         }
         for c in checks
     ]
-    return json.dumps(rows, indent=2) + "\n"

@@ -63,13 +63,6 @@ def hom_dim(x: Representation, m: Representation) -> int:
 
 
 @lru_cache(maxsize=None)
-def probe_reps(n: int) -> dict[IndecLabel, RawRep]:
-    """Raw form of every indecomposable, in canonical label order, built once
-    per n: the entries are 0 or 1, the same over every F_p."""
-    return {l: raw_sum((l,), n) for l in all_labels(n)}
-
-
-@lru_cache(maxsize=None)
 def hom_table(n: int, p: int | None = None) -> dict[tuple[IndecLabel, IndecLabel], int]:
     """hom_dim between all pairs of indecomposables, filled once per n.
 
@@ -85,7 +78,7 @@ def hom_table(n: int, p: int | None = None) -> dict[tuple[IndecLabel, IndecLabel
     against the table's dim Hom(X, Y) (_WalkPlan), and the tests compare
     the table with hom_dim_raw for every label pair.
     """
-    columns = {y: _profile_raw(n, 2, raw) for y, raw in probe_reps(n).items()}
+    columns = {y: _profile_raw(n, 2, raw_sum((y,), n)) for y in all_labels(n)}
     return {(x, y): col[k] for k, x in enumerate(columns) for y, col in columns.items()}
 
 
@@ -271,15 +264,18 @@ class DecompositionMultiset(Frozen):
 
 
 @lru_cache(maxsize=None)
-def _c_inverse(n: int) -> tuple[tuple[int, ...], ...]:
-    # inverse of the hom-count matrix C[X][Y] = hom_dim(X, Y); its
-    # invertibility is what makes hom profiles decide isomorphism classes.
-    # It is integral for every n the tests build (2..8), with entries in
-    # {-1, 0, 1}. It is the right half of the RREF of [C | I] over the
-    # integers (gf.unit_pivot_rref), accepted only if C . B = I, checked
-    # column by column through the few nonzeros of each column of B; a
-    # fractional inverse, or one whose elimination needs a pivot other
-    # than +-1, is an invariant breach
+def _c_inverse(n: int) -> tuple[tuple, tuple]:
+    # inverse B of the hom-count matrix C[X][Y] = hom_dim(X, Y), as its
+    # (rows, columns), each by its nonzero entries (index, value) in index
+    # order: B has at most 4 nonzeros per column for n = 2..10, so products
+    # with B cost its nonzeros, not k^2 for k labels. The invertibility of C
+    # is what makes hom profiles decide isomorphism classes. B is integral
+    # for every n the tests build (2..8), with entries in {-1, 0, 1}. It is
+    # the right half of the RREF of [C | I] over the integers
+    # (gf.unit_pivot_rref), accepted only if C . B = I, checked column by
+    # column through the few nonzeros of each column of B; a fractional
+    # inverse, or one whose elimination needs a pivot other than +-1, is an
+    # invariant breach
     labels = all_labels(n)
     table = hom_table(n)
     k = len(labels)
@@ -292,36 +288,20 @@ def _c_inverse(n: int) -> tuple[tuple[int, ...], ...]:
         raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse: {err}") from err
     if pivots[:k] != tuple(range(k)):
         raise InternalInvariantError(f"hom-count matrix at n={n} is singular")
-    inv = []
-    for row in red:
-        dense = [0] * k
+    rows = tuple(tuple((c - k, e) for c, e in row if c >= k) for row in red)
+    cols: list[list] = [[] for _ in range(k)]
+    for r, row in enumerate(rows):
         for c, e in row:
-            if c >= k:
-                dense[c - k] = e
-        inv.append(tuple(dense))
+            cols[c].append((r, e))
     c_cols = tuple(zip(*c_rows))
-    for c, col in enumerate(_nonzeros(zip(*inv))):
+    for c, col in enumerate(cols):
         # column c of C . B - I, from the columns of C that column c of B touches
         got = [-int(r == c) for r in range(k)]
         for j, b in col:
             got = [g + b * e for g, e in zip(got, c_cols[j])]
         if any(got):
             raise InternalInvariantError(f"hom-count matrix at n={n} has no integer inverse")
-    return tuple(inv)
-
-
-def _nonzeros(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # each row as its nonzero entries (column, value), in column order
-    return tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def _c_inverse_nonzeros(n: int):
-    # (rows, columns) of B = _c_inverse(n), each by its nonzeros, built once
-    # per n: B has at most 4 nonzeros per column for n = 2..10, so products
-    # with B cost its nonzeros, not k^2 for k labels
-    inv = _c_inverse(n)
-    return _nonzeros(inv), _nonzeros(zip(*inv))
+    return rows, tuple(map(tuple, cols))
 
 
 def _module_count(n: int, mult, dims: tuple[int, ...]) -> DecompositionMultiset:
@@ -341,7 +321,7 @@ def _module_count(n: int, mult, dims: tuple[int, ...]) -> DecompositionMultiset:
 
 def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
     h = _profile_raw(n, p, raw)
-    rows, _ = _c_inverse_nonzeros(n)
+    rows, _ = _c_inverse(n)
     return _module_count(n, [sum(b * h[j] for j, b in row) for row in rows], raw[0])
 
 
@@ -716,7 +696,7 @@ class _WalkPlan:
         n, labels = self.n, all_labels(self.n)
         live = [k for k, h in enumerate(hom_profiles(n, self.xs)[0]) if h]
         patterns = _connecting_patterns(n, [labels[k] for k in live], self.x, self.y, self.blocks)
-        _, cols = _c_inverse_nonzeros(n)
+        _, cols = _c_inverse(n)
         out: dict = {}
         for k, pat in zip(live, patterns):
             if pat:

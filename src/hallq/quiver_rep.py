@@ -190,10 +190,6 @@ class Representation(NamedTuple):
     arrow: tuple[PrimeFieldMatrix, ...]
     loop: PrimeFieldMatrix
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
 
 RawRep = tuple  # (dims, arrow entries, loop entries)
 

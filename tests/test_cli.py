@@ -147,7 +147,7 @@ def test_internal_invariant_breach_exits_3(capsys, monkeypatch, tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep_to_json(rep_of_multiset((IndecLabel("V", 1),), ctx))))
     empty = ((),) * len(all_labels(2))
-    monkeypatch.setattr("hallq.hom_decomp._c_inverse_nonzeros", lambda n: (empty, empty))
+    monkeypatch.setattr("hallq.hom_decomp._c_inverse", lambda n: (empty, empty))
     code, out, err = run(capsys, "decompose", str(path))
     assert (code, out) == (3, "")
     assert err == (
@@ -195,7 +195,7 @@ def test_lie_table_formats(capsys):
     assert code == 0
     payload = json.loads(json_out)
     assert len(payload["entries"]) == 21
-    code, latex_out, _ = run(capsys, "lie-table", "--n", "2", "--latex")
+    code, latex_out, _ = run(capsys, "lie-table", "--n", "2", "--format", "latex")
     assert code == 0
     assert latex_out.startswith("\\begin{tabular}")
 
@@ -318,6 +318,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     # --parallelism was a no-op and is gone; argparse now rejects it
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "0")[0] == 2
+    # LaTeX is a --format choice of lie-table alone
+    assert run(capsys, "lie-table", "--n", "2", "--latex")[0] == 2
+    assert run(capsys, "lie-verify", "--n", "2", "--format", "latex")[0] == 2
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "2")[0] == 2
     # --dim-ceiling is gone: every counter refuses on its own work count
     assert run(capsys, "lie-table", "--n", "2", "--dim-ceiling", "3")[0] == 2

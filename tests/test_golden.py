@@ -28,7 +28,7 @@ SMALL_PRIMES = ("--primes", "2,3,5,7")
 CASES: dict[str, tuple[str, ...]] = {
     "lie-table-n2-tsv": ("lie-table", "--n", "2", *SMALL_PRIMES),
     "lie-table-n2-json": ("lie-table", "--n", "2", *SMALL_PRIMES, "--format", "json"),
-    "lie-table-n2-latex": ("lie-table", "--n", "2", *SMALL_PRIMES, "--latex"),
+    "lie-table-n2-latex": ("lie-table", "--n", "2", *SMALL_PRIMES, "--format", "latex"),
     "lie-verify-n2-tsv": ("lie-verify", "--n", "2", *SMALL_PRIMES),
     "lie-verify-n2-json": ("lie-verify", "--n", "2", *SMALL_PRIMES, "--format", "json"),
     # no --primes: the default prime schedule

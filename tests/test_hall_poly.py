@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hallq.cli import _rows_text
 from hallq.errors import InterpolationError, LabelError
 from hallq.gf import first_primes
 from hallq.hall_core import IsoClassCombo, hall_number, hall_product
@@ -10,12 +11,10 @@ from hallq.hall_poly import (
     expected_hall_poly,
     fit_hall_poly,
     hom_degree_bound,
-    identities_to_json,
-    identities_to_tsv,
+    identity_rows,
     interpolate_hall_poly,
     reconcile_poly_table,
-    reconciliation_to_json,
-    reconciliation_to_tsv,
+    reconciliation_rows,
     verify_product_identities,
 )
 from hallq.hom_decomp import DecompositionMultiset, hom_dim, hom_dim_raw, hom_table, raw_rep
@@ -317,10 +316,9 @@ def test_identity_failure_has_unit_coefficients():
 
 
 def test_report_serializations_agree():
-    reports = reconcile_poly_table(2)
-    tsv = reconciliation_to_tsv(reports)
-    rows = json.loads(reconciliation_to_json(reports))
-    lines = tsv.strip().split("\n")
+    rows = reconciliation_rows(reconcile_poly_table(2))
+    assert json.loads(_rows_text(rows, "json")) == rows
+    lines = _rows_text(rows, "tsv").strip().split("\n")
     assert lines[0] == "triple\texpected\tinterpolated\tverdict"
     assert len(lines) == len(rows) + 1
     for line, row in zip(lines[1:], rows):
@@ -333,10 +331,10 @@ def test_report_serializations_agree():
 
 
 def test_identity_serializations_agree():
-    checks = verify_product_identities(2, 2)
-    tsv = identities_to_tsv(checks)
-    rows = json.loads(identities_to_json(checks))
-    lines = tsv.strip().split("\n")
+    rows = identity_rows(verify_product_identities(2, 2))
+    assert json.loads(_rows_text(rows, "json")) == rows
+    lines = _rows_text(rows, "tsv").strip().split("\n")
+    assert lines[0] == "family\tleft\tright\texpected\tgot\tverdict"
     assert len(lines) == len(rows) + 1
     for line, row in zip(lines[1:], rows):
         fields = line.split("\t")

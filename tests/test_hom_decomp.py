@@ -11,7 +11,6 @@ from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
-    _c_inverse_nonzeros,
     _cocycle_system,
     _connecting_ranks,
     _decompose_raw,
@@ -28,7 +27,6 @@ from hallq.hom_decomp import (
     hom_profiles,
     hom_table,
     is_iso,
-    probe_reps,
     raw_rep,
     riedtmann_hall_numbers,
 )
@@ -41,6 +39,7 @@ from hallq.quiver_rep import (
     make_indec,
     multiset_dims,
     multisets_with_dims,
+    raw_sum,
     rep_of_multiset,
     simple,
     submodule_and_quotient,
@@ -153,7 +152,7 @@ def test_path_profile_matches_hom_systems(rng, monkeypatch):
     taken = {"columns": 0, "dense": 0}
     for n in range(2, 7):
         for p in (2, 3, 5, 7):
-            probes = probe_reps(n).values()
+            probes = [raw_sum((l,), n) for l in all_labels(n)]
             glued = 8
             for k, m in enumerate(_random_modules(rng, n, p, extensions=glued, sums=4)):
                 before = len(dense)
@@ -267,12 +266,24 @@ def test_labels_pairwise_non_isomorphic():
                 assert not is_iso(reps[i], reps[j])
 
 
+def _dense(sparse, k):
+    # a k x k matrix from its rows by their nonzeros, each checked to be
+    # nonzero and in column order
+    out = [[0] * k for _ in range(k)]
+    for r, entries in enumerate(sparse):
+        assert [c for c, _ in entries] == sorted(c for c, _ in entries)
+        for c, e in entries:
+            assert e != 0
+            out[r][c] = e
+    return [tuple(row) for row in out]
+
+
 def test_hom_count_matrix_invertible():
     # the integer RREF of [C | I] gives the inverse over the integers
     for n in range(2, 9):
         labels = all_labels(n)
         table = hom_table(n)
-        inv = _c_inverse(n)
+        inv = _dense(_c_inverse(n)[0], len(labels))
         for x in labels:
             for z, col in zip(labels, zip(*inv)):
                 got = sum(table[(x, y)] * b for y, b in zip(labels, col))
@@ -281,23 +292,12 @@ def test_hom_count_matrix_invertible():
 
 def test_sparse_c_inverse_matches_dense():
     # rows and columns by their nonzeros, each in index order, rebuild the
-    # dense inverse; no column has more than 4 nonzeros
+    # same dense inverse; no column has more than 4 nonzeros
     for n in range(2, 9):
-        inv = _c_inverse(n)
-        k = len(inv)
-        rows, cols = _c_inverse_nonzeros(n)
-
-        def dense(sparse):
-            out = [[0] * k for _ in range(k)]
-            for r, entries in enumerate(sparse):
-                assert [c for c, _ in entries] == sorted(c for c, _ in entries)
-                for c, e in entries:
-                    assert e != 0
-                    out[r][c] = e
-            return [tuple(row) for row in out]
-
-        assert dense(rows) == list(inv), n
-        assert dense(cols) == list(zip(*inv)), n
+        rows, cols = _c_inverse(n)
+        k = len(all_labels(n))
+        assert len(rows) == len(cols) == k, n
+        assert _dense(cols, k) == list(zip(*_dense(rows, k))), n
         assert max(len(col) for col in cols) <= 4, n
 
 
@@ -322,14 +322,33 @@ def test_hom_count_inverse_rejects_non_unimodular(monkeypatch, corner, message):
         _c_inverse.cache_clear()
 
 
+def test_hom_count_inverse_checks_c_times_b(monkeypatch):
+    # an elimination with the right pivots but the first row of B negated:
+    # only the C . B = I check can tell
+    real = gf.unit_pivot_rref
+
+    def negated(rows):
+        red, pivots = real(rows)
+        k = len(pivots)
+        return (tuple((c, -e if c >= k else e) for c, e in red[0]), *red[1:]), pivots
+
+    monkeypatch.setattr(hom_decomp, "unit_pivot_rref", negated)
+    _c_inverse.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="has no integer inverse"):
+            _c_inverse(2)
+    finally:
+        _c_inverse.cache_clear()
+
+
 def test_decompose_rejects_a_profile_of_other_dims(monkeypatch):
     # a profile that decodes to W1,1, handed in for the module V3
     n = 3
     _c_inverse(n)  # fill the tables before _profile_raw is patched
-    h = _profile_raw(n, 2, probe_reps(n)[IndecLabel("W", 1, 1)])
+    h = _profile_raw(n, 2, raw_sum((IndecLabel("W", 1, 1),), n))
     monkeypatch.setattr(hom_decomp, "_profile_raw", lambda n, p, raw: h)
     with pytest.raises(InternalInvariantError, match="dimensions"):
-        _decompose_raw(n, 2, probe_reps(n)[IndecLabel("V", 3)])
+        _decompose_raw(n, 2, raw_sum((IndecLabel("V", 3),), n))
 
 
 def _side_pairs(rng, n, count):
@@ -681,7 +700,8 @@ def test_endomorphism_rings_are_local(n):
     # End(L) is local with residue field F_p exactly when its units number
     # (p - 1) p^(dim End L - 1); the |Aut| of Riedtmann's formula rests on it
     for p in (2, 3):
-        for label, raw in probe_reps(n).items():
+        for label in all_labels(n):
+            raw = raw_sum((label,), n)
             # End(L) = ker delta: the null space of the transposed matrix of
             # delta, whose rows are the coboundaries, one per coordinate of h
             blocks, _, coboundaries = _cocycle_system(n, raw, raw)
