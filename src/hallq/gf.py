@@ -149,17 +149,26 @@ def unit_pivot_rref(
     behind stay zero. RREF is unique, so they are row_reduce's rows at
     every p. Raises ArithmeticError when the nonzero entries of a column
     below the pivots found so far include no +-1.
+
+    Pivot columns are taken in increasing order from the columns of the
+    input: a step adds to the rows left only columns of its pivot row,
+    which are at least the pivot column, so a column no row left holds
+    never returns, and the least column the rows left hold is the next
+    column of the input that one of them holds.
     """
     rest = [r for r in ({c: e for c, e in row if e} for row in rows) if r]
+    if not rest:
+        return (), ()
     done: list[dict[int, int]] = []
     pivots: list[int] = []
-    while rest:
-        col = min(map(min, rest))
+    for col in sorted(set().union(*rest)):
         for k, prow in enumerate(rest):
             if prow.get(col) in (1, -1):
                 break
         else:
-            raise ArithmeticError(f"column {col} has no unit pivot")
+            if any(col in r for r in rest):
+                raise ArithmeticError(f"column {col} has no unit pivot")
+            continue
         del rest[k]
         if prow[col] == -1:
             prow = {c: -e for c, e in prow.items()}
@@ -175,6 +184,8 @@ def unit_pivot_rref(
         rest = [r for r in rest if r]
         done.append(prow)
         pivots.append(col)
+        if not rest:
+            break
     return tuple(tuple(sorted(r.items())) for r in done), tuple(pivots)
 
 

@@ -5,8 +5,8 @@ numbers from the middle terms of extensions."""
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
-from operator import add, mul
+from itertools import chain, product
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import CeilingError, InternalInvariantError
@@ -156,8 +156,7 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
     dims = raw[0]
     maps = _column_maps(n, raw)
     if maps is not None:
-        paths, loop = maps
-        loop_top = [_then(row[n - 1], loop) for row in paths]
+        paths, loop_top = maps
 
         def rank(*blocks) -> int:
             return len({r for m in blocks for r in m if r >= 0})
@@ -171,15 +170,22 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
 
     out = []
     for label in all_labels(n):
-        i = label.i - 1
-        if label.kind == "W":
-            out.append(dims[i] - rank(paths[i][label.j]))
-        elif label.kind == "V":
-            out.append(dims[i] - rank(loop_top[i]))
-        else:
-            j = label.j - 1
-            out.append(dims[i] + dims[j] - rank(paths[i][n - 1], loop_top[j]))
+        _, blocks = _label_blocks(n, label, paths, loop_top)
+        source = dims[label.i - 1] + (dims[label.j - 1] if label.kind == "U" else 0)
+        out.append(source - rank(*blocks))
     return tuple(out)
+
+
+def _label_blocks(n: int, label: IndecLabel, paths, loop_top) -> tuple[int, tuple]:
+    # the vertex A_L maps into and its column blocks, for the matrix A_L
+    # whose rank _profile_raw reads: A_{i->j+1} (W), L A_{i->n} (V) or
+    # [A_{i->n} | L A_{j->n}] (U), from the path maps and the loop tops
+    i = label.i - 1
+    if label.kind == "W":
+        return label.j, (paths[i][label.j],)
+    if label.kind == "V":
+        return n - 1, (loop_top[i],)
+    return n - 1, (paths[i][n - 1], loop_top[label.j - 1])
 
 
 def _path_matrices(n: int, p: int, raw: RawRep) -> list:
@@ -354,13 +360,13 @@ def decompose(m: Representation) -> DecompositionMultiset:
 # --- Hall numbers from extensions -------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _aut_shape(labels: tuple[IndecLabel, ...], n: int) -> tuple[int, tuple[int, ...]]:
     # |Aut M| for M = sum of L_i^{m_i}: End(L) is local with residue field
     # F_p for every label L, so End M / rad End M is the product of the
     # matrix rings M_{m_i}(F_p), and Aut M is its unit group times the
     # radical, of order p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|; the
-    # exponent and the m_i are the same for every p
+    # exponent and the m_i are the same for every p. The walk keeps the
+    # shape of each side (_Side) and of each middle term (_WalkPlan.middle)
     items = DecompositionMultiset.from_labels(labels).items
     table = hom_table(n)
     end = sum(a * b * table[(k, l)] for k, a in items for l, b in items)
@@ -454,10 +460,11 @@ def _coboundaries(n: int, x: RawRep, y: RawRep, blocks) -> tuple[tuple, ...]:
 
 
 def _column_maps(n: int, raw: RawRep):
-    # the path maps A_{s->t} (paths[s][t], s <= t) and the loop of a raw
-    # module as column maps: each column's one nonzero entry, a 1, as its row, or -1
-    # for a zero column; composing the maps composes the matrices. None when
-    # some column of an arrow or the loop is neither 0 nor a unit vector
+    # the path maps A_{s->t} (paths[s][t], s <= t) and the loop tops
+    # L A_{s->n} (loop_top[s]) of a raw module as column maps: each column's
+    # one nonzero entry, a 1, as its row, or -1 for a zero column; composing
+    # the maps composes the matrices. None when some column of an arrow or
+    # the loop is neither 0 nor a unit vector
     dims, arrows, loop = raw
 
     def as_map(mat, ncols: int) -> tuple[int, ...] | None:
@@ -480,7 +487,7 @@ def _column_maps(n: int, raw: RawRep):
         for t in range(s + 1, n):
             row.append(_then(row[-1], steps[t - 1]))
         paths.append(row)
-    return paths, loop_map
+    return paths, [_then(row[n - 1], loop_map) for row in paths]
 
 
 def _then(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
@@ -488,22 +495,107 @@ def _then(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[r] if r >= 0 else -1 for r in f)
 
 
-def _connecting_patterns(n: int, labels, x: RawRep, y: RawRep, blocks) -> list:
-    """R_L(c) = Q_L C_L(c) K_L for each of the labels, as a matrix whose
-    entries are integer linear forms in the cocycle c: tuples of
-    (coordinate, coefficient). Rows and columns that are zero for every c
-    are dropped, so a label whose R_L is always 0 gets ().
+class _Side:
+    """One side of the Ext^1 walk, X or Y, by itself: its raw sum, its
+    |Aut| shape and, built when a walk first meets a nonzero class, what its
+    connecting matrices (_connecting_patterns) read of it. It depends on n
+    and the sorted labels only, so every plan with the same X or Y shares
+    it (_side).
 
-    _profile_raw reads dim Hom(L, M) as dim M_src - rk A_L(M), where A_L(M)
-    is A_{i->j+1} (W), L A_{i->n} (V) or [A_{i->n} | L A_{j->n}] (U) and
-    M_src is M_i (M_i + M_j for U). For the middle term M of an extension
-    of X by Y (_cocycle_system), order M_v = Y_v + X_v, and the columns of
-    the U matrix as Y_i, Y_j, X_i, X_j.
+    For each label L, A_L is the matrix whose rank _profile_raw reads:
+    A_{i->j+1} (W), L A_{i->n} (V) or [A_{i->n} | L A_{j->n}] (U). roles
+    holds, per label in canonical order, the rows of the cokernel of A_L,
+    which the side gives as the Y of an extension (Q_L), and the kernel
+    vectors of A_L, which it gives as the X (K_L). live lists the labels
+    whose kernel is nonzero: dim ker A_L = dim Hom(L, X) (_profile_raw).
+
+    Q_L and K_L without elimination: every arrow and loop matrix of a
+    canonical raw sum has at most one nonzero entry, a 1, in each column
+    (_profile_raw; checked here, where a side whose _column_maps is None
+    raises InternalInvariantError naming its labels), and so do their
+    products and the blocks of A_L. The column space of such a matrix is
+    spanned by the unit vectors of its nonzero rows, so Q_L keeps the zero
+    rows of A_L. Its kernel is spanned by the unit vectors of its zero
+    columns and by e_k - e_k' for each two columns k, k' that hit the same
+    row: grouped by row, the nonzero columns are equal unit vectors and
+    distinct rows give independent ones. Within one path map no two
+    columns share a row, so the differences come from the concatenated U
+    block only, pairing the columns of X_i with those of X_j.
+    """
+
+    def __init__(self, n: int, labels: tuple[IndecLabel, ...]) -> None:
+        self.n, self.labels = n, labels
+        self.raw = raw_sum(labels, n)
+        self.aut = _aut_shape(labels, n)
+
+    @cached_property
+    def maps(self) -> tuple[list, list]:
+        # the path maps and the loop tops, as column maps (_column_maps)
+        maps = _column_maps(self.n, self.raw)
+        if maps is None:
+            raise InternalInvariantError(
+                f"side {multiset_to_str(self.labels)}: "
+                "a canonical matrix column is neither 0 nor a unit vector"
+            )
+        return maps
+
+    @cached_property
+    def roles(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+        # per label L: the cokernel rows of A_L as a bit mask, and its
+        # kernel vectors, numbered in column order and held by column (for
+        # each column of A_L, the (vector, sign) of the vectors nonzero
+        # there), or () when the kernel is 0
+        n, (paths, loop_top) = self.n, self.maps
+        cokers, kernels = [], []
+        for label in all_labels(n):
+            t, blocks = _label_blocks(n, label, paths, loop_top)
+            cols = [r for m in blocks for r in m]
+            cokers.append(sum(1 << r for r in set(range(self.raw[0][t])).difference(cols)))
+            kernel: list[list] = [[] for _ in cols]
+            first: dict[int, int] = {}
+            vectors = 0
+            for col, r in enumerate(cols):
+                if r < 0:
+                    kernel[col].append((vectors, 1))
+                elif r in first:
+                    kernel[first[r]].append((vectors, 1))
+                    kernel[col].append((vectors, -1))
+                else:
+                    first[r] = col
+                    continue
+                vectors += 1
+            kernels.append(tuple(map(tuple, kernel)) if vectors else ())
+        return tuple(cokers), tuple(kernels)
+
+    @cached_property
+    def live(self) -> tuple[int, ...]:
+        # the indices of the labels L with dim Hom(L, side) > 0
+        return tuple(k for k, kernel in enumerate(self.roles[1]) if kernel)
+
+
+# the most sides _side keeps: more than the 155 labels at n = 10, so a table
+# build up to n = 10 makes each side once
+SIDE_CACHE_SIZE = 256
+_side = lru_cache(maxsize=SIDE_CACHE_SIZE)(_Side)
+
+
+def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> list:
+    """R_L(b) = Q_L C_L(b) K_L for each label L of x.live and each row b of
+    the Ext^1 basis (_ext_basis, e rows), as one matrix whose entries are
+    e-tuples of integers: entry (r, k) is (R_L(b_1)[r][k], ...,
+    R_L(b_e)[r][k]). Rows and columns that are zero for every b are
+    dropped, so a label whose R_L(b) is 0 for every b gets ().
+
+    _profile_raw reads dim Hom(L, M) as dim M_src - rk A_L(M), where M_src
+    is M_i (M_i + M_j for U). For the middle term M of an extension of X by
+    Y with cocycle c (_cocycle_system), order M_v = Y_v + X_v, and the
+    columns of the U matrix as Y_i, Y_j, X_i, X_j.
     Then A_L(M) = [[A_L(Y), C_L(c)], [0, A_L(X)]]: path maps are products
     of the upper triangular arrows, so C_{s->t} is the sum over s <= k < t
     of A^Y_{k+1->t} c_k A^X_{s->k}; the loop adds L_Y C_{j->n} + c A^X_{j->n}
     for L A_{j->n}, with c the loop block; and the U block is
-    [C_{i->n} | L_Y C_{j->n} + c A^X_{j->n}].
+    [C_{i->n} | L_Y C_{j->n} + c A^X_{j->n}]. Each entry of C_L(c) is a
+    sum of coordinates of c, so C_L, and R_L with it, is Z-linear in c.
 
     Claim: rk [[A, C], [0, A']] = rk A + rk A' + rk(Q C K), for K a basis
     of ker A' (as columns) and Q the projection onto coker A. Proof: with
@@ -516,106 +608,78 @@ def _connecting_patterns(n: int, labels, x: RawRep, y: RawRep, blocks) -> list:
         dim Hom(L, M) = dim Hom(L, Y) + dim Hom(L, X) - rk R_L(c).
 
     K_L is empty when dim Hom(L, X) = dim ker A_L(X) is 0, and then
-    rk R_L(c) = 0 for every c. With B = _c_inverse(n), which inverts
-    profiles, mult(M) = mult(X + Y) - B r(c) for r_L(c) = rk R_L(c).
+    rk R_L(c) = 0 for every c; that is why only x.live is read. With
+    B = _c_inverse(n), which inverts profiles, mult(M) = mult(X + Y) - B r(c)
+    for r_L(c) = rk R_L(c). Q_L is y.roles, K_L is x.roles (_Side).
 
-    Q_L and K_L without elimination: every arrow and loop matrix of a
-    canonical raw sum has at most one nonzero entry, a 1, in each column
-    (_profile_raw; checked here, where a side whose _column_maps is None
-    raises InternalInvariantError), and so do their products and
-    the blocks of A_L(Y) and A_L(X). The column space of such a matrix is
-    spanned by the unit vectors of its nonzero rows, so Q_L keeps the zero
-    rows of A_L(Y). Its kernel is spanned by the unit vectors of its zero
-    columns and by e_k - e_k' for each two columns k, k' that hit the same
-    row: grouped by row, the nonzero columns are equal unit vectors and
-    distinct rows give independent ones. Within one path map no two
-    columns share a row, so the differences come from the concatenated U
-    block only, pairing X_i with X_j.
+    Only the cocycle coordinates where some basis row is nonzero are
+    visited, each as the one entry of C_{s->t} or of the loop block that
+    it reaches through the column maps of both sides.
     """
-    xmaps, ymaps = _column_maps(n, x), _column_maps(n, y)
-    if xmaps is None or ymaps is None:
-        raise InternalInvariantError("a canonical matrix column is neither 0 nor a unit vector")
-    dx, dy = x[0], y[0]
-    (px, lx), (py, ly) = xmaps, ymaps
-    top = n - 1
-    lr, lc, loff = blocks[top]
-
-    ly_top = [_then(py[s][top], ly) for s in range(n)]
-    lx_top = [_then(px[s][top], lx) for s in range(n)]
-
-    @lru_cache(maxsize=None)
-    def upper(s: int, t: int) -> dict:
-        # C_{s->t}, entry (r, col) as the list of cocycle coordinates it sums
-        out: dict = {}
-        for k in range(s, t):
-            _, cols, off = blocks[k]
-            to_t = py[k + 1][t]
-            for col, b in enumerate(px[s][k]):
-                if b >= 0:
-                    for a, r in enumerate(to_t):
-                        if r >= 0:
-                            out.setdefault((r, col), []).append(off + a * cols + b)
-        return out
+    n, top, zero = x.n, x.n - 1, (0,) * len(basis)
+    (px, _), (py, ly_top) = x.maps, y.maps
+    # (block, row, column, its e-tuple) for each coordinate where some
+    # basis row is nonzero
+    coords = tuple(zip(*basis))
+    terms = [
+        (k, a, b, coords[off + a * cols + b])
+        for k, (rows, cols, off) in enumerate(blocks)
+        for a in range(rows)
+        for b in range(cols)
+        if any(coords[off + a * cols + b])
+    ]
 
     @lru_cache(maxsize=None)
-    def loop_upper(s: int) -> dict:
-        # the upper right block of L A_{s->n}: L_Y C_{s->n} + c A^X_{s->n}
+    def upper(s: int, t: int, loop: bool) -> dict:
+        # C_{s->t} (loop false), or L_Y C_{s->n} + c A^X_{s->n}, the upper
+        # right block of L A_{s->n} (loop true, t = n - 1), at the basis:
+        # entry (r, col) as its e-tuple
         out: dict = {}
-        for (a, col), coords in upper(s, top).items():
-            if ly[a] >= 0:
-                out.setdefault((ly[a], col), []).extend(coords)
-        for col, b in enumerate(px[s][top]):
-            if b >= 0:
-                for r in range(lr):
-                    out.setdefault((r, col), []).append(loff + r * lc + b)
+        for k, a, b, vec in terms:
+            if k == top:
+                if not loop:
+                    continue
+                r = a
+            elif s <= k < t:
+                r = ly_top[k + 1][a] if loop else py[k + 1][t][a]
+            else:
+                continue
+            if r >= 0:
+                for col, hit in enumerate(px[s][k]):
+                    if hit == b:
+                        old = out.get((r, col))
+                        out[(r, col)] = vec if old is None else tuple(map(add, old, vec))
         return out
 
+    labels = all_labels(n)
     patterns = []
-    for label in labels:
+    for k in x.live:
+        coker, kernel = y.roles[0][k], x.roles[1][k]
+        label = labels[k]
         i = label.i - 1
         if label.kind == "W":
-            t = label.j
-            ymaps, xmaps = [py[i][t]], [px[i][t]]
+            c = upper(i, label.j, False).items()
         elif label.kind == "V":
-            t = top
-            ymaps, xmaps = [ly_top[i]], [lx_top[i]]
+            c = upper(i, top, True).items()
         else:
-            t, j = top, label.j - 1
-            ymaps, xmaps = [py[i][t], ly_top[j]], [px[i][t], lx_top[j]]
-        hit = {r for m in ymaps for r in m}
-        q = [r for r in range(dy[t]) if r not in hit]
-        kernel = []
-        first = {}
-        for col, r in enumerate(r for m in xmaps for r in m):
-            if r < 0:
-                kernel.append(((col, 1),))
-            elif r in first:
-                kernel.append(((first[r], 1), (col, -1)))
-            else:
-                first[r] = col
-        if not (q and kernel):
-            patterns.append(())
-            continue
-        if label.kind == "W":
-            c = upper(i, t)
-        elif label.kind == "V":
-            c = loop_upper(i)
-        else:
-            c = dict(upper(i, t))
-            c.update(((r, col + dx[i]), coords) for (r, col), coords in loop_upper(j).items())
-        rows = []
-        for r in q:
-            row = []
-            for vec in kernel:
-                form: dict[int, int] = {}
-                for col, sign in vec:
-                    for coord in c.get((r, col), ()):
-                        form[coord] = form.get(coord, 0) + sign
-                row.append(tuple((k, v) for k, v in sorted(form.items()) if v))
-            if any(row):
-                rows.append(row)
-        keep = [k for k in range(len(kernel)) if any(row[k] for row in rows)]
-        patterns.append(tuple(tuple(row[k] for k in keep) for row in rows))
+            # the U block: the columns of the loop part follow those of X_i
+            shift = x.raw[0][i]
+            c = chain(
+                upper(i, top, False).items(),
+                (((r, col + shift), vec) for (r, col), vec in upper(label.j - 1, top, True).items()),
+            )
+        # entry (r, j) of R_L at the basis: row r of the cokernel, kernel
+        # vector j, summed over the columns where vector j is nonzero
+        entries: dict = {}
+        for (r, col), vec in c:
+            if coker >> r & 1:
+                for j, sign in kernel[col]:
+                    old = entries.get((r, j), zero)
+                    entries[(r, j)] = tuple(map(add if sign > 0 else sub, old, vec))
+        entries = {key: vec for key, vec in entries.items() if any(vec)}
+        rows = sorted({r for r, _ in entries})
+        cols = sorted({j for _, j in entries})
+        patterns.append(tuple(tuple(entries.get((r, j), zero) for j in cols) for r in rows))
     return patterns
 
 
@@ -652,11 +716,15 @@ def _ext_basis(blocks, loop_eqs, coboundaries, b_rank: int):
 
 class _WalkPlan:
     """What the Ext^1 walk of one side pair needs that no prime changes:
-    the raw sides, the cocycle layout, the Ext^1 basis over the integers
-    (ext_basis, from _ext_basis; _ext_classes reduces it mod p, and
-    e = dim Ext^1(X, Y) is its length at every p, known before any class is
-    visited) and the |Aut| shapes.
-    The classifier (base, connecting) is built on the first nonzero class.
+    the two sides (_side, shared with every plan that has the same X or Y:
+    raw sums, |Aut| shapes and the data of the connecting matrices), the
+    cocycle layout, the Ext^1 basis over the integers (ext_basis, from
+    _ext_basis; _ext_classes reduces it mod p, and e = dim Ext^1(X, Y) is
+    its length at every p, known before any class is visited) and
+    dim Hom(X, Y).
+    The classifier (base, connecting) is built on the first nonzero class,
+    and middle keeps the middle term of each rank vector met so far, with
+    its |Aut| shape.
 
     The coboundary rank must be sum_v dim X_v dim Y_v - dim Hom(X, Y), for
     dim Hom(X, Y) summed from hom_table, since ker delta = Hom(X, Y). So
@@ -666,8 +734,9 @@ class _WalkPlan:
 
     def __init__(self, n: int, xs: tuple[IndecLabel, ...], ys: tuple[IndecLabel, ...]) -> None:
         table = hom_table(n)
-        self.n, self.xs = n, xs
-        self.x, self.y = raw_sum(xs, n), raw_sum(ys, n)
+        self.n = n
+        self.xside, self.yside = _side(n, xs), _side(n, ys)
+        self.x, self.y = self.xside.raw, self.yside.raw
         self.hom_xy = sum(table[(a, b)] for a in xs for b in ys)
         self.blocks, loop_eqs, coboundaries = _cocycle_system(n, self.x, self.y)
         b_rank = sum(map(mul, self.x[0], self.y[0])) - self.hom_xy
@@ -677,10 +746,11 @@ class _WalkPlan:
             raise InternalInvariantError(
                 f"Ext^1({multiset_to_str(xs)}, {multiset_to_str(ys)}): {err}"
             ) from err
-        self.aut = (_aut_shape(xs, n), _aut_shape(ys, n))
         self.split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
-        # the middle term of each rank vector r(c) met so far (_middle_labels)
-        self.middle: dict[tuple[int, ...], tuple[IndecLabel, ...]] = {}
+        self.split_aut = _aut_shape(self.split, n)
+        # (middle term, its |Aut| shape) of each rank vector r(c) met so far
+        # (_middle_labels)
+        self.middle: dict[tuple[int, ...], tuple[tuple[IndecLabel, ...], tuple]] = {}
 
     @cached_property
     def base(self) -> tuple[int, ...]:
@@ -690,13 +760,28 @@ class _WalkPlan:
 
     @cached_property
     def connecting(self) -> tuple[tuple[tuple, tuple[tuple[int, int], ...]], ...]:
-        # per distinct pattern of a label with dim Hom(L, X) > 0, the sum of
-        # those labels' columns of _c_inverse, by its nonzeros (label index,
-        # value): equal patterns, equal ranks
-        n, labels = self.n, all_labels(self.n)
-        live = [k for k, h in enumerate(hom_profiles(n, self.xs)[0]) if h]
-        patterns = _connecting_patterns(n, [labels[k] for k in live], self.x, self.y, self.blocks)
-        _, cols = _c_inverse(n)
+        """Per distinct pattern of _connecting_patterns, the sum of its
+        labels' columns of _c_inverse, by its nonzeros (label index,
+        value): equal patterns, equal ranks.
+
+        A pattern holds R_L(b_t) for the rows b_t of ext_basis. The walk
+        ranks R_L(c) for c = sum_t a_t b_t mod p as the rank of
+        sum_t a_t R_L(b_t) mod p (_connecting_ranks). Proof: R_L is
+        Z-linear in c (_connecting_patterns), so R_L(c) and
+        sum_t a_t R_L(b_t) agree mod p, and rank mod p reads the matrix mod
+        p only. These c, as a runs over the nonzero vectors of F_p^e with
+        first nonzero entry 1 (_nonzero_classes), are the walk's classes:
+        the rows b_t mod p are the per-prime basis of a complement of B^1
+        in Z^1 (_ext_classes), so c -> [c] maps the combinations
+        bijectively onto Ext^1(X, Y) over F_p, and one per line is one per
+        class up to scalars. A row or column that is zero for every t is
+        zero in every combination and leaves the rank unchanged, and a
+        pattern zero for every t has rank 0 at every class, so dropping
+        them changes no rank vector's middle term.
+        """
+        _, cols = _c_inverse(self.n)
+        live = self.xside.live
+        patterns = _connecting_patterns(self.xside, self.yside, self.blocks, self.ext_basis)
         out: dict = {}
         for k, pat in zip(live, patterns):
             if pat:
@@ -730,24 +815,28 @@ def _ext_classes(plan: _WalkPlan, p: int):
     the per-prime ones mod p, and the integer RREF of them, with its +1
     pivots, reduces mod p to a matrix in RREF with the same row space.
     RREF is unique, so that is the per-prime result, row for row.
+
+    The walk does not build these vectors: it names the class
+    sum_t a_t b_t by its coefficients a (_nonzero_classes) and ranks its
+    connecting matrices from those of the rows (_WalkPlan.connecting). The
+    tests glue middle terms from them.
     """
     return tuple(tuple(e % p for e in row) for row in plan.ext_basis)
 
 
-def _nonzero_classes(reps, p: int):
-    # one cocycle per line of Ext^1, the one with leading coefficient 1
-    e = len(reps)
-    cols = tuple(zip(*reps))
+def _nonzero_classes(e: int, p: int):
+    # one coefficient vector a in F_p^e per line, the one whose first
+    # nonzero entry is 1: the class sum_t a_t b_t over the rows of ext_basis
     for lead in range(e):
         for tail in product(range(p), repeat=e - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            yield [sum(map(mul, coeffs, col)) % p for col in cols]
+            yield (0,) * lead + (1,) + tail
 
 
-def _connecting_ranks(plan: _WalkPlan, p: int, c) -> tuple[int, ...]:
-    # rk R(c) over F_p, for each pattern R of plan.connecting
+def _connecting_ranks(plan: _WalkPlan, p: int, a) -> tuple[int, ...]:
+    # rk R(c) over F_p for the class c = sum_t a_t b_t, as the rank of
+    # sum_t a_t R(b_t), for each pattern R of plan.connecting
     return tuple(
-        matrix_rank([[sum(c[k] * v for k, v in form) % p for form in row] for row in pattern], p)
+        matrix_rank([[sum(map(mul, a, v)) % p for v in row] for row in pattern], p)
         for pattern, _ in plan.connecting
     )
 
@@ -804,14 +893,21 @@ def riedtmann_hall_numbers(
     is nonzero exactly when M is such a middle term. The classes are walked
     up to scalars, 1 + (p^e - 1)/(p - 1) of them for e = dim Ext^1(X, Y):
     xi and lambda xi have isomorphic middle terms, so each nonzero class
-    stands for p - 1. The middle term of a class c is classified from the
-    ranks r_L(c) of its connecting matrices, as mult(X + Y) - B r(c)
-    (_connecting_patterns), without gluing it; the multiplicities are
-    checked to be nonnegative and to add up to the dimension vector of
-    X + Y, once per distinct r(c). Everything that does not depend on p,
-    the Ext^1 basis (eliminated over the integers, reduced mod p by
-    _ext_classes) and the middle term of each r(c) included, comes from
-    _walk_plan, built once per side pair.
+    stands for p - 1. A class is named by its coefficients a in the Ext^1
+    basis b_1, ..., b_e, one vector a per line (_nonzero_classes), and its
+    middle term is classified from the ranks r_L(c) of its connecting
+    matrices, as mult(X + Y) - B r(c) (_connecting_patterns), without
+    gluing it. Each connecting matrix is held as its values R_L(b_t) at the
+    basis rows, and r_L(c) is the rank of sum_t a_t R_L(b_t) mod p (proof
+    in _WalkPlan.connecting). The multiplicities are checked to be
+    nonnegative and to add up to the dimension vector of X + Y, once per
+    distinct r(c). Everything that does not depend on p comes from
+    _walk_plan, built once per side pair: the Ext^1 basis (eliminated over
+    the integers, reduced mod p by _ext_classes), the connecting matrices,
+    and the middle term of each r(c) with its |Aut| shape. What depends on
+    one side alone, its raw sum, |Aut| shape and the cokernel rows and
+    kernel vectors of its path-rank blocks, comes from _side, built once
+    per side and shared by the plans that have it.
 
     The plan knows e, so the walk's size is known before any class is
     visited: above MAX_WALK_CLASSES classes it raises CeilingError instead.
@@ -829,20 +925,21 @@ def riedtmann_hall_numbers(
             f"{MAX_WALK_CLASSES}"
         )
     per_ranks: dict[tuple[int, ...], int] = {}
-    for c in _nonzero_classes(_ext_classes(plan, p), p):
-        ranks = _connecting_ranks(plan, p, c)
+    for a in _nonzero_classes(e, p):
+        ranks = _connecting_ranks(plan, p, a)
         per_ranks[ranks] = per_ranks.get(ranks, 0) + p - 1
-    sizes = {plan.split: 1}
+    # class counts per middle term, keyed by (middle term, its |Aut| shape)
+    sizes = {(plan.split, plan.split_aut): 1}
     for ranks, size in per_ranks.items():
-        m = plan.middle.get(ranks)
-        if m is None:
-            m = plan.middle[ranks] = _middle_labels(plan, ranks)
-        sizes[m] = sizes.get(m, 0) + size
-    aut_x, aut_y = plan.aut
-    denom = _aut_order(aut_x, p) * _aut_order(aut_y, p) * p**plan.hom_xy
+        middle = plan.middle.get(ranks)
+        if middle is None:
+            m = _middle_labels(plan, ranks)
+            middle = plan.middle[ranks] = (m, _aut_shape(m, n))
+        sizes[middle] = sizes.get(middle, 0) + size
+    denom = _aut_order(plan.xside.aut, p) * _aut_order(plan.yside.aut, p) * p**plan.hom_xy
     out = {}
-    for m, size in sizes.items():
-        num = size * _aut_order(_aut_shape(m, n), p)
+    for (m, shape), size in sizes.items():
+        num = size * _aut_order(shape, p)
         if num % denom:
             raise InternalInvariantError(
                 f"Riedtmann count {num}/{denom} for {multiset_to_str(m)} is not an integer"

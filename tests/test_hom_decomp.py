@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 from operator import add, mul
 
@@ -8,6 +9,7 @@ from hallq.errors import CeilingError, InternalInvariantError
 from hallq import gf
 from hallq.gf import first_primes, mat_mul, matrix_rank, null_space, reduce_vector, row_reduce
 from hallq.hall_core import enumerate_submodules, hall_number
+from hallq.lie import build_bracket_table
 from hallq.hom_decomp import (
     DecompositionMultiset,
     _c_inverse,
@@ -19,6 +21,7 @@ from hallq.hom_decomp import (
     _middle_term,
     _nonzero_classes,
     _profile_raw,
+    _side,
     _walk_plan,
     decompose,
     hom_dim,
@@ -370,10 +373,11 @@ def _side_pairs(rng, n, count):
 
 
 def test_walk_classification_matches_glued_middle_terms(rng):
-    # the walk classifies a class c by the ranks of its connecting matrices;
-    # the reference glues the middle term and decomposes it. Every class of
-    # each pair is compared; pairs with more than 60 classes are passed over
-    # to bound the run time
+    # the walk classifies the class c = sum_t a_t b_t by the ranks of its
+    # connecting matrices at the coefficients a; the reference glues the
+    # middle term of c and decomposes it. Every class of each pair is
+    # compared; pairs with more than 60 classes are passed over to bound
+    # the run time
     compared = 0
     for n in range(2, 7):
         for p in (2, 3, 5, 7):
@@ -382,10 +386,11 @@ def test_walk_classification_matches_glued_middle_terms(rng):
                 reps = _ext_classes(plan, p)
                 if (p ** len(reps) - 1) // (p - 1) > 60:
                     continue
-                for c in _nonzero_classes(reps, p):
+                for a in _nonzero_classes(len(reps), p):
+                    c = [sum(map(mul, a, col)) % p for col in zip(*reps)]
                     want = _decompose_raw(n, p, _middle_term(n, plan.x, plan.y, plan.blocks, c))
-                    got = _middle_labels(plan, _connecting_ranks(plan, p, c))
-                    assert got == want.as_labels(), (n, p, xs, ys, c)
+                    got = _middle_labels(plan, _connecting_ranks(plan, p, a))
+                    assert got == want.as_labels(), (n, p, xs, ys, a)
                     compared += 1
     assert compared >= 500
 
@@ -401,6 +406,48 @@ def test_walk_plan_is_built_once_per_side_pair():
         assert (info.misses, info.hits) == (1, 2)
     finally:
         _walk_plan.cache_clear()
+
+
+def test_walk_builds_each_side_once_per_table(monkeypatch):
+    # a table build walks 44 side pairs at n = 3, every side a single
+    # label; each label the walk meets is made into a side once and then
+    # shared by every plan that has it as X or Y
+    plans = []
+
+    def recorded(n, xs, ys):
+        plans.append((xs, ys))
+        return hom_decomp._WalkPlan(n, xs, ys)
+
+    monkeypatch.setattr(hom_decomp, "_walk_plan", lru_cache(maxsize=4)(recorded))
+    _side.cache_clear()
+    try:
+        build_bracket_table(3, (2, 3, 5, 7))
+        sides = {labels for pair in plans for labels in pair}
+        assert len(plans) == len(set(plans)) == 44
+        assert _side.cache_info().misses == len(sides) == _side.cache_info().currsize
+    finally:
+        _side.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_no_stored_pattern_is_zero_on_every_basis_vector(n):
+    # every pattern entry is an e-tuple over the rows of the Ext^1 basis;
+    # each stored pattern, and each of its rows and columns, has an entry
+    # that is nonzero at some row
+    labels = all_labels(n)
+    stored = 0
+    for x in labels:
+        for y in labels:
+            plan = _walk_plan(n, (x,), (y,))
+            if not plan.ext_basis:
+                continue
+            for pattern, _ in plan.connecting:
+                assert pattern, (x, y)
+                assert all(len(v) == len(plan.ext_basis) for row in pattern for v in row)
+                assert all(any(map(any, row)) for row in pattern), (x, y, pattern)
+                assert all(any(map(any, c)) for c in zip(*pattern)), (x, y, pattern)
+                stored += 1
+    assert stored > 0
 
 
 def test_walk_refuses_above_its_class_bound(monkeypatch):
@@ -521,7 +568,8 @@ def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
 def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
     # X = U1,1 with the first entry of its arrow, the identity, bent to 2:
     # the plan's Ext^1 basis still has unit pivots, and the connecting
-    # matrices refuse the side. hom_table is filled before raw_sum is bent
+    # matrices refuse the side, by its labels. hom_table is filled before
+    # raw_sum is bent
     n, xs, ys = 2, (IndecLabel("U", 1, 1),), (IndecLabel("W", 1, 1),)
     hom_table(n)
     real = hom_decomp.raw_sum
@@ -535,12 +583,17 @@ def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
 
     monkeypatch.setattr(hom_decomp, "raw_sum", bent)
     _walk_plan.cache_clear()
+    _side.cache_clear()
     try:
         plan = _walk_plan(n, xs, ys)
-        with pytest.raises(InternalInvariantError, match="neither 0 nor a unit vector"):
+        with pytest.raises(
+            InternalInvariantError,
+            match=r"^side U1,1: a canonical matrix column is neither 0 nor a unit vector$",
+        ):
             plan.connecting
     finally:
         _walk_plan.cache_clear()
+        _side.cache_clear()
 
 
 def test_walk_rejects_a_negative_multiplicity(monkeypatch):
