@@ -72,16 +72,6 @@ class RunConfig(Frozen):
         set_field(self, "primes", primes)
         set_field(self, "output_format", output_format)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.primes, self.output_format) == (
-                other.n, other.primes, other.output_format
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.primes, self.output_format))
-
 
 def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
     if raw is None:

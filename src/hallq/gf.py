@@ -316,15 +316,8 @@ class SubspaceBasis(Frozen):
         set_field(self, "row_basis", row_basis)
         set_field(self, "pivots", pivots)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.ambient_dim, self.row_basis) == (
-                other.p, other.ambient_dim, other.row_basis
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.ambient_dim, self.row_basis))
+    def _compared(self) -> tuple:
+        return (self.p, self.ambient_dim, self.row_basis)
 
     @classmethod
     def from_rows(cls, p: int, ambient_dim: int, rows: Sequence[Sequence[int]]) -> SubspaceBasis:

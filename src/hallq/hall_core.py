@@ -392,14 +392,6 @@ class IsoClassCombo(Frozen):
     def __init__(self, terms: tuple[tuple[DecompositionMultiset | IndecLabel, int], ...]) -> None:
         set_field(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
     @classmethod
     def from_dict(cls, d: dict) -> IsoClassCombo:
         kept = [(key, c) for key, c in d.items() if c]

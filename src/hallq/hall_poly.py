@@ -44,14 +44,6 @@ class HallPolynomial(Frozen):
             coeffs = coeffs[:-1]
         set_field(self, "coefficients", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coefficients,))
-
     @property
     def degree(self) -> int:
         # zero polynomial reports -1

@@ -225,14 +225,6 @@ class DecompositionMultiset(Frozen):
     def __init__(self, items: tuple[tuple[IndecLabel, int], ...]) -> None:
         set_field(self, "items", items)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.items == other.items
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.items,))
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[IndecLabel, int]]) -> DecompositionMultiset:
         kept = [(l, m) for l, m in pairs if m]

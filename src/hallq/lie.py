@@ -175,16 +175,6 @@ class BracketTable(Frozen):
         set_field(self, "notes", notes)
         set_field(self, "_index", {(x, y): combo for x, y, combo in entries})
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.primes, self.entries, self.mismatches, self.notes) == (
-                other.n, other.primes, other.entries, other.mismatches, other.notes
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.primes, self.entries, self.mismatches, self.notes))
-
     def get(self, x: IndecLabel, y: IndecLabel) -> IsoClassCombo:
         if x == y:
             return ZERO_COMBO

@@ -27,14 +27,6 @@ class AlgebraContext(Frozen):
         set_field(self, "n", n)
         set_field(self, "p", p)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.p == other.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p))
-
 
 _KIND_RANK = {"W": 0, "V": 1, "U": 2}
 

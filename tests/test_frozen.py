@@ -2,15 +2,19 @@
 importing the package loads."""
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hallq
 from hallq.cli import RunConfig
+from hallq.frozen import Frozen
 from hallq.gf import SubspaceBasis
 from hallq.hall_core import IsoClassCombo
 from hallq.hall_poly import HallPolynomial
@@ -93,6 +97,20 @@ def test_value_type_contract(make, fields, compared, text):
             setattr(value, f, getattr(twin, f))
     assert value == twin
     assert repr(value) == text
+
+
+def test_every_value_type_has_a_contract_case():
+    # IndecLabel keeps its own __eq__ and cached __hash__, pinned by
+    # test_label_hash_sort_key_and_fields_are_kept
+    for module in pkgutil.iter_modules(hallq.__path__, "hallq."):
+        importlib.import_module(module.name)
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("hallq."):
+                found.add(sub.__qualname__)
+            todo.append(sub)
+    assert found - {"IndecLabel"} == {case.id for case in CASES}
 
 
 def test_uncompared_fields_and_derived_state():
