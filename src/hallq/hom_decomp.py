@@ -201,22 +201,6 @@ def _path_matrices(n: int, p: int, raw: RawRep) -> list:
     return paths
 
 
-def hom_profile(rep: Representation) -> tuple[int, ...]:
-    """hom_dim(X, rep) over all indecomposable X in canonical label order."""
-    return _profile_raw(rep.ctx.n, rep.ctx.p, raw_rep(rep))
-
-
-def is_iso(m: Representation, nrep: Representation) -> bool:
-    """Isomorphism test by hom counts against every indecomposable.
-
-    For a representation-finite algebra, equal hom dimensions from all
-    indecomposables (plus equal dimension vectors) force an isomorphism.
-    """
-    if m.ctx != nrep.ctx:
-        raise ValueError("is_iso needs a common algebra context")
-    return m.dims == nrep.dims and hom_profile(m) == hom_profile(nrep)
-
-
 class DecompositionMultiset(Frozen):
     """Multiset of indecomposable summands, stored in canonical label order."""
 

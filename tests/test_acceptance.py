@@ -32,7 +32,7 @@ from hallq.hall_poly import (
     reconcile_poly_table,
     verify_product_identities,
 )
-from hallq.hom_decomp import decompose, is_iso
+from hallq.hom_decomp import decompose
 from hallq.lie import build_bracket_table, verify_lie_axioms
 from hallq.quiver_rep import (
     AlgebraContext,
@@ -83,9 +83,10 @@ def test_c1_classification_sanity():
                     problems.append(f"n={n} p={p}: relation fails for {lab}")
                 if rep.dims != label_dims(lab, n):
                     problems.append(f"n={n}: dims of {lab} are {rep.dims}")
+            decomps = [decompose(rep) for rep in reps]
             for a in range(len(reps)):
                 for b in range(a + 1, len(reps)):
-                    if is_iso(reps[a], reps[b]):
+                    if decomps[a] == decomps[b]:
                         problems.append(
                             f"n={n} p={p}: {labels[a]} and {labels[b]} are isomorphic"
                         )
