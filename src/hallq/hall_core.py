@@ -426,12 +426,13 @@ def hall_product(n1: LabelSet, n2: LabelSet, ctx: AlgebraContext) -> IsoClassCom
     """[n1] . [n2] = sum over M of F^M_{n1,n2} [M].
 
     The M with a nonzero coefficient are the middle terms of
-    Ext^1(n1, n2), and riedtmann_hall_numbers counts them all in one walk
-    over 1 + (p^e - 1)/(p - 1) classes, e = dim Ext^1(n1, n2); a walk
-    above its bound (MAX_WALK_CLASSES) raises CeilingError before it starts.
+    Ext^1(n1, n2), and riedtmann_hall_numbers, at the one prime ctx.p,
+    counts them all in one walk over 1 + (p^e - 1)/(p - 1) classes,
+    e = dim Ext^1(n1, n2); a walk above its bound (MAX_WALK_CLASSES) raises
+    CeilingError before it starts.
     """
     n = ctx.n
-    counts = riedtmann_hall_numbers(as_multiset(n1, n), as_multiset(n2, n), ctx)
+    counts = riedtmann_hall_numbers(as_multiset(n1, n), as_multiset(n2, n), n, (ctx.p,))[0]
     return IsoClassCombo.from_dict(
         {DecompositionMultiset.from_labels(m): c for m, c in counts.items()}
     )

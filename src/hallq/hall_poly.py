@@ -172,13 +172,14 @@ def product_counts(
     """The primes of fit_primes for label tuples xs and ys and, at each
     prime, every nonzero F^M_{X,Y}.
 
-    One Ext^1 walk (riedtmann_hall_numbers) per prime answers every
-    composite M of X.Y at once; an M missing from a prime's dict counts 0
-    there. A walk above its class bound raises CeilingError before it
-    starts.
+    One call of riedtmann_hall_numbers builds the side pair's walk plan
+    once and walks it at every prime; each walk answers every composite M
+    of X.Y at once, and an M missing from a prime's dict counts 0 there.
+    When the walk at some prime is above its class bound, CeilingError is
+    raised before any prime is walked.
     """
     plist = fit_primes(xs, ys, n, primes, where)
-    return plist, [riedtmann_hall_numbers(xs, ys, AlgebraContext(n, p)) for p in plist]
+    return plist, riedtmann_hall_numbers(xs, ys, n, plist)
 
 
 def interpolate_hall_poly(

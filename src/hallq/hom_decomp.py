@@ -1,19 +1,18 @@
-"""Hom-space dimensions, isomorphism testing, decomposition of modules
-into indecomposable summands via exact hom-count linear algebra, and Hall
-numbers from the middle terms of extensions."""
+"""Hom-space dimensions, decomposition of modules into indecomposable
+summands via exact hom-count linear algebra, and Hall numbers from the
+middle terms of extensions."""
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from operator import add, mul, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CeilingError, InternalInvariantError
 from .frozen import Frozen, set_field
 from .gf import mat_mul, matrix_rank, unit_pivot_rref
 from .quiver_rep import (
-    AlgebraContext,
     IndecLabel,
     RawRep,
     Representation,
@@ -342,7 +341,8 @@ def _aut_shape(labels: tuple[IndecLabel, ...], n: int) -> tuple[int, tuple[int, 
     # matrix rings M_{m_i}(F_p), and Aut M is its unit group times the
     # radical, of order p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|; the
     # exponent and the m_i are the same for every p. The walk keeps the
-    # shape of each side (_Side) and of each middle term (_WalkPlan.middle)
+    # shape of each side (_Side) and of each middle term, once per call
+    # (riedtmann_hall_numbers)
     items = DecompositionMultiset.from_labels(labels).items
     table = hom_table(n)
     end = sum(a * b * table[(k, l)] for k, a in items for l, b in items)
@@ -691,16 +691,33 @@ def _ext_basis(blocks, loop_eqs, coboundaries, b_rank: int):
 
 
 class _WalkPlan:
-    """What the Ext^1 walk of one side pair needs that no prime changes:
-    the two sides (_side, shared with every plan that has the same X or Y:
-    raw sums, |Aut| shapes and the data of the connecting matrices), the
-    cocycle layout, the Ext^1 basis over the integers (ext_basis, from
-    _ext_basis; _ext_classes reduces it mod p, and e = dim Ext^1(X, Y) is
-    its length at every p, known before any class is visited) and
-    dim Hom(X, Y).
-    The classifier (base, connecting) is built on the first nonzero class,
-    and middle keeps the middle term of each rank vector met so far, with
-    its |Aut| shape.
+    """What the Ext^1 walk of one side pair needs that no prime changes,
+    built once per riedtmann_hall_numbers call and walked at each of its
+    primes: the two sides (_side, shared with every plan that has the same
+    X or Y: raw sums, |Aut| shapes and the data of the connecting
+    matrices), the cocycle layout, the Ext^1 basis over the integers
+    (ext_basis, from _ext_basis; _ext_classes reduces it mod p, and
+    e = dim Ext^1(X, Y) is its length at every p, known before any class is
+    visited) and dim Hom(X, Y). With e > 0, where every prime meets a
+    nonzero class, it also holds their classifier (_middle_labels): base,
+    mult(X + Y) over all labels, and connecting, per distinct pattern of
+    _connecting_patterns, the sum of its labels' columns of _c_inverse, by
+    its nonzeros (label index, value): equal patterns, equal ranks. With
+    e = 0 both are ().
+
+    A pattern holds R_L(b_t) for the rows b_t of ext_basis. The walk ranks
+    R_L(c) for c = sum_t a_t b_t mod p as the rank of sum_t a_t R_L(b_t)
+    mod p (_connecting_ranks). Proof: R_L is Z-linear in c
+    (_connecting_patterns), so R_L(c) and sum_t a_t R_L(b_t) agree mod p,
+    and rank mod p reads the matrix mod p only. These c, as a runs over the
+    nonzero vectors of F_p^e with first nonzero entry 1 (_nonzero_classes),
+    are the walk's classes: the rows b_t mod p are the per-prime basis of a
+    complement of B^1 in Z^1 (_ext_classes), so c -> [c] maps the
+    combinations bijectively onto Ext^1(X, Y) over F_p, and one per line is
+    one per class up to scalars. A row or column that is zero for every t
+    is zero in every combination and leaves the rank unchanged, and a
+    pattern zero for every t has rank 0 at every class, so dropping them
+    changes no rank vector's middle term.
 
     The coboundary rank must be sum_v dim X_v dim Y_v - dim Hom(X, Y), for
     dim Hom(X, Y) summed from hom_table, since ker delta = Hom(X, Y). So
@@ -724,52 +741,21 @@ class _WalkPlan:
             ) from err
         self.split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
         self.split_aut = _aut_shape(self.split, n)
-        # (middle term, its |Aut| shape) of each rank vector r(c) met so far
-        # (_middle_labels)
-        self.middle: dict[tuple[int, ...], tuple[tuple[IndecLabel, ...], tuple]] = {}
-
-    @cached_property
-    def base(self) -> tuple[int, ...]:
-        # mult(X + Y) over all labels
-        counts = DecompositionMultiset.from_labels(self.split).multiplicities
-        return tuple(counts.get(l, 0) for l in all_labels(self.n))
-
-    @cached_property
-    def connecting(self) -> tuple[tuple[tuple, tuple[tuple[int, int], ...]], ...]:
-        """Per distinct pattern of _connecting_patterns, the sum of its
-        labels' columns of _c_inverse, by its nonzeros (label index,
-        value): equal patterns, equal ranks.
-
-        A pattern holds R_L(b_t) for the rows b_t of ext_basis. The walk
-        ranks R_L(c) for c = sum_t a_t b_t mod p as the rank of
-        sum_t a_t R_L(b_t) mod p (_connecting_ranks). Proof: R_L is
-        Z-linear in c (_connecting_patterns), so R_L(c) and
-        sum_t a_t R_L(b_t) agree mod p, and rank mod p reads the matrix mod
-        p only. These c, as a runs over the nonzero vectors of F_p^e with
-        first nonzero entry 1 (_nonzero_classes), are the walk's classes:
-        the rows b_t mod p are the per-prime basis of a complement of B^1
-        in Z^1 (_ext_classes), so c -> [c] maps the combinations
-        bijectively onto Ext^1(X, Y) over F_p, and one per line is one per
-        class up to scalars. A row or column that is zero for every t is
-        zero in every combination and leaves the rank unchanged, and a
-        pattern zero for every t has rank 0 at every class, so dropping
-        them changes no rank vector's middle term.
-        """
-        _, cols = _c_inverse(self.n)
-        live = self.xside.live
-        patterns = _connecting_patterns(self.xside, self.yside, self.blocks, self.ext_basis)
-        out: dict = {}
-        for k, pat in zip(live, patterns):
-            if pat:
-                col = out.setdefault(pat, {})
-                for i, b in cols[k]:
-                    col[i] = col.get(i, 0) + b
-        return tuple((pat, tuple((i, b) for i, b in col.items() if b)) for pat, col in out.items())
-
-
-# one plan per (n, sorted xs, sorted ys); lie.bracket walks one pair at every
-# prime of its schedule back to back, so a few entries cover it
-_walk_plan = lru_cache(maxsize=4)(_WalkPlan)
+        self.base = self.connecting = ()
+        if self.ext_basis:
+            counts = DecompositionMultiset.from_labels(self.split).multiplicities
+            self.base = tuple(counts.get(l, 0) for l in all_labels(n))
+            _, cols = _c_inverse(n)
+            patterns = _connecting_patterns(self.xside, self.yside, self.blocks, self.ext_basis)
+            out: dict = {}
+            for k, pat in zip(self.xside.live, patterns):
+                if pat:
+                    col = out.setdefault(pat, {})
+                    for i, b in cols[k]:
+                        col[i] = col.get(i, 0) + b
+            self.connecting = tuple(
+                (pat, tuple((i, b) for i, b in col.items() if b)) for pat, col in out.items()
+            )
 
 
 def _ext_classes(plan: _WalkPlan, p: int):
@@ -794,8 +780,8 @@ def _ext_classes(plan: _WalkPlan, p: int):
 
     The walk does not build these vectors: it names the class
     sum_t a_t b_t by its coefficients a (_nonzero_classes) and ranks its
-    connecting matrices from those of the rows (_WalkPlan.connecting). The
-    tests glue middle terms from them.
+    connecting matrices from those of the rows (_WalkPlan). The tests glue
+    middle terms from them.
     """
     return tuple(tuple(e % p for e in row) for row in plan.ext_basis)
 
@@ -856,9 +842,10 @@ MAX_WALK_CLASSES = 10**5
 
 
 def riedtmann_hall_numbers(
-    xs: Iterable[IndecLabel], ys: Iterable[IndecLabel], ctx: AlgebraContext
-) -> dict[tuple[IndecLabel, ...], int]:
-    """Every nonzero Hall number F^M_{X,Y}, keyed by M as a sorted label tuple.
+    xs: Iterable[IndecLabel], ys: Iterable[IndecLabel], n: int, primes: Sequence[int]
+) -> list[dict[tuple[IndecLabel, ...], int]]:
+    """Every nonzero Hall number F^M_{X,Y} at each prime of primes, keyed by
+    M as a sorted label tuple: one dict per prime, in the order given.
 
     Riedtmann's formula (C. Riedtmann, Lie algebras generated by
     indecomposables, J. Algebra 170, 1994) gives
@@ -875,50 +862,57 @@ def riedtmann_hall_numbers(
     matrices, as mult(X + Y) - B r(c) (_connecting_patterns), without
     gluing it. Each connecting matrix is held as its values R_L(b_t) at the
     basis rows, and r_L(c) is the rank of sum_t a_t R_L(b_t) mod p (proof
-    in _WalkPlan.connecting). The multiplicities are checked to be
-    nonnegative and to add up to the dimension vector of X + Y, once per
-    distinct r(c). Everything that does not depend on p comes from
-    _walk_plan, built once per side pair: the Ext^1 basis (eliminated over
+    in _WalkPlan). The multiplicities are checked to be nonnegative and to
+    add up to the dimension vector of X + Y, once per distinct r(c).
+    Everything that does not depend on p comes from one _WalkPlan, built
+    per call and walked at every prime: the Ext^1 basis (eliminated over
     the integers, reduced mod p by _ext_classes), the connecting matrices,
-    and the middle term of each r(c) with its |Aut| shape. What depends on
-    one side alone, its raw sum, |Aut| shape and the cokernel rows and
-    kernel vectors of its path-rank blocks, comes from _side, built once
-    per side and shared by the plans that have it.
+    and the middle term of each r(c) with its |Aut| shape, kept for the
+    call. What depends on one side alone, its raw sum, |Aut| shape and the
+    cokernel rows and kernel vectors of its path-rank blocks, comes from
+    _side, built once per side and shared by the plans that have it.
 
-    The plan knows e, so the walk's size is known before any class is
-    visited: above MAX_WALK_CLASSES classes it raises CeilingError instead.
+    The plan knows e, so the walk's size at every prime is known before any
+    class is visited: above MAX_WALK_CLASSES classes at some prime, it
+    raises CeilingError, naming the first such prime, before walking any.
     """
-    n, p = ctx.n, ctx.p
     xs = tuple(sorted(xs, key=IndecLabel.sort_key))
     ys = tuple(sorted(ys, key=IndecLabel.sort_key))
-    plan = _walk_plan(n, xs, ys)
+    plan = _WalkPlan(n, xs, ys)
     e = len(plan.ext_basis)
-    classes = 1 + (p**e - 1) // (p - 1)
-    if classes > MAX_WALK_CLASSES:
-        raise CeilingError(
-            f"Ext^1({multiset_to_str(xs)}, {multiset_to_str(ys)}) has dimension {e}, "
-            f"so the walk at p={p} would visit {classes} classes, above the bound "
-            f"{MAX_WALK_CLASSES}"
-        )
-    per_ranks: dict[tuple[int, ...], int] = {}
-    for a in _nonzero_classes(e, p):
-        ranks = _connecting_ranks(plan, p, a)
-        per_ranks[ranks] = per_ranks.get(ranks, 0) + p - 1
-    # class counts per middle term, keyed by (middle term, its |Aut| shape)
-    sizes = {(plan.split, plan.split_aut): 1}
-    for ranks, size in per_ranks.items():
-        middle = plan.middle.get(ranks)
-        if middle is None:
-            m = _middle_labels(plan, ranks)
-            middle = plan.middle[ranks] = (m, _aut_shape(m, n))
-        sizes[middle] = sizes.get(middle, 0) + size
-    denom = _aut_order(plan.xside.aut, p) * _aut_order(plan.yside.aut, p) * p**plan.hom_xy
-    out = {}
-    for (m, shape), size in sizes.items():
-        num = size * _aut_order(shape, p)
-        if num % denom:
-            raise InternalInvariantError(
-                f"Riedtmann count {num}/{denom} for {multiset_to_str(m)} is not an integer"
+    for p in primes:
+        classes = 1 + (p**e - 1) // (p - 1)
+        if classes > MAX_WALK_CLASSES:
+            raise CeilingError(
+                f"Ext^1({multiset_to_str(xs)}, {multiset_to_str(ys)}) has dimension {e}, "
+                f"so the walk at p={p} would visit {classes} classes, above the bound "
+                f"{MAX_WALK_CLASSES}"
             )
-        out[m] = num // denom
+    # (middle term, its |Aut| shape) of each rank vector r(c) met so far
+    # (_middle_labels), at any prime
+    middles: dict[tuple[int, ...], tuple[tuple[IndecLabel, ...], tuple]] = {}
+    out = []
+    for p in primes:
+        per_ranks: dict[tuple[int, ...], int] = {}
+        for a in _nonzero_classes(e, p):
+            ranks = _connecting_ranks(plan, p, a)
+            per_ranks[ranks] = per_ranks.get(ranks, 0) + p - 1
+        # class counts per middle term, keyed by (middle term, its |Aut| shape)
+        sizes = {(plan.split, plan.split_aut): 1}
+        for ranks, size in per_ranks.items():
+            middle = middles.get(ranks)
+            if middle is None:
+                m = _middle_labels(plan, ranks)
+                middle = middles[ranks] = (m, _aut_shape(m, n))
+            sizes[middle] = sizes.get(middle, 0) + size
+        denom = _aut_order(plan.xside.aut, p) * _aut_order(plan.yside.aut, p) * p**plan.hom_xy
+        counts = {}
+        for (m, shape), size in sizes.items():
+            num = size * _aut_order(shape, p)
+            if num % denom:
+                raise InternalInvariantError(
+                    f"Riedtmann count {num}/{denom} for {multiset_to_str(m)} is not an integer"
+                )
+            counts[m] = num // denom
+        out.append(counts)
     return out

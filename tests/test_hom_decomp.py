@@ -1,4 +1,3 @@
-from functools import lru_cache
 from itertools import product
 from operator import add, mul
 
@@ -21,8 +20,8 @@ from hallq.hom_decomp import (
     _middle_term,
     _nonzero_classes,
     _profile_raw,
+    _WalkPlan,
     _side,
-    _walk_plan,
     decompose,
     hom_dim,
     hom_dim_raw,
@@ -96,9 +95,9 @@ def test_hom_additive_in_target(rng):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3])
 def test_hom_profiles_match_linear_algebra(n, p):
-    # hom_profiles sums hom_table rows over summands; the oracle solves the
-    # Hom linear system on the direct sum itself, for every multiset of
-    # total dimension <= 5, the empty one included
+    # hom_profiles sums hom_table entries over summands; the oracle solves
+    # the Hom linear systems into and out of the direct sum itself, for
+    # every multiset of total dimension <= 5, the empty one included
     ctx = AlgebraContext(n, p)
     indecs = [make_indec(l, ctx) for l in all_labels(n)]
     for dims in product(range(6), repeat=n):
@@ -107,7 +106,7 @@ def test_hom_profiles_match_linear_algebra(n, p):
         for ms in multisets_with_dims(n, dims):
             rep = rep_of_multiset(ms, ctx)
             into, out_of = hom_profiles(n, ms)
-            assert into == _profile_raw(n, p, raw_rep(rep)), ms
+            assert into == tuple(hom_dim(x, rep) for x in indecs), ms
             assert out_of == tuple(hom_dim(rep, x) for x in indecs), ms
 
 
@@ -124,7 +123,7 @@ def _random_modules(rng, n, p, extensions, sums):
             tuple(sorted(rng.choices(labels, k=rng.randint(1, 2)), key=IndecLabel.sort_key))
             for _ in range(2)
         )
-        plan = _walk_plan(n, xs, ys)
+        plan = _WalkPlan(n, xs, ys)
         reps = _ext_classes(plan, p)
         coeffs = [rng.randrange(p) for _ in reps]
         if any(coeffs):
@@ -380,7 +379,7 @@ def test_walk_classification_matches_glued_middle_terms(rng):
     for n in range(2, 7):
         for p in (2, 3, 5, 7):
             for xs, ys in _side_pairs(rng, n, 10):
-                plan = _walk_plan(n, xs, ys)
+                plan = _WalkPlan(n, xs, ys)
                 reps = _ext_classes(plan, p)
                 if (p ** len(reps) - 1) // (p - 1) > 60:
                     continue
@@ -393,17 +392,16 @@ def test_walk_classification_matches_glued_middle_terms(rng):
     assert compared >= 500
 
 
-def test_walk_plan_is_built_once_per_side_pair():
-    # lie.bracket walks one side pair at every prime back to back
+def test_walk_plan_is_built_once_per_side_pair(monkeypatch):
+    # lie.bracket walks one side pair at every prime of its schedule, in
+    # one call on one plan
+    built = []
+    real = hom_decomp._WalkPlan
+    monkeypatch.setattr(hom_decomp, "_WalkPlan", lambda *args: built.append(args) or real(*args))
     xs, ys = (IndecLabel("W", 1, 1),), (IndecLabel("V", 2),)
-    _walk_plan.cache_clear()
-    try:
-        for p in (2, 3, 5):
-            assert len(riedtmann_hall_numbers(xs, ys, AlgebraContext(2, p))) > 1
-        info = _walk_plan.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-    finally:
-        _walk_plan.cache_clear()
+    counts = riedtmann_hall_numbers(xs, ys, 2, (2, 3, 5))
+    assert len(counts) == 3 and all(len(c) > 1 for c in counts)
+    assert built == [(2, xs, ys)]
 
 
 def test_walk_builds_each_side_once_per_table(monkeypatch):
@@ -411,12 +409,13 @@ def test_walk_builds_each_side_once_per_table(monkeypatch):
     # label; each label the walk meets is made into a side once and then
     # shared by every plan that has it as X or Y
     plans = []
+    real = hom_decomp._WalkPlan
 
     def recorded(n, xs, ys):
         plans.append((xs, ys))
-        return hom_decomp._WalkPlan(n, xs, ys)
+        return real(n, xs, ys)
 
-    monkeypatch.setattr(hom_decomp, "_walk_plan", lru_cache(maxsize=4)(recorded))
+    monkeypatch.setattr(hom_decomp, "_WalkPlan", recorded)
     _side.cache_clear()
     try:
         build_bracket_table(3, (2, 3, 5, 7))
@@ -436,7 +435,7 @@ def test_no_stored_pattern_is_zero_on_every_basis_vector(n):
     stored = 0
     for x in labels:
         for y in labels:
-            plan = _walk_plan(n, (x,), (y,))
+            plan = _WalkPlan(n, (x,), (y,))
             if not plan.ext_basis:
                 continue
             for pattern, _ in plan.connecting:
@@ -451,8 +450,8 @@ def test_no_stored_pattern_is_zero_on_every_basis_vector(n):
 def test_walk_refuses_above_its_class_bound(monkeypatch):
     # W1,1 by U2,2 at n = 2 has e = 2, so 1 + (3^2 - 1)/2 = 5 classes at
     # p = 3: the split class and 4 nonzero lines
-    xs, ys, ctx = (IndecLabel("W", 1, 1),), (IndecLabel("U", 2, 2),), AlgebraContext(2, 3)
-    assert len(_walk_plan(2, xs, ys).ext_basis) == 2
+    xs, ys = (IndecLabel("W", 1, 1),), (IndecLabel("U", 2, 2),)
+    assert len(_WalkPlan(2, xs, ys).ext_basis) == 2
     walked = []
 
     def counted(reps, p):
@@ -462,7 +461,7 @@ def test_walk_refuses_above_its_class_bound(monkeypatch):
 
     monkeypatch.setattr(hom_decomp, "_nonzero_classes", counted)
     monkeypatch.setattr(hom_decomp, "MAX_WALK_CLASSES", 5)
-    assert len(riedtmann_hall_numbers(xs, ys, ctx)) > 1
+    assert len(riedtmann_hall_numbers(xs, ys, 2, (3,))[0]) > 1
     assert len(walked) == 4
     monkeypatch.setattr(hom_decomp, "MAX_WALK_CLASSES", 4)
     monkeypatch.setattr(hom_decomp, "_nonzero_classes", lambda *a: pytest.fail("walked Ext^1"))
@@ -471,7 +470,29 @@ def test_walk_refuses_above_its_class_bound(monkeypatch):
         match=r"Ext\^1\(W1,1, U2,2\) has dimension 2, so the walk at p=3 would visit "
         r"5 classes, above the bound 4$",
     ):
-        riedtmann_hall_numbers(xs, ys, ctx)
+        riedtmann_hall_numbers(xs, ys, 2, (3,))
+
+
+def test_walk_refuses_before_it_walks_any_prime(monkeypatch):
+    # W1,1+W1,1+W1,1 by V2+U2,2+U2,2 at n = 2 has e = 15: 32,768 classes at
+    # p = 2, within the bound, and 7,174,454 at p = 3, above it. Every
+    # prime is checked before the first is walked
+    monkeypatch.setattr(hom_decomp, "_connecting_ranks", lambda *a: pytest.fail("walked Ext^1"))
+    w, v, u = IndecLabel("W", 1, 1), IndecLabel("V", 2), IndecLabel("U", 2, 2)
+    with pytest.raises(
+        CeilingError, match=r"has dimension 15, so the walk at p=3 would visit 7174454 classes"
+    ):
+        riedtmann_hall_numbers((w,) * 3, (v, u, u), 2, (2, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_walk_at_several_primes_equals_one_walk_per_prime(n):
+    # a call keeps the middle term of each rank vector for its later primes
+    primes = (2, 3, 5, 7)
+    for x in all_labels(n):
+        for y in all_labels(n):
+            want = [riedtmann_hall_numbers((x,), (y,), n, (p,))[0] for p in primes]
+            assert riedtmann_hall_numbers((x,), (y,), n, primes) == want, (x, y)
 
 
 def _per_prime_ext_classes(plan, p):
@@ -509,7 +530,7 @@ def test_ext_classes_match_the_per_prime_elimination(rng):
         )
         pairs.append((n, xs, ys))
     for n, xs, ys in pairs:
-        plan = _walk_plan(n, xs, ys)
+        plan = _WalkPlan(n, xs, ys)
         for p in first_primes(6):
             assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p), (n, xs, ys, p)
 
@@ -520,17 +541,14 @@ def test_ext_basis_is_built_once_per_plan(monkeypatch):
     real = gf.unit_pivot_rref
     monkeypatch.setattr(hom_decomp, "unit_pivot_rref", lambda rows: calls.append(1) or real(rows))
     xs, ys = (IndecLabel("W", 1, 1),), (IndecLabel("V", 2), IndecLabel("U", 2, 2))
-    _walk_plan.cache_clear()
-    try:
-        plan = _walk_plan(2, xs, ys)
-        assert len(calls) == 3
-        assert len(plan.ext_basis) == 3
-        for p in first_primes(6):
-            assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p)
-            riedtmann_hall_numbers(xs, ys, AlgebraContext(2, p))
-        assert len(calls) == 3
-    finally:
-        _walk_plan.cache_clear()
+    plan = _WalkPlan(2, xs, ys)
+    assert len(calls) == 3
+    assert len(plan.ext_basis) == 3
+    for p in first_primes(6):
+        assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p)
+    calls.clear()
+    riedtmann_hall_numbers(xs, ys, 2, first_primes(6))
+    assert len(calls) == 3
 
 
 def test_walk_plan_names_the_pair_without_a_unit_pivot(monkeypatch):
@@ -542,12 +560,8 @@ def test_walk_plan_names_the_pair_without_a_unit_pivot(monkeypatch):
         return blocks, (((0, 1), (1, 1)), ((0, 1), (1, -1))), coboundaries
 
     monkeypatch.setattr(hom_decomp, "_cocycle_system", system)
-    _walk_plan.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantError, match=r"Ext\^1\(U1,2, U2,1\): column 1 has no unit pivot"):
-            _walk_plan(2, (IndecLabel("U", 1, 2),), (IndecLabel("U", 2, 1),))
-    finally:
-        _walk_plan.cache_clear()
+    with pytest.raises(InternalInvariantError, match=r"Ext\^1\(U1,2, U2,1\): column 1 has no unit pivot"):
+        _WalkPlan(2, (IndecLabel("U", 1, 2),), (IndecLabel("U", 2, 1),))
 
 
 def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
@@ -555,20 +569,16 @@ def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
     # sum_v dim X_v dim Y_v - dim Hom(V1, V2) = 1 - 0 asks for 1
     real = _cocycle_system
     monkeypatch.setattr(hom_decomp, "_cocycle_system", lambda n, x, y: real(n, x, y)[:2] + ((),))
-    _walk_plan.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantError, match=r"V1, V2\): coboundary rank 0 disagrees"):
-            riedtmann_hall_numbers((IndecLabel("V", 1),), (IndecLabel("V", 2),), AlgebraContext(2, 3))
-    finally:
-        _walk_plan.cache_clear()
+    with pytest.raises(InternalInvariantError, match=r"V1, V2\): coboundary rank 0 disagrees"):
+        riedtmann_hall_numbers((IndecLabel("V", 1),), (IndecLabel("V", 2),), 2, (3,))
 
 
 def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
-    # X = U1,1 with the first entry of its arrow, the identity, bent to 2:
-    # the plan's Ext^1 basis still has unit pivots, and the connecting
-    # matrices refuse the side, by its labels. hom_table is filled before
-    # raw_sum is bent
-    n, xs, ys = 2, (IndecLabel("U", 1, 1),), (IndecLabel("W", 1, 1),)
+    # X = U1,1 with the first entry of its arrow, the identity, bent to -1:
+    # the plan's Ext^1 basis (e = 1 by V2) still has unit pivots, and the
+    # connecting matrices, built with the plan, refuse the side, by its
+    # labels. hom_table is filled before raw_sum is bent
+    n, xs, ys = 2, (IndecLabel("U", 1, 1),), (IndecLabel("V", 2),)
     hom_table(n)
     real = hom_decomp.raw_sum
 
@@ -576,21 +586,18 @@ def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
         dims, arrows, loop = real(labels, n)
         if tuple(labels) == xs:
             assert arrows == (((1, 0), (0, 1)),)
-            arrows = (((2, 0), (0, 1)),)
+            arrows = (((-1, 0), (0, 1)),)
         return dims, arrows, loop
 
     monkeypatch.setattr(hom_decomp, "raw_sum", bent)
-    _walk_plan.cache_clear()
     _side.cache_clear()
     try:
-        plan = _walk_plan(n, xs, ys)
         with pytest.raises(
             InternalInvariantError,
             match=r"^side U1,1: a canonical matrix column is neither 0 nor a unit vector$",
         ):
-            plan.connecting
+            _WalkPlan(n, xs, ys)
     finally:
-        _walk_plan.cache_clear()
         _side.cache_clear()
 
 
@@ -600,30 +607,24 @@ def test_walk_rejects_a_negative_multiplicity(monkeypatch):
     monkeypatch.setattr(
         hom_decomp, "_connecting_ranks", lambda plan, p, c: tuple(2 * r for r in real(plan, p, c))
     )
-    _walk_plan.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantError, match="multiplicity -1"):
-            riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), AlgebraContext(2, 3))
-    finally:
-        _walk_plan.cache_clear()
+    with pytest.raises(InternalInvariantError, match="multiplicity -1"):
+        riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), 2, (3,))
 
 
 def test_walk_rejects_a_middle_term_of_other_dims(monkeypatch):
     # a base multiplicity vector with one W1,1 more than X + Y: every
     # multiplicity stays nonnegative, the dimension vector does not match
     extra = all_labels(2).index(IndecLabel("W", 1, 1))
-    real = hom_decomp._WalkPlan.base.func
-    monkeypatch.setattr(
-        hom_decomp._WalkPlan,
-        "base",
-        property(lambda plan: tuple(m + (k == extra) for k, m in enumerate(real(plan)))),
-    )
-    _walk_plan.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantError, match="dimensions"):
-            riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), AlgebraContext(2, 3))
-    finally:
-        _walk_plan.cache_clear()
+    real = hom_decomp._WalkPlan
+
+    def bumped(n, xs, ys):
+        plan = real(n, xs, ys)
+        plan.base = tuple(m + (k == extra) for k, m in enumerate(plan.base))
+        return plan
+
+    monkeypatch.setattr(hom_decomp, "_WalkPlan", bumped)
+    with pytest.raises(InternalInvariantError, match="dimensions"):
+        riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), 2, (3,))
 
 
 def test_decompose_indecomposables():
@@ -707,7 +708,7 @@ def test_riedtmann_counts_equal_hall_number(n):
         ctx = AlgebraContext(n, p)
         for x in labels:
             for y in labels:
-                got = riedtmann_hall_numbers((x,), (y,), ctx)
+                got = riedtmann_hall_numbers((x,), (y,), n, (p,))[0]
                 composites = multisets_with_dims(n, summed_dims(x, y, n))
                 assert set(got) <= set(composites), (p, x, y)
                 assert all(got.values()), (p, x, y)
@@ -743,7 +744,7 @@ def test_riedtmann_counts_agree_with_brute_force(rng):
                 sub, quot = submodule_and_quotient(w)
                 if decompose(sub).as_labels() == ys and decompose(quot).as_labels() == xs:
                     tally[m] = tally.get(m, 0) + 1
-        assert riedtmann_hall_numbers(xs, ys, ctx) == tally, (ctx, xs, ys)
+        assert riedtmann_hall_numbers(xs, ys, n, (ctx.p,))[0] == tally, (ctx, xs, ys)
         checked += 1
 
 
