@@ -34,6 +34,7 @@ from .gf import (
 )
 from .hom_decomp import (
     DecompositionMultiset,
+    _label_positions,
     _path_matrices,
     hom_profiles,
     riedtmann_hall_numbers,
@@ -43,7 +44,6 @@ from .quiver_rep import (
     IndecLabel,
     Representation,
     SubmoduleWitness,
-    all_labels,
     check_label,
     check_relation,
     multiset_dims,
@@ -105,18 +105,6 @@ def enumerate_submodules(m: Representation) -> Iterator[SubmoduleWitness]:
 
 
 @lru_cache(maxsize=None)
-def _screen_positions(n: int):
-    # positions in all_labels(n) of W(v+1, w) for w > v, of V(v+1), and
-    # of U(i+1, j+1)
-    index = {l: i for i, l in enumerate(all_labels(n))}
-    fwd = tuple(
-        tuple(index[IndecLabel("W", v + 1, w)] for w in range(v + 1, n)) for v in range(n)
-    )
-    pair = tuple(tuple(index[IndecLabel("U", i + 1, j + 1)] for j in range(n)) for i in range(n))
-    return fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n)), pair
-
-
-@lru_cache(maxsize=None)
 def _rank_screens(n: int, ms: tuple[IndecLabel, ...]):
     # Rank screens read from Hom dimensions (vertices counted from 1 here,
     # from 0 in the code). The projective at v is P_v = U(n,v). The path
@@ -131,7 +119,7 @@ def _rank_screens(n: int, ms: tuple[IndecLabel, ...]):
     # dim M_i + dim M_j - dim Hom(U(i,j), M).
     dims = multiset_dims(ms, n)
     into = hom_profiles(n, ms)[0]
-    fwd_pos, loop_pos, pair_pos = _screen_positions(n)
+    fwd_pos, loop_pos, pair_pos = _label_positions(n)
     fwd = tuple(tuple(dims[v] - into[i] for i in row) for v, row in enumerate(fwd_pos))
     pair = tuple(
         tuple(dims[i] + dims[j] - into[k] for j, k in enumerate(row))

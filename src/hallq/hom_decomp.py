@@ -5,8 +5,8 @@ middle terms of extensions."""
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, product
-from operator import add, mul, sub
+from itertools import product
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CeilingError, InternalInvariantError
@@ -478,25 +478,22 @@ class _Side:
     and the sorted labels only, so every plan with the same X or Y shares
     it (_side).
 
-    For each label L, A_L is the matrix whose rank _profile_raw reads:
-    A_{i->j+1} (W), L A_{i->n} (V) or [A_{i->n} | L A_{j->n}] (U). roles
-    holds, per label in canonical order, the rows of the cokernel of A_L,
-    which the side gives as the Y of an extension (Q_L), and the kernel
-    vectors of A_L, which it gives as the X (K_L). live lists the labels
-    whose kernel is nonzero: dim ker A_L = dim Hom(L, X) (_profile_raw).
+    maps holds the path maps A_{s->t} and the loop tops L A_{s->n} as
+    column maps (_column_maps). Every arrow and loop matrix of a canonical
+    raw sum has at most one nonzero entry, a 1, in each column, and no two
+    of its columns hit the same row: each arrow and the loop send the basis
+    vectors of each summand to distinct basis vectors or to 0 (make_indec),
+    and a direct sum keeps the summands apart. Both are checked here: a side
+    whose _column_maps is None, or one of whose arrows or loop sends two
+    columns to one row, raises InternalInvariantError naming its labels.
+    Composites keep both properties, so every path map and loop top does.
 
-    Q_L and K_L without elimination: every arrow and loop matrix of a
-    canonical raw sum has at most one nonzero entry, a 1, in each column
-    (_profile_raw; checked here, where a side whose _column_maps is None
-    raises InternalInvariantError naming its labels), and so do their
-    products and the blocks of A_L. The column space of such a matrix is
-    spanned by the unit vectors of its nonzero rows, so Q_L keeps the zero
-    rows of A_L. Its kernel is spanned by the unit vectors of its zero
-    columns and by e_k - e_k' for each two columns k, k' that hit the same
-    row: grouped by row, the nonzero columns are equal unit vectors and
-    distinct rows give independent ones. Within one path map no two
-    columns share a row, so the differences come from the concatenated U
-    block only, pairing the columns of X_i with those of X_j.
+    As the X of an extension the side gives inverse: back[t][r], the
+    (s, col) that A_{s->t} sends to row r, for every s <= t (s = t is the
+    identity), and loop_back[r], the (j, col) that L A_{j->n} sends to row
+    r of X_n. As the Y it gives images: the rows that each A_{s->t} and
+    each L A_{s->n} hit, and for each pair (i, j) those that A_{i->n} and
+    L A_{j->n} hit together, as bit masks.
     """
 
     def __init__(self, n: int, labels: tuple[IndecLabel, ...]) -> None:
@@ -507,60 +504,75 @@ class _Side:
     @cached_property
     def maps(self) -> tuple[list, list]:
         # the path maps and the loop tops, as column maps (_column_maps)
-        maps = _column_maps(self.n, self.raw)
+        n = self.n
+        maps = _column_maps(n, self.raw)
         if maps is None:
-            raise InternalInvariantError(
-                f"side {multiset_to_str(self.labels)}: "
-                "a canonical matrix column is neither 0 nor a unit vector"
-            )
-        return maps
+            problem = "a canonical matrix column is neither 0 nor a unit vector"
+        else:
+            # the arrows, then the loop: paths[n - 1][n - 1] is the identity
+            paths, loop_top = maps
+            steps = [paths[v][v + 1] for v in range(n - 1)] + [loop_top[n - 1]]
+            hits = [[r for r in m if r >= 0] for m in steps]
+            if all(len(h) == len(set(h)) for h in hits):
+                return maps
+            problem = "two columns of a canonical matrix hit the same row"
+        raise InternalInvariantError(f"side {multiset_to_str(self.labels)}: {problem}")
 
     @cached_property
-    def roles(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-        # per label L: the cokernel rows of A_L as a bit mask, and its
-        # kernel vectors, numbered in column order and held by column (for
-        # each column of A_L, the (vector, sign) of the vectors nonzero
-        # there), or () when the kernel is 0
-        n, (paths, loop_top) = self.n, self.maps
-        cokers, kernels = [], []
-        for label in all_labels(n):
-            t, blocks = _label_blocks(n, label, paths, loop_top)
-            cols = [r for m in blocks for r in m]
-            cokers.append(sum(1 << r for r in set(range(self.raw[0][t])).difference(cols)))
-            kernel: list[list] = [[] for _ in cols]
-            first: dict[int, int] = {}
-            vectors = 0
-            for col, r in enumerate(cols):
-                if r < 0:
-                    kernel[col].append((vectors, 1))
-                elif r in first:
-                    kernel[first[r]].append((vectors, 1))
-                    kernel[col].append((vectors, -1))
-                else:
-                    first[r] = col
-                    continue
-                vectors += 1
-            kernels.append(tuple(map(tuple, kernel)) if vectors else ())
-        return tuple(cokers), tuple(kernels)
+    def inverse(self) -> tuple[list, list]:
+        # (back, loop_back) of the class docstring
+        dims, (paths, loop_top) = self.raw[0], self.maps
+        back: list[list[list]] = [[[] for _ in range(d)] for d in dims]
+        for s, row in enumerate(paths):
+            for t in range(s, self.n):
+                for col, r in enumerate(row[t]):
+                    if r >= 0:
+                        back[t][r].append((s, col))
+        loop_back: list[list] = [[] for _ in range(dims[-1])]
+        for j, m in enumerate(loop_top):
+            for col, r in enumerate(m):
+                if r >= 0:
+                    loop_back[r].append((j, col))
+        return back, loop_back
 
     @cached_property
-    def live(self) -> tuple[int, ...]:
-        # the indices of the labels L with dim Hom(L, side) > 0
-        return tuple(k for k, kernel in enumerate(self.roles[1]) if kernel)
+    def images(self) -> tuple[list, list, list]:
+        # (path, loop, pair) image masks of the class docstring
+        paths, loop_top = self.maps
+
+        def mask(m) -> int:
+            return sum(1 << r for r in m if r >= 0)
+
+        path_img = [[mask(m) for m in row] for row in paths]
+        loop_img = [mask(m) for m in loop_top]
+        pair_img = [[row[-1] | img for img in loop_img] for row in path_img]
+        return path_img, loop_img, pair_img
 
 
-# the most sides _side keeps: more than the 155 labels at n = 10, so a table
-# build up to n = 10 makes each side once
-SIDE_CACHE_SIZE = 256
+# the most sides _side keeps: more than the 392 labels at n = 16, so a table
+# build up to n = 16 makes each side once
+SIDE_CACHE_SIZE = 512
 _side = lru_cache(maxsize=SIDE_CACHE_SIZE)(_Side)
 
 
-def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> list:
-    """R_L(b) = Q_L C_L(b) K_L for each label L of x.live and each row b of
-    the Ext^1 basis (_ext_basis, e rows), as one matrix whose entries are
-    e-tuples of integers: entry (r, k) is (R_L(b_1)[r][k], ...,
-    R_L(b_e)[r][k]). Rows and columns that are zero for every b are
-    dropped, so a label whose R_L(b) is 0 for every b gets ().
+@lru_cache(maxsize=None)
+def _label_positions(n: int):
+    # positions in all_labels(n) of W(v+1, w) for w > v, of V(v+1), and
+    # of U(i+1, j+1)
+    index = {l: i for i, l in enumerate(all_labels(n))}
+    fwd = tuple(
+        tuple(index[IndecLabel("W", v + 1, w)] for w in range(v + 1, n)) for v in range(n)
+    )
+    pair = tuple(tuple(index[IndecLabel("U", i + 1, j + 1)] for j in range(n)) for i in range(n))
+    return fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n)), pair
+
+
+def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
+    """R_L(b) = Q_L C_L(b) K_L for each label L and each row b of the Ext^1
+    basis (_ext_basis, e rows), as one matrix whose entries are e-tuples of
+    integers: entry (r, k) is (R_L(b_1)[r][k], ..., R_L(b_e)[r][k]). Rows
+    and columns that are zero for every b are dropped, and so is a label
+    whose R_L(b) is 0 for every b. Keyed by label index, in label order.
 
     _profile_raw reads dim Hom(L, M) as dim M_src - rk A_L(M), where M_src
     is M_i (M_i + M_j for U). For the middle term M of an extension of X by
@@ -583,79 +595,126 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> list:
 
         dim Hom(L, M) = dim Hom(L, Y) + dim Hom(L, X) - rk R_L(c).
 
-    K_L is empty when dim Hom(L, X) = dim ker A_L(X) is 0, and then
-    rk R_L(c) = 0 for every c; that is why only x.live is read. With
-    B = _c_inverse(n), which inverts profiles, mult(M) = mult(X + Y) - B r(c)
-    for r_L(c) = rk R_L(c). Q_L is y.roles, K_L is x.roles (_Side).
+    With B = _c_inverse(n), which inverts profiles,
+    mult(M) = mult(X + Y) - B r(c) for r_L(c) = rk R_L(c).
 
-    Only the cocycle coordinates where some basis row is nonzero are
-    visited, each as the one entry of C_{s->t} or of the loop block that
-    it reaches through the column maps of both sides.
+    Q_L and K_L without elimination. Each column of A_L(Y) and A_L(X) is 0
+    or a unit vector (_Side), so the column space of A_L(Y) is spanned by
+    the unit vectors of the rows it hits, and Q_L keeps the other rows:
+    row r is in the cokernel when the images mask of A_L(Y) misses r. The
+    kernel of A_L(X) is spanned by the unit vectors of its zero columns and
+    by e_k - e_k' for each two columns k < k' that hit the same row:
+    grouped by row, the nonzero columns are equal unit vectors, and
+    distinct rows give independent ones. Within one path map or loop top
+    no two columns hit the same row (_Side), so for W(i,j) and V(i), whose
+    A_L is one map, the kernel vectors are the zero columns. For U(i,j),
+    with d = dim X_i columns of A_{i->n} before those of L A_{j->n}, a
+    column col < d that A_{i->n} sends to a row r1 pairs with the column
+    d + c2 of L A_{j->n} that also hits r1, if any (loop_back[r1]); a
+    column d + col that L A_{j->n} sends to r2 pairs with the column of
+    A_{i->n} that hits r2, if any (back[n][r2]). Each vector is named by
+    the column of its last nonzero entry: col for a zero column, d + c2 for
+    a pair, +1 on col and -1 on d + c2. No two vectors share a name, so the
+    pattern's columns, sorted by name, are the kernel vectors numbered in
+    column order at that column.
+
+    Which labels a coordinate reaches. A coordinate (k, a, b) of the
+    cocycles is entry (a, b) of block k: c_k = E_ab: X_k -> Y_{k+1} for
+    k < n - 1, or of the loop block, E_ab: X_n -> Y_n. Then
+    A^Y_{k+1->t} E_ab A^X_{s->k} = e_r row_b(A^X_{s->k}), with r the row
+    that A^Y_{k+1->t} sends a to, and row b of A^X_{s->k} has its 1s at the
+    columns col with A^X_{s->k}(col) = b, the (s, col) of back[k][b]. So
+    the coordinate adds its value, and nothing else, to entry (r, col) of
+    C_{s->t} for each such (s, col) and each t > k that the path from a
+    reaches (r >= 0), and to entry (r, col) of the loop part of source s,
+    where r is L_Y A^Y_{k+1->n}(a) for k < n - 1 and r = a for the loop
+    block, which enters L A_{s->n} only through c A^X_{s->n}. The labels
+    that read these blocks are W(s+1, t) (C_{s->t}, t counted from 0),
+    U(s+1, j) for every j (C_{s->n}, the first d columns), V(s+1) (the
+    loop part of s) and U(i, s+1) for every i (the loop part of s, after
+    the dim X_i columns of A_{i->n}). Entry (r, v) of Q_L C_L K_L is the
+    sum over columns col of C_L[r][col] K_L[col][v] for r in the cokernel,
+    so the coordinate adds value times the sign of v at col to entry
+    (r, v) of R_L for each kernel vector v nonzero at col, and nothing to
+    any other entry or label. Summing these contributions over the
+    coordinates where some basis row is nonzero gives every R_L(b) at
+    once; a label that no contribution reaches has R_L(b) = 0 for every b,
+    as has every label with dim Hom(L, X) = dim ker A_L(X) = 0.
     """
-    n, top, zero = x.n, x.n - 1, (0,) * len(basis)
-    (px, _), (py, ly_top) = x.maps, y.maps
-    # (block, row, column, its e-tuple) for each coordinate where some
-    # basis row is nonzero
+    n, top = x.n, x.n - 1
+    fwd_pos, loop_pos, pair_pos = _label_positions(n)
+    (px, lx), (py, ly) = x.maps, y.maps
+    back, loop_back = x.inverse
+    path_img, loop_img, pair_img = y.images
+    dx = x.raw[0]
     coords = tuple(zip(*basis))
-    terms = [
-        (k, a, b, coords[off + a * cols + b])
-        for k, (rows, cols, off) in enumerate(blocks)
-        for a in range(rows)
-        for b in range(cols)
-        if any(coords[off + a * cols + b])
-    ]
+    # per label index, entry (r, v) of R_L at the basis as its e-tuple: row
+    # r of the cokernel, kernel vector v by its name
+    hits: dict[int, dict] = {}
 
-    @lru_cache(maxsize=None)
-    def upper(s: int, t: int, loop: bool) -> dict:
-        # C_{s->t} (loop false), or L_Y C_{s->n} + c A^X_{s->n}, the upper
-        # right block of L A_{s->n} (loop true, t = n - 1), at the basis:
-        # entry (r, col) as its e-tuple
-        out: dict = {}
-        for k, a, b, vec in terms:
-            if k == top:
-                if not loop:
-                    continue
-                r = a
-            elif s <= k < t:
-                r = ly_top[k + 1][a] if loop else py[k + 1][t][a]
-            else:
-                continue
-            if r >= 0:
-                for col, hit in enumerate(px[s][k]):
-                    if hit == b:
-                        old = out.get((r, col))
-                        out[(r, col)] = vec if old is None else tuple(map(add, old, vec))
-        return out
-
-    labels = all_labels(n)
-    patterns = []
-    for k in x.live:
-        coker, kernel = y.roles[0][k], x.roles[1][k]
-        label = labels[k]
-        i = label.i - 1
-        if label.kind == "W":
-            c = upper(i, label.j, False).items()
-        elif label.kind == "V":
-            c = upper(i, top, True).items()
+    def put(label: int, r: int, v: int, vec: tuple) -> None:
+        entries = hits.get(label)
+        if entries is None:
+            hits[label] = {(r, v): vec}
         else:
-            # the U block: the columns of the loop part follow those of X_i
-            shift = x.raw[0][i]
-            c = chain(
-                upper(i, top, False).items(),
-                (((r, col + shift), vec) for (r, col), vec in upper(label.j - 1, top, True).items()),
-            )
-        # entry (r, j) of R_L at the basis: row r of the cokernel, kernel
-        # vector j, summed over the columns where vector j is nonzero
-        entries: dict = {}
-        for (r, col), vec in c:
-            if coker >> r & 1:
-                for j, sign in kernel[col]:
-                    old = entries.get((r, j), zero)
-                    entries[(r, j)] = tuple(map(add if sign > 0 else sub, old, vec))
-        entries = {key: vec for key, vec in entries.items() if any(vec)}
-        rows = sorted({r for r, _ in entries})
-        cols = sorted({j for _, j in entries})
-        patterns.append(tuple(tuple(entries.get((r, j), zero) for j in cols) for r in rows))
+            old = entries.get((r, v))
+            entries[(r, v)] = vec if old is None else tuple(map(add, old, vec))
+
+    for k, (rows, cols, off) in enumerate(blocks):
+        for a in range(rows):
+            # (t, the row of Y_t that a reaches) while the path from k + 1
+            # lives, the row it reaches at n (top_r) and the row of the
+            # loop part (loop_r), each -1 where there is none
+            reach, top_r, loop_r = [], -1, a
+            if k < top:
+                for t in range(k + 1, n):
+                    r = py[k + 1][t][a]
+                    if r < 0:
+                        break
+                    reach.append((t, r))
+                top_r, loop_r = py[k + 1][top][a], ly[k + 1][a]
+            for b in range(cols):
+                vec = coords[off + a * cols + b]
+                if not any(vec):
+                    continue
+                for s, col in back[k][b]:
+                    for t, r in reach:
+                        if px[s][t][col] < 0 and not path_img[s][t] >> r & 1:
+                            put(fwd_pos[s][t - s - 1], r, col, vec)
+                    if top_r >= 0:
+                        r1 = px[s][top][col]
+                        if r1 < 0:
+                            for j, img in enumerate(pair_img[s]):
+                                if not img >> top_r & 1:
+                                    put(pair_pos[s][j], top_r, col, vec)
+                        else:
+                            for j, c2 in loop_back[r1]:
+                                if not pair_img[s][j] >> top_r & 1:
+                                    put(pair_pos[s][j], top_r, dx[s] + c2, vec)
+                    if loop_r < 0:
+                        continue
+                    r2 = lx[s][col]
+                    if r2 < 0:
+                        if not loop_img[s] >> loop_r & 1:
+                            put(loop_pos[s], loop_r, col, vec)
+                        for i in range(n):
+                            if not pair_img[i][s] >> loop_r & 1:
+                                put(pair_pos[i][s], loop_r, dx[i] + col, vec)
+                    else:
+                        neg = tuple(-e for e in vec)
+                        for i, _ in back[top][r2]:
+                            if not pair_img[i][s] >> loop_r & 1:
+                                put(pair_pos[i][s], loop_r, dx[i] + col, neg)
+    zero = (0,) * len(basis)
+    patterns = {}
+    for label in sorted(hits):
+        entries = {key: vec for key, vec in hits[label].items() if any(vec)}
+        if len(entries) == 1:
+            patterns[label] = (tuple(entries.values()),)
+        elif entries:
+            rows = sorted({r for r, _ in entries})
+            cols = sorted({v for _, v in entries})
+            patterns[label] = tuple(tuple(entries.get((r, v), zero) for v in cols) for r in rows)
     return patterns
 
 
@@ -748,11 +807,10 @@ class _WalkPlan:
             _, cols = _c_inverse(n)
             patterns = _connecting_patterns(self.xside, self.yside, self.blocks, self.ext_basis)
             out: dict = {}
-            for k, pat in zip(self.xside.live, patterns):
-                if pat:
-                    col = out.setdefault(pat, {})
-                    for i, b in cols[k]:
-                        col[i] = col.get(i, 0) + b
+            for k, pat in patterns.items():
+                col = out.setdefault(pat, {})
+                for i, b in cols[k]:
+                    col[i] = col.get(i, 0) + b
             self.connecting = tuple(
                 (pat, tuple((i, b) for i, b in col.items() if b)) for pat, col in out.items()
             )
@@ -869,8 +927,9 @@ def riedtmann_hall_numbers(
     the integers, reduced mod p by _ext_classes), the connecting matrices,
     and the middle term of each r(c) with its |Aut| shape, kept for the
     call. What depends on one side alone, its raw sum, |Aut| shape and the
-    cokernel rows and kernel vectors of its path-rank blocks, comes from
-    _side, built once per side and shared by the plans that have it.
+    column maps of its path maps and loop tops with their inverses and
+    images, comes from _side, built once per side and shared by the plans
+    that have it.
 
     The plan knows e, so the walk's size at every prime is known before any
     class is visited: above MAX_WALK_CLASSES classes at some prime, it

@@ -10,6 +10,7 @@ from hallq.gf import first_primes, mat_mul, matrix_rank, null_space, reduce_vect
 from hallq.hall_core import enumerate_submodules, hall_number
 from hallq.lie import build_bracket_table
 from hallq.hom_decomp import (
+    SIDE_CACHE_SIZE,
     DecompositionMultiset,
     _c_inverse,
     _cocycle_system,
@@ -34,6 +35,7 @@ from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
     all_labels,
+    degree_table,
     direct_sum,
     label_dims,
     make_indec,
@@ -447,6 +449,143 @@ def test_no_stored_pattern_is_zero_on_every_basis_vector(n):
     assert stored > 0
 
 
+def _reference_roles(side):
+    # per label L: the cokernel rows of A_L as a bit mask, and its kernel
+    # vectors, numbered in column order and held by column (for each column
+    # of A_L, the (vector, sign) of the vectors nonzero there), or () when
+    # the kernel is 0; A_L and its blocks as _profile_raw reads them
+    n, (paths, loop_top) = side.n, side.maps
+    cokers, kernels = [], []
+    for label in all_labels(n):
+        i = label.i - 1
+        if label.kind == "W":
+            t, blocks = label.j, (paths[i][label.j],)
+        elif label.kind == "V":
+            t, blocks = n - 1, (loop_top[i],)
+        else:
+            t, blocks = n - 1, (paths[i][n - 1], loop_top[label.j - 1])
+        cols = [r for m in blocks for r in m]
+        cokers.append(sum(1 << r for r in set(range(side.raw[0][t])).difference(cols)))
+        kernel = [[] for _ in cols]
+        first = {}
+        vectors = 0
+        for col, r in enumerate(cols):
+            if r < 0:
+                kernel[col].append((vectors, 1))
+            elif r in first:
+                kernel[first[r]].append((vectors, 1))
+                kernel[col].append((vectors, -1))
+            else:
+                first[r] = col
+                continue
+            vectors += 1
+        kernels.append(tuple(map(tuple, kernel)) if vectors else ())
+    return cokers, kernels
+
+
+def _reference_connecting(plan):
+    # plan.connecting from one pattern per label with dim Hom(L, X) > 0,
+    # each built by reading the upper blocks of its A_L(M) entry by entry
+    # and projecting them (_connecting_patterns' claim), then merged: equal
+    # patterns share one entry, the sum of their labels' columns of
+    # _c_inverse, in the order the labels first give them
+    x, y, basis = plan.xside, plan.yside, plan.ext_basis
+    if not basis:
+        return ()
+    n, top, zero = plan.n, plan.n - 1, (0,) * len(basis)
+    (px, _), (py, ly_top) = x.maps, y.maps
+    cokers, kernels = _reference_roles(y)[0], _reference_roles(x)[1]
+    coords = tuple(zip(*basis))
+    terms = [
+        (k, a, b, coords[off + a * cols + b])
+        for k, (rows, cols, off) in enumerate(plan.blocks)
+        for a in range(rows)
+        for b in range(cols)
+        if any(coords[off + a * cols + b])
+    ]
+
+    def upper(s, t, loop):
+        # C_{s->t} (loop false), or L_Y C_{s->n} + c A^X_{s->n} (loop
+        # true, t = n - 1), at the basis: entry (r, col) as its e-tuple
+        out = {}
+        for k, a, b, vec in terms:
+            if k == top:
+                if not loop:
+                    continue
+                r = a
+            elif s <= k < t:
+                r = ly_top[k + 1][a] if loop else py[k + 1][t][a]
+            else:
+                continue
+            if r >= 0:
+                for col, hit in enumerate(px[s][k]):
+                    if hit == b:
+                        old = out.get((r, col), zero)
+                        out[(r, col)] = tuple(map(add, old, vec))
+        return out
+
+    _, b_cols = _c_inverse(n)
+    merged = {}
+    for k, label in enumerate(all_labels(n)):
+        if not kernels[k]:
+            continue
+        i = label.i - 1
+        if label.kind == "W":
+            c = list(upper(i, label.j, False).items())
+        elif label.kind == "V":
+            c = list(upper(i, top, True).items())
+        else:
+            shift = x.raw[0][i]
+            c = list(upper(i, top, False).items()) + [
+                ((r, col + shift), vec) for (r, col), vec in upper(label.j - 1, top, True).items()
+            ]
+        entries = {}
+        for (r, col), vec in c:
+            if cokers[k] >> r & 1:
+                for j, sign in kernels[k][col]:
+                    old = entries.get((r, j), zero)
+                    entries[(r, j)] = tuple(o + sign * v for o, v in zip(old, vec))
+        entries = {key: vec for key, vec in entries.items() if any(vec)}
+        if not entries:
+            continue
+        rows = sorted({r for r, _ in entries})
+        cols = sorted({j for _, j in entries})
+        pattern = tuple(tuple(entries.get((r, j), zero) for j in cols) for r in rows)
+        col = merged.setdefault(pattern, {})
+        for i, b in b_cols[k]:
+            col[i] = col.get(i, 0) + b
+    return tuple((pat, tuple((i, b) for i, b in col.items() if b)) for pat, col in merged.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_connecting_patterns_match_the_per_label_builder_on_walked_pairs(n):
+    # every ordered pair of distinct labels whose degree is some label's,
+    # the pairs lie.bracket walks: the same patterns, in the same order,
+    # with the same columns of _c_inverse
+    degrees = degree_table(n)
+    compared = 0
+    for x in all_labels(n):
+        for y in all_labels(n):
+            dims = tuple(map(add, degrees.by_label[x], degrees.by_label[y]))
+            if x == y or dims not in degrees.by_dims:
+                continue
+            plan = _WalkPlan(n, (x,), (y,))
+            assert plan.connecting == _reference_connecting(plan), (x, y)
+            compared += len(plan.connecting)
+    assert compared >= 2 * n * n
+
+
+def test_connecting_patterns_match_the_per_label_builder_on_sums(rng):
+    # seeded side pairs of one or two summands, repeated labels included
+    compared = 0
+    for n in (3, 4):
+        for xs, ys in _side_pairs(rng, n, 60):
+            plan = _WalkPlan(n, xs, ys)
+            assert plan.connecting == _reference_connecting(plan), (n, xs, ys)
+            compared += len(plan.connecting)
+    assert compared >= 80
+
+
 def test_walk_refuses_above_its_class_bound(monkeypatch):
     # W1,1 by U2,2 at n = 2 has e = 2, so 1 + (3^2 - 1)/2 = 5 classes at
     # p = 3: the split class and 4 nonzero lines
@@ -573,11 +712,11 @@ def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
         riedtmann_hall_numbers((IndecLabel("V", 1),), (IndecLabel("V", 2),), 2, (3,))
 
 
-def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
-    # X = U1,1 with the first entry of its arrow, the identity, bent to -1:
-    # the plan's Ext^1 basis (e = 1 by V2) still has unit pivots, and the
-    # connecting matrices, built with the plan, refuse the side, by its
-    # labels. hom_table is filled before raw_sum is bent
+def _plan_with_bent_arrow(monkeypatch, arrow, message):
+    # X = U1,1 by V2 at n = 2 (e = 1), with the arrow of X, the identity,
+    # replaced by arrow: the plan must refuse the side, by its labels, with
+    # message when it builds the connecting matrices. hom_table is filled
+    # before raw_sum is bent
     n, xs, ys = 2, (IndecLabel("U", 1, 1),), (IndecLabel("V", 2),)
     hom_table(n)
     real = hom_decomp.raw_sum
@@ -586,19 +725,37 @@ def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
         dims, arrows, loop = real(labels, n)
         if tuple(labels) == xs:
             assert arrows == (((1, 0), (0, 1)),)
-            arrows = (((-1, 0), (0, 1)),)
+            arrows = (arrow,)
         return dims, arrows, loop
 
     monkeypatch.setattr(hom_decomp, "raw_sum", bent)
     _side.cache_clear()
     try:
-        with pytest.raises(
-            InternalInvariantError,
-            match=r"^side U1,1: a canonical matrix column is neither 0 nor a unit vector$",
-        ):
+        with pytest.raises(InternalInvariantError, match=rf"^side U1,1: {message}$"):
             _WalkPlan(n, xs, ys)
     finally:
         _side.cache_clear()
+
+
+def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
+    # the first entry bent to -1: the plan's Ext^1 basis still has unit
+    # pivots
+    _plan_with_bent_arrow(
+        monkeypatch, ((-1, 0), (0, 1)), "a canonical matrix column is neither 0 nor a unit vector"
+    )
+
+
+def test_walk_rejects_two_columns_on_one_row(monkeypatch):
+    # both columns sent to row 0: each column is still a unit vector, but
+    # the kernel of a path map is no longer spanned by its zero columns
+    _plan_with_bent_arrow(
+        monkeypatch, ((1, 1), (0, 0)), "two columns of a canonical matrix hit the same row"
+    )
+
+
+def test_side_cache_keeps_every_label_up_to_n16():
+    # a table build up to n = 16 makes each single-label side once
+    assert SIDE_CACHE_SIZE >= len(all_labels(16))
 
 
 def test_walk_rejects_a_negative_multiplicity(monkeypatch):
