@@ -197,16 +197,18 @@ def cmd_verify_identities(args) -> int:
     return EXIT_MISMATCH if bad else EXIT_OK
 
 
+# the lie-table renderers by --format, in the order -h lists the choices
+TABLE_RENDERERS = {
+    "tsv": bracket_table_to_tsv,
+    "json": bracket_table_to_json,
+    "latex": bracket_table_to_latex,
+}
+
+
 def cmd_lie_table(args) -> int:
     cfg = _config(args)
     table = build_bracket_table(cfg.n, cfg.primes)
-    if cfg.output_format == "json":
-        text = bracket_table_to_json(table)
-    elif cfg.output_format == "latex":
-        text = bracket_table_to_latex(table)
-    else:
-        text = bracket_table_to_tsv(table)
-    _emit(text, args.out)
+    _emit(TABLE_RENDERERS[cfg.output_format](table), args.out)
     print(
         f"{len(table.entries)} pairs: {len(table.mismatches)} closed-form mismatches",
         file=sys.stderr,
@@ -218,26 +220,24 @@ def cmd_lie_verify(args) -> int:
     cfg = _config(args)
     table = build_bracket_table(cfg.n, cfg.primes)
     report = verify_lie_axioms(table)
-    payload = {
-        "n": report.n,
+    checks = {
         "diagonal": report.diagonal_ok,
         "antisymmetry": report.antisymmetry_ok,
         "jacobi": report.jacobi_ok,
         "grading": report.grading_ok,
-        "closed_form_mismatches": len(table.mismatches),
-        "violations": list(report.violations),
     }
     if cfg.output_format == "json":
         import json
+        payload = {
+            "n": report.n,
+            **checks,
+            "closed_form_mismatches": len(table.mismatches),
+            "violations": list(report.violations),
+        }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [
-            f"diagonal\t{'pass' if report.diagonal_ok else 'fail'}",
-            f"antisymmetry\t{'pass' if report.antisymmetry_ok else 'fail'}",
-            f"jacobi\t{'pass' if report.jacobi_ok else 'fail'}",
-            f"grading\t{'pass' if report.grading_ok else 'fail'}",
-            f"closed_form_mismatches\t{len(table.mismatches)}",
-        ]
+        lines = [f"{name}\t{'pass' if ok else 'fail'}" for name, ok in checks.items()]
+        lines.append(f"closed_form_mismatches\t{len(table.mismatches)}")
         lines.extend(f"violation\t{v}" for v in report.violations)
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
@@ -281,7 +281,7 @@ COMMANDS = (
         "lie-table",
         "bracket table on indecomposable classes",
         cmd_lie_table,
-        {"primes": True, "fmt": ("tsv", "json", "latex")},
+        {"primes": True, "fmt": tuple(TABLE_RENDERERS)},
     ),
     ("lie-verify", "check antisymmetry and Jacobi on the table", cmd_lie_verify, {"primes": True}),
     ("decompose", "split a JSON representation into indecomposables", cmd_decompose, None),

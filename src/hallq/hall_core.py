@@ -392,9 +392,6 @@ class IsoClassCombo(Frozen):
                 return c
         return 0
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -215,56 +215,48 @@ def expected_hall_poly(x: IndecLabel, y: IndecLabel, m: IndecLabel, n: int):
 
     Returns a HallPolynomial, or "unlisted" (the table asserts 0 there), or
     "ambiguous" for the index ranges where the tabulated entries contradict
-    each other or carry malformed indices; ambiguous triples are never guessed, the
-    interpolated value is reported instead.  Two known slips are corrected
-    here and verified by the reconciliation run: the tail-pair entry lists the
-    composite with its indices swapped, and one entry carries a stray third
-    index whose two plausible readings are both kept in the ambiguous zone.
+    each other or carry malformed indices; ambiguous triples are never
+    guessed, the interpolated value is reported instead. The zones, in the
+    order they are checked, the first that holds giving the answer:
+
+    1. V(a)·V(b) -> U(b,a) is 1.
+    2. W(i,j)·W(j+1,k) -> W(i,k) is 1.
+    3. W(i,j)·V(j+1) -> V(i) is 1.
+    4. W(i,j)·U(j+1,l) -> U(i,l) is 1 for l > j+1, and ambiguous otherwise.
+    5. W(i,j)·U(l,j+1) -> U(l,i) is 1 for l >= i, and ambiguous for l < i.
+    6. W(i,j)·U(j+1,l) -> U(l,i) is ambiguous.
+    7. Anything else is unlisted.
+
+    Two known slips are corrected here and verified by the reconciliation
+    run: the tail-pair entry (zone 1) lists the composite with its indices
+    swapped, and one entry carries a stray third index whose two plausible
+    readings (zones 5 and 6) are both kept in the ambiguous zone.
     """
     for lab in (x, y, m):
         if not isinstance(lab, IndecLabel):
             raise LabelError("the closed-form table covers indecomposable triples only")
         check_label(lab, n)
-    matches: list[HallPolynomial] = []
-    literal_nine = False
-    t_range = False
-    malformed_zone = False
-    if x.kind == "W":
-        i, j = x.i, x.j
-        if y.kind == "W" and y.i == j + 1 and m == IndecLabel("W", i, y.j):
-            matches.append(ONE_POLY)
-        if y.kind == "V" and y.i == j + 1 and m == IndecLabel("V", i):
-            matches.append(ONE_POLY)
-        if y.kind == "U" and y.i == j + 1:
-            l = y.j
-            if m == IndecLabel("U", i, l):
-                # one listed entry gives T on i <= l <= j, another gives 1
-                # with no constraint on l at all; the overlap is ambiguous
-                literal_nine = True
-                if i <= l <= j:
-                    t_range = True
-                elif l > j + 1:
-                    matches.append(ONE_POLY)
-            if m == IndecLabel("U", l, i):
-                malformed_zone = True
-        if y.kind == "U" and y.j == j + 1:
-            l = y.i
-            if m == IndecLabel("U", l, i):
-                if l >= j + 1 or i < l <= j or l == i:
-                    matches.append(ONE_POLY)
-                elif l < i:
-                    malformed_zone = True
-    elif x.kind == "V" and y.kind == "V":
-        # printed with the composite's indices transposed; the count of
-        # loop-stable lines forces this orientation
-        if m == IndecLabel("U", y.i, x.i):
-            matches.append(ONE_POLY)
-    if literal_nine and t_range:
-        return "ambiguous"
-    if matches:
-        return matches[0]
-    if literal_nine or malformed_zone:
-        return "ambiguous"
+    i, j = x.i, x.j
+    if x.kind == "V" and y.kind == "V" and m == IndecLabel("U", y.i, i):
+        # zone 1, printed with the composite's indices transposed; the count
+        # of loop-stable lines forces this orientation
+        return ONE_POLY
+    if x.kind == "W" and y.kind == "W" and y.i == j + 1 and m == IndecLabel("W", i, y.j):
+        return ONE_POLY
+    if x.kind == "W" and y.kind == "V" and y.i == j + 1 and m == IndecLabel("V", i):
+        return ONE_POLY
+    if x.kind == "W" and y.kind == "U":
+        if y.i == j + 1 and m == IndecLabel("U", i, y.j):
+            # zone 4, l = y.j: one listed entry gives T on i <= l <= j, another
+            # gives 1 with no constraint on l at all; the 1 is kept for l > j+1 only
+            return ONE_POLY if y.j > j + 1 else "ambiguous"
+        if y.j == j + 1 and m == IndecLabel("U", y.i, i):
+            # zone 5, l = y.i: for l < i, the malformed entry read by the
+            # first two of its three indices
+            return ONE_POLY if y.i >= i else "ambiguous"
+        if y.i == j + 1 and m == IndecLabel("U", y.j, i):
+            # zone 6: the malformed entry read by the last two of its three indices
+            return "ambiguous"
     return "unlisted"
 
 
@@ -286,10 +278,8 @@ def _verdict(expected, interpolated: HallPolynomial) -> str:
     if expected == "ambiguous":
         return "ambiguous"
     if expected == "unlisted":
-        return "match" if interpolated.coefficients == () else "mismatch"
-    if expected.coefficients == interpolated.coefficients:
-        return "match"
-    return "mismatch"
+        expected = ZERO_POLY
+    return "match" if expected == interpolated else "mismatch"
 
 
 def reconcile_poly_table(

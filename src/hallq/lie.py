@@ -105,34 +105,36 @@ def _walked_bracket(
 
 
 def _expected_direct(x: IndecLabel, y: IndecLabel) -> IsoClassCombo | None:
+    # no two terms of one family share a label, so each is assigned, not
+    # summed: both W terms would need l = j+1 and i = m+1 > m >= l > j >= i;
+    # both U terms need y = U(j+1,j+1), and U(j+1,i) = U(i,j+1) would need
+    # i = j+1 > j >= i
     if x.kind == "W":
         i, j = x.i, x.j
         out: dict[IndecLabel, int] = {}
         if y.kind == "W":
             l, m = y.i, y.j
             if j + 1 == l:
-                out[IndecLabel("W", i, m)] = out.get(IndecLabel("W", i, m), 0) + 1
+                out[IndecLabel("W", i, m)] = 1
             if m + 1 == i:
-                out[IndecLabel("W", l, j)] = out.get(IndecLabel("W", l, j), 0) - 1
-            return IsoClassCombo.from_dict(out)
-        if y.kind == "V":
+                out[IndecLabel("W", l, j)] = -1
+        elif y.kind == "V":
             if y.i == j + 1:
                 out[IndecLabel("V", i)] = 1
-            return IsoClassCombo.from_dict(out)
-        if y.kind == "U":
+        else:
             l, m = y.i, y.j
             if j + 1 == m:
-                out[IndecLabel("U", l, i)] = out.get(IndecLabel("U", l, i), 0) + 1
+                out[IndecLabel("U", l, i)] = 1
             if j + 1 == l:
-                out[IndecLabel("U", i, m)] = out.get(IndecLabel("U", i, m), 0) + 1
-            return IsoClassCombo.from_dict(out)
-    if x.kind == "V" and y.kind == "V":
-        out = {}
-        key = IndecLabel("U", y.i, x.i)
-        out[key] = out.get(key, 0) + 1
-        key = IndecLabel("U", x.i, y.i)
-        out[key] = out.get(key, 0) - 1
+                out[IndecLabel("U", i, m)] = 1
         return IsoClassCombo.from_dict(out)
+    if x.kind == "V" and y.kind == "V":
+        # on the diagonal the two terms are one label, and cancel
+        if x == y:
+            return ZERO_COMBO
+        return IsoClassCombo.from_dict(
+            {IndecLabel("U", y.i, x.i): 1, IndecLabel("U", x.i, y.i): -1}
+        )
     return None
 
 
@@ -237,12 +239,6 @@ class LieAxiomReport(NamedTuple):
         )
 
 
-def _bracket_into(table: BracketTable, x: IndecLabel, combo: dict[IndecLabel, int], acc: dict[IndecLabel, int], sign: int) -> None:
-    for lab, c in combo.items():
-        for lab2, c2 in table.get(x, lab).terms:
-            acc[lab2] = acc.get(lab2, 0) + sign * c * c2
-
-
 def verify_lie_axioms(table: BracketTable) -> LieAxiomReport:
     """Antisymmetry, Jacobi, zero diagonal, and grading, all over the table.
 
@@ -321,9 +317,10 @@ def verify_lie_axioms(table: BracketTable) -> LieAxiomReport:
     for ix, iy, iz in sorted(triples):
         x, y, z = labels[ix], labels[iy], labels[iz]
         acc: dict[IndecLabel, int] = {}
-        _bracket_into(table, x, table.get(y, z).as_dict(), acc, 1)
-        _bracket_into(table, y, table.get(z, x).as_dict(), acc, 1)
-        _bracket_into(table, z, table.get(x, y).as_dict(), acc, 1)
+        for a, inner in ((x, table.get(y, z)), (y, table.get(z, x)), (z, table.get(x, y))):
+            for lab, c in inner.terms:
+                for lab2, c2 in table.get(a, lab).terms:
+                    acc[lab2] = acc.get(lab2, 0) + c * c2
         if any(c != 0 for c in acc.values()):
             jacobi_ok = False
             violations.append(f"Jacobi fails on ({x}, {y}, {z})")

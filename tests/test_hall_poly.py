@@ -191,6 +191,8 @@ def test_expected_ambiguous_zones():
     assert expected_hall_poly(W(1, 1), U(2, 1), U(1, 1), 2) == "ambiguous"
     # the same unconstrained row reaches beyond every other listed range
     assert expected_hall_poly(W(1, 1), U(2, 2), U(1, 2), 2) == "ambiguous"
+    # ... and below the T rows' range, l < i
+    assert expected_hall_poly(W(2, 2), U(3, 1), U(2, 1), 3) == "ambiguous"
     # malformed entry, reading the first two of its three indices
     assert expected_hall_poly(W(2, 2), U(1, 3), U(1, 2), 3) == "ambiguous"
     # malformed entry, reading the last two of its three indices

@@ -4,6 +4,7 @@ import pytest
 
 from hallq.errors import LabelError
 from hallq.hall_core import IsoClassCombo
+from hallq.hall_poly import expected_hall_poly
 import hallq.lie
 from hallq.lie import (
     RANGE_NOTE,
@@ -99,6 +100,31 @@ def test_expected_bracket_zero_pairs():
 def test_expected_bracket_swap_convention():
     for x, y in [(V(2), W(1, 1)), (U(2, 2), W(1, 1)), (W(2, 2), W(1, 1))]:
         assert expected_bracket(x, y, 3) == -expected_bracket(y, x, 3)
+
+
+def test_expected_bracket_is_the_hall_table_at_one():
+    # the two stated tables, compared with each other and no count: off the
+    # ambiguous zones, E^m_{x,y}(1) - E^m_{y,x}(1) is the coefficient of m in
+    # [x, y], an "unlisted" entry reading 0, and every term of [x, y] lies
+    # in the degree dim x + dim y
+    compared = 0
+    for n in range(2, 7):
+        labels = all_labels(n)
+        degrees = degree_table(n)
+        for idx, x in enumerate(labels):
+            for y in labels[idx + 1 :]:
+                want = tuple(a + b for a, b in zip(degrees.by_label[x], degrees.by_label[y]))
+                got = expected_bracket(x, y, n)
+                assert all(degrees.by_label[lab] == want for lab, _ in got.terms), (x, y)
+                for m in degrees.by_dims.get(want, ()):
+                    ends = [expected_hall_poly(x, y, m, n), expected_hall_poly(y, x, m, n)]
+                    if "ambiguous" in ends:
+                        continue
+                    at_one = [0 if e == "unlisted" else e.evaluate(1) for e in ends]
+                    assert at_one[0] - at_one[1] == got.coefficient(m), (x, y, m)
+                    compared += 1
+    # every indecomposable composite off the ambiguous zones at n = 2..6
+    assert compared == 420
 
 
 def test_table_n2_matches_closed_forms(table2):
