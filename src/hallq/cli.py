@@ -18,8 +18,6 @@ from .errors import (
     RelationError,
     WitnessError,
 )
-from .frozen import Frozen, set_field
-from .gf import is_supported_prime
 from .hall_core import as_multiset, hall_number
 from .hall_poly import (
     identity_rows,
@@ -49,45 +47,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-class RunConfig(Frozen):
-    """Validated per-invocation settings; primes=None means the default
-    per-triple prime schedule."""
-
-    __slots__ = _fields = ("n", "primes", "output_format")
-
-    def __init__(self, n: int, primes: tuple[int, ...] | None, output_format: str) -> None:
-        if n < 2:
-            raise ValueError("need n >= 2")
-        if primes is not None:
-            if len(set(primes)) != len(primes):
-                raise ValueError("primes must be distinct")
-            for p in primes:
-                if not is_supported_prime(p):
-                    raise ValueError(f"unsupported prime {p}")
-        if output_format not in ("tsv", "json", "latex"):
-            raise ValueError(f"unknown output format {output_format!r}")
-        set_field(self, "n", n)
-        set_field(self, "primes", primes)
-        set_field(self, "output_format", output_format)
-
-
-def _parse_primes(raw: str | None) -> tuple[int, ...] | None:
-    if raw is None:
-        return None
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"could not parse prime list {raw!r}")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        primes=_parse_primes(getattr(args, "primes", None)),
-        output_format=getattr(args, "format", "tsv"),
-    )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,12 +79,11 @@ def _rows_text(rows: list[dict], fmt: str) -> str:
 
 
 def cmd_indec_list(args) -> int:
-    cfg = _config(args)
     rows = [
-        {"label": str(label), "dims": list(label_dims(label, cfg.n))}
-        for label in all_labels(cfg.n)
+        {"label": str(label), "dims": list(label_dims(label, args.n))}
+        for label in all_labels(args.n)
     ]
-    _emit(_rows_text(rows, cfg.output_format), args.out)
+    _emit(_rows_text(rows, args.format), args.out)
     return EXIT_OK
 
 
@@ -151,31 +109,27 @@ def _load_m(args, n: int, p: int | None = None):
 
 
 def cmd_hall_number(args) -> int:
-    cfg = _config(args)
-    if not is_supported_prime(args.p):
-        raise ValueError(f"unsupported prime {args.p}")
-    x = as_multiset(parse_multiset(args.x), cfg.n)
-    y = as_multiset(parse_multiset(args.y), cfg.n)
-    m = _load_m(args, cfg.n, args.p)
-    value = hall_number(x, y, m, AlgebraContext(cfg.n, args.p))
+    ctx = AlgebraContext(args.n, args.p)
+    x = as_multiset(parse_multiset(args.x), ctx.n)
+    y = as_multiset(parse_multiset(args.y), ctx.n)
+    m = _load_m(args, ctx.n, ctx.p)
+    value = hall_number(x, y, m, ctx)
     _emit(f"{value}\n", args.out)
     return EXIT_OK
 
 
 def cmd_hall_poly(args) -> int:
-    cfg = _config(args)
-    x = as_multiset(parse_multiset(args.x), cfg.n)
-    y = as_multiset(parse_multiset(args.y), cfg.n)
-    m = _load_m(args, cfg.n)
-    poly = interpolate_hall_poly(x, y, m, cfg.n, cfg.primes)
+    x = as_multiset(parse_multiset(args.x), args.n)
+    y = as_multiset(parse_multiset(args.y), args.n)
+    m = _load_m(args, args.n)
+    poly = interpolate_hall_poly(x, y, m, args.n, args.primes)
     _emit(f"{poly}\n", args.out)
     return EXIT_OK
 
 
 def cmd_verify_prop(args) -> int:
-    cfg = _config(args)
-    reports = reconcile_poly_table(cfg.n, cfg.primes)
-    _emit(_rows_text(reconciliation_rows(reports), cfg.output_format), args.out)
+    reports = reconcile_poly_table(args.n, args.primes)
+    _emit(_rows_text(reconciliation_rows(reports), args.format), args.out)
     mismatches = [r for r in reports if r.verdict == "mismatch"]
     ambiguous = sum(1 for r in reports if r.verdict == "ambiguous")
     print(
@@ -187,11 +141,8 @@ def cmd_verify_prop(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    cfg = _config(args)
-    if not is_supported_prime(args.p):
-        raise ValueError(f"unsupported prime {args.p}")
-    checks = verify_product_identities(cfg.n, args.p)
-    _emit(_rows_text(identity_rows(checks), cfg.output_format), args.out)
+    checks = verify_product_identities(args.n, args.p)
+    _emit(_rows_text(identity_rows(checks), args.format), args.out)
     bad = [c for c in checks if not c.ok]
     print(f"{len(checks)} expansions: {len(bad)} fail", file=sys.stderr)
     return EXIT_MISMATCH if bad else EXIT_OK
@@ -206,9 +157,8 @@ TABLE_RENDERERS = {
 
 
 def cmd_lie_table(args) -> int:
-    cfg = _config(args)
-    table = build_bracket_table(cfg.n, cfg.primes)
-    _emit(TABLE_RENDERERS[cfg.output_format](table), args.out)
+    table = build_bracket_table(args.n, args.primes)
+    _emit(TABLE_RENDERERS[args.format](table), args.out)
     print(
         f"{len(table.entries)} pairs: {len(table.mismatches)} closed-form mismatches",
         file=sys.stderr,
@@ -217,8 +167,7 @@ def cmd_lie_table(args) -> int:
 
 
 def cmd_lie_verify(args) -> int:
-    cfg = _config(args)
-    table = build_bracket_table(cfg.n, cfg.primes)
+    table = build_bracket_table(args.n, args.primes)
     report = verify_lie_axioms(table)
     checks = {
         "diagonal": report.diagonal_ok,
@@ -226,7 +175,7 @@ def cmd_lie_verify(args) -> int:
         "jacobi": report.jacobi_ok,
         "grading": report.grading_ok,
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         import json
         payload = {
             "n": report.n,
@@ -298,12 +247,21 @@ TRIPLE_HELP = {
 }
 
 
+def _prime_list(raw: str) -> tuple[int, ...]:
+    # the --primes type: the integers alone; fit_primes judges the list
+    try:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse prime list {raw!r}") from None
+
+
 def _add_common(sp, *, primes=False, prime=False, fmt=("tsv", "json")) -> None:
     # fmt: the choices of --format, or False for a command without it
     sp.add_argument("--n", type=int, required=True, help="number of vertices")
     if primes:
         sp.add_argument(
             "--primes",
+            type=_prime_list,
             help="comma-separated evaluation primes; the last certifies the fit "
             "(default: per triple, the first dim Hom(Y,X)+2 primes)",
         )

@@ -119,7 +119,7 @@ def _rank_screens(n: int, ms: tuple[IndecLabel, ...]):
     # dim M_i + dim M_j - dim Hom(U(i,j), M).
     dims = multiset_dims(ms, n)
     into = hom_profiles(n, ms)[0]
-    fwd_pos, loop_pos, pair_pos = _label_positions(n)
+    _, fwd_pos, loop_pos, pair_pos = _label_positions(n)
     fwd = tuple(tuple(dims[v] - into[i] for i in row) for v, row in enumerate(fwd_pos))
     pair = tuple(
         tuple(dims[i] + dims[j] - into[k] for j, k in enumerate(row))
@@ -164,7 +164,6 @@ def _module_data(n: int, p: int, ms: tuple[IndecLabel, ...]) -> _ModuleData:
 
 
 class _SideSpec(NamedTuple):
-    ms: tuple[IndecLabel, ...]
     dims: tuple[int, ...]
     fwd: tuple
     loopfwd: tuple
@@ -184,7 +183,7 @@ def _side_spec(n: int, ms: tuple[IndecLabel, ...]) -> _SideSpec:
             for j in range(n):
                 if loopfwd[j]:
                     pairs[max(i, j)].append((i, j, pair[i][j]))
-    return _SideSpec(ms, dims, fwd, loopfwd, tuple(map(tuple, pairs)))
+    return _SideSpec(dims, fwd, loopfwd, tuple(map(tuple, pairs)))
 
 
 # --- the counting engine ----------------------------------------------------

@@ -295,8 +295,6 @@ def reconcile_poly_table(
     the first such m that fails. primes=None fits each triple on the
     schedule of fit_primes.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     labels = all_labels(n)
     degrees = degree_table(n)
     reports: list[ReconciliationReport] = []

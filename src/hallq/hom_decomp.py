@@ -557,14 +557,14 @@ _side = lru_cache(maxsize=SIDE_CACHE_SIZE)(_Side)
 
 @lru_cache(maxsize=None)
 def _label_positions(n: int):
-    # positions in all_labels(n) of W(v+1, w) for w > v, of V(v+1), and
-    # of U(i+1, j+1)
+    # {label: position in all_labels(n)}, and the positions of W(v+1, w)
+    # for w > v, of V(v+1), and of U(i+1, j+1)
     index = {l: i for i, l in enumerate(all_labels(n))}
     fwd = tuple(
         tuple(index[IndecLabel("W", v + 1, w)] for w in range(v + 1, n)) for v in range(n)
     )
     pair = tuple(tuple(index[IndecLabel("U", i + 1, j + 1)] for j in range(n)) for i in range(n))
-    return fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n)), pair
+    return index, fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n)), pair
 
 
 def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
@@ -642,7 +642,7 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
     as has every label with dim Hom(L, X) = dim ker A_L(X) = 0.
     """
     n, top = x.n, x.n - 1
-    fwd_pos, loop_pos, pair_pos = _label_positions(n)
+    _, fwd_pos, loop_pos, pair_pos = _label_positions(n)
     (px, lx), (py, ly) = x.maps, y.maps
     back, loop_back = x.inverse
     path_img, loop_img, pair_img = y.images
@@ -802,8 +802,11 @@ class _WalkPlan:
         self.split_aut = _aut_shape(self.split, n)
         self.base = self.connecting = ()
         if self.ext_basis:
-            counts = DecompositionMultiset.from_labels(self.split).multiplicities
-            self.base = tuple(counts.get(l, 0) for l in all_labels(n))
+            index = _label_positions(n)[0]
+            base = [0] * len(index)
+            for label in self.split:
+                base[index[label]] += 1
+            self.base = tuple(base)
             _, cols = _c_inverse(n)
             patterns = _connecting_patterns(self.xside, self.yside, self.blocks, self.ext_basis)
             out: dict = {}

@@ -196,8 +196,6 @@ def build_bracket_table(n: int, primes: Sequence[int] | None = None) -> BracketT
     widest per-triple schedule over every pair, skipped ones included, which
     contain all the primes any fit evaluated, and says so in a note.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     labels = all_labels(n)
     notes: tuple[str, ...] = (RANGE_NOTE,)
     if primes is None:

@@ -136,7 +136,11 @@ def label_dims(label: IndecLabel, n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_labels(n: int) -> tuple[IndecLabel, ...]:
-    """Every isoclass label at n vertices, in canonical order."""
+    """Every isoclass label at n vertices, in canonical order. Every table
+    and report over the labels starts here, so this is where n >= 2 is
+    checked (ValueError)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     out = [IndecLabel("W", i, j) for i in range(1, n) for j in range(i, n)]
     out += [IndecLabel("V", i) for i in range(1, n + 1)]
     out += [IndecLabel("U", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -448,7 +452,7 @@ def rep_from_json(obj: object) -> Representation:
     )
     loop = build(obj["loop"], dims[n - 1], dims[n - 1], "loop")
     rep = Representation(ctx, tuple(dims), arrows, loop)
-    sq = loop @ loop
-    if any(x for row in sq.entries for x in row):
+    # the shapes are checked above, so check_relation fails on the loop alone
+    if not check_relation(rep):
         raise RelationError("loop matrix does not square to zero")
     return rep

@@ -309,12 +309,8 @@ def test_rep_file_non_integers_exit_2(capsys, tmp_path):
 
 
 def test_usage_errors(capsys):
-    assert run(capsys, "hall-number", "--n", "2", "--p", "4", "V1", "V2", "U2,1")[0] == 2
     assert run(capsys, "hall-number", "--n", "2", "--p", "3", "Q1", "V2", "U2,1")[0] == 2
-    assert run(capsys, "hall-number", "--n", "1", "--p", "3", "V1", "V1", "V1")[0] == 2
     assert run(capsys, "hall-number", "--n", "2", "--p", "3", "V1", "V2")[0] == 2
-    assert run(capsys, "verify-prop", "--n", "2", "--primes", "2,2,3")[0] == 2
-    assert run(capsys, "verify-prop", "--n", "2", "--primes", "2,x")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     # --parallelism was a no-op and is gone; argparse now rejects it
     assert run(capsys, "lie-verify", "--n", "2", "--parallelism", "0")[0] == 2
@@ -334,6 +330,61 @@ def test_usage_errors(capsys):
     )[0] == 2
 
 
+# each invalid input with the text of its rule, read from its one owner:
+# fit_primes (an explicit prime list), the --primes type (its integers),
+# all_labels (n >= 2, for every command that builds no context) and
+# AlgebraContext (a single prime, and n for the commands that build one)
+PRIME_LIST_RULES = [
+    ("3", "need at least two evaluation primes"),
+    ("2,2,3", "evaluation primes must be distinct"),
+    ("2,3,4", "unsupported evaluation prime 4"),
+    ("2,x", "could not parse prime list '2,x'"),
+]
+INVALID_INPUTS = [
+    pytest.param([command, "--n", "2", "--primes", primes, *triple], rule, id=f"{command}-{primes}")
+    for command, triple in (
+        ("hall-poly", ("V1", "V2", "U2,1")),
+        ("verify-prop", ()),
+        ("lie-table", ()),
+        ("lie-verify", ()),
+    )
+    for primes, rule in PRIME_LIST_RULES
+] + [
+    pytest.param(["indec-list", "--n", "1"], "need n >= 2", id="indec-list-n1"),
+    pytest.param(
+        ["hall-number", "--n", "1", "--p", "3", "V1", "V1", "U1,1"],
+        "need at least 2 vertices, got n=1",
+        id="hall-number-n1",
+    ),
+    pytest.param(["hall-poly", "--n", "1", "V1", "V1", "U1,1"], "need n >= 2", id="hall-poly-n1"),
+    pytest.param(["verify-prop", "--n", "1"], "need n >= 2", id="verify-prop-n1"),
+    pytest.param(
+        ["verify-identities", "--n", "1", "--p", "3"],
+        "need at least 2 vertices, got n=1",
+        id="verify-identities-n1",
+    ),
+    pytest.param(["lie-table", "--n", "1"], "need n >= 2", id="lie-table-n1"),
+    pytest.param(["lie-verify", "--n", "1"], "need n >= 2", id="lie-verify-n1"),
+    pytest.param(
+        ["hall-number", "--n", "2", "--p", "4", "V1", "V2", "U2,1"],
+        "unsupported field order 4; need a prime in [2, 97]",
+        id="hall-number-p4",
+    ),
+    pytest.param(
+        ["verify-identities", "--n", "2", "--p", "4"],
+        "unsupported field order 4; need a prime in [2, 97]",
+        id="verify-identities-p4",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, rule", INVALID_INPUTS)
+def test_invalid_input_exits_2_naming_its_rule(capsys, argv, rule):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert rule in err
+
+
 def test_one_subcommand_parser_prints_the_full_parsers_texts(capsys):
     # main builds only the parser of the subcommand argv[0] names; the full
     # parser is the reference for every help, usage and error text
@@ -343,6 +394,7 @@ def test_one_subcommand_parser_prints_the_full_parsers_texts(capsys):
         ["lie-verify", "--n", "2", "--parallelism", "0"],
         ["hall-number", "--n", "2", "--p", "3", "V1"],
         ["indec-list", "--n", "x"],
+        ["verify-prop", "--n", "2", "--primes", "2,x"],
         ["decompose"],
     ]
     for argv in cases:

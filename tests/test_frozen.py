@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import hallq
-from hallq.cli import RunConfig
 from hallq.frozen import Frozen
 from hallq.gf import SubspaceBasis
 from hallq.hall_core import IsoClassCombo
@@ -71,13 +70,6 @@ CASES = [
         "i=1, j=1), -1), (IndecLabel(kind='V', i=1, j=0), 2)))),), mismatches=(), "
         "notes=('a note',))",
         id="BracketTable",
-    ),
-    pytest.param(
-        lambda: RunConfig(n=3, primes=(2, 3), output_format="json"),
-        ("n", "primes", "output_format"),
-        ("n", "primes", "output_format"),
-        "RunConfig(n=3, primes=(2, 3), output_format='json')",
-        id="RunConfig",
     ),
 ]
 

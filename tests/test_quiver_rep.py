@@ -6,7 +6,9 @@ import pytest
 
 from hallq.errors import LabelError, RelationError, WitnessError
 from hallq.gf import PrimeFieldMatrix, SubspaceBasis
+from hallq.hall_poly import reconcile_poly_table
 from hallq.hom_decomp import raw_rep
+from hallq.lie import build_bracket_table
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -112,6 +114,13 @@ def test_label_census():
     assert len(all_labels(3)) == 15
     assert len(all_labels(4)) == 26
     assert len(all_labels(5)) == 40
+
+
+@pytest.mark.parametrize("build", [all_labels, reconcile_poly_table, build_bracket_table])
+def test_fewer_than_two_vertices_is_refused_by_all_labels(build):
+    # all_labels is where n >= 2 is checked; the table builds reach it
+    with pytest.raises(ValueError, match="need n >= 2"):
+        build(1)
 
 
 def test_indec_dim_vectors():
