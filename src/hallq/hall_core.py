@@ -119,13 +119,13 @@ def _rank_screens(n: int, ms: tuple[IndecLabel, ...]):
     # dim M_i + dim M_j - dim Hom(U(i,j), M).
     dims = multiset_dims(ms, n)
     into = hom_profiles(n, ms)[0]
-    _, fwd_pos, loop_pos, pair_pos = _label_positions(n)
-    fwd = tuple(tuple(dims[v] - into[i] for i in row) for v, row in enumerate(fwd_pos))
+    pos = _label_positions(n)
+    fwd = tuple(tuple(dims[v] - into[i] for i in row) for v, row in enumerate(pos.fwd))
     pair = tuple(
         tuple(dims[i] + dims[j] - into[k] for j, k in enumerate(row))
-        for i, row in enumerate(pair_pos)
+        for i, row in enumerate(pos.pair)
     )
-    return dims, fwd, tuple(dims[v] - into[i] for v, i in enumerate(loop_pos)), pair
+    return dims, fwd, tuple(dims[v] - into[i] for v, i in enumerate(pos.loop)), pair
 
 
 def _colspace(mat, nrows: int, ncols: int, p: int):

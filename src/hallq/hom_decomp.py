@@ -17,7 +17,6 @@ from .quiver_rep import (
     RawRep,
     Representation,
     all_labels,
-    multiset_dims,
     multiset_to_str,
     raw_sum,
 )
@@ -63,22 +62,56 @@ def hom_dim(x: Representation, m: Representation) -> int:
 
 @lru_cache(maxsize=None)
 def hom_table(n: int, p: int | None = None) -> dict[tuple[IndecLabel, IndecLabel], int]:
-    """hom_dim between all pairs of indecomposables, filled once per n.
+    """hom_dim between all pairs of indecomposables, keyed by label pair: a
+    dict view of the rows of _label_positions(n), which fills them once per
+    n. p is accepted and ignored, for callers of the old (n, p) signature
+    (perfbench/make_reference.py).
 
     Column Y, dim Hom(L, Y) over every label L, is the path-rank profile
     of Y (_profile_raw). The labels' entries are 0 or 1 and every column
     is 0 or a unit vector, so _profile_raw counts rows and never reduces
     mod p; the table is the same over every F_p by the field-independence
-    argument there. p is accepted and ignored, for callers of the old
-    (n, p) signature (perfbench/make_reference.py).
+    argument there.
 
     The table is checked against the cocycle system where Ext^1 is
     computed: every side pair the walk plans checks its coboundary rank
     against the table's dim Hom(X, Y) (_WalkPlan), and the tests compare
     the table with hom_dim_raw for every label pair.
     """
-    columns = {y: _profile_raw(n, 2, raw_sum((y,), n)) for y in all_labels(n)}
-    return {(x, y): col[k] for k, x in enumerate(columns) for y, col in columns.items()}
+    pos = _label_positions(n)
+    return {(x, y): d for x, row in zip(pos.labels, pos.hom) for y, d in zip(pos.labels, row)}
+
+
+class _LabelPositions:
+    """What the per-label arithmetic of the walk and of decompose reads at
+    one n, every vector and row indexed by a label's position in
+    all_labels(n), which is canonical label order. Built once per n
+    (_label_positions); hom_table is a dict view of its hom matrix."""
+
+    __slots__ = ("labels", "index", "hom", "dims", "fwd", "loop", "pair")
+
+    def __init__(self, n: int) -> None:
+        labels = all_labels(n)
+        raws = [raw_sum((y,), n) for y in labels]
+        self.labels = labels
+        # {label: position}, for the one lookup per summand where a side is made
+        self.index = index = {l: k for k, l in enumerate(labels)}
+        # hom[k][l] = dim Hom(L_k, L_l): column l is the path-rank profile of
+        # L_l (_profile_raw)
+        self.hom = tuple(zip(*(_profile_raw(n, 2, raw) for raw in raws)))
+        # each label's dimension vector
+        self.dims = tuple(raw[0] for raw in raws)
+        # the positions of W(v+1, w) for w > v, of V(v+1), and of U(i+1, j+1)
+        self.fwd = tuple(
+            tuple(index[IndecLabel("W", v + 1, w)] for w in range(v + 1, n)) for v in range(n)
+        )
+        self.loop = tuple(index[IndecLabel("V", v + 1)] for v in range(n))
+        self.pair = tuple(
+            tuple(index[IndecLabel("U", i + 1, j + 1)] for j in range(n)) for i in range(n)
+        )
+
+
+_label_positions = lru_cache(maxsize=None)(_LabelPositions)
 
 
 @lru_cache(maxsize=None)
@@ -89,13 +122,14 @@ def hom_profiles(
     for M the direct sum of the labels ms.
 
     Hom into or out of a direct sum is the direct sum of the Homs of its
-    summands, so both vectors are sums of entries of hom_table.
+    summands, so both vectors are sums of rows and columns of the hom
+    matrix (_label_positions).
     """
-    table = hom_table(n)
-    labels = all_labels(n)
+    pos = _label_positions(n)
+    ks = [pos.index[y] for y in ms]
     return (
-        tuple(sum(table[(l, y)] for y in ms) for l in labels),
-        tuple(sum(table[(y, l)] for y in ms) for l in labels),
+        tuple(sum(row[k] for k in ks) for row in pos.hom),
+        tuple(sum(pos.hom[k][l] for k in ks) for l in range(len(pos.labels))),
     )
 
 
@@ -285,34 +319,55 @@ def _c_inverse(n: int) -> tuple[tuple, tuple]:
     return rows, tuple(map(tuple, cols))
 
 
-def _module_count(n: int, mult, dims: tuple[int, ...]) -> DecompositionMultiset:
-    # the multiplicities mult over all labels as a multiset, checked to be a
-    # module count with the dimension vector dims
-    labels = all_labels(n)
-    if min(mult) < 0:
-        l, v = next((l, v) for l, v in zip(labels, mult) if v < 0)
-        raise InternalInvariantError(
-            f"hom profile produced multiplicity {v} for {l}; not a module count"
-        )
-    result = DecompositionMultiset.from_pairs(zip(labels, mult))
-    if multiset_dims(result.as_labels(), n) != dims:
+def _module_count(n: int, mult, dims: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    # the multiplicities mult, a vector over the label positions, as the
+    # (position, multiplicity) items of its nonzero entries in position
+    # order, which is canonical label order; checked to be a module count:
+    # every multiplicity nonnegative, and the dimension vector, summed from
+    # the positions' dimension vectors, equal to dims
+    pos = _label_positions(n)
+    items = tuple((k, m) for k, m in enumerate(mult) if m)
+    total = (0,) * n
+    for k, m in items:
+        if m < 0:
+            raise InternalInvariantError(
+                f"hom profile produced multiplicity {m} for {pos.labels[k]}; not a module count"
+            )
+        total = tuple(t + m * d for t, d in zip(total, pos.dims[k]))
+    if total != dims:
         raise InternalInvariantError("decomposition does not have the module's dimensions")
-    return result
+    return items
+
+
+def _labels_of(n: int, items) -> tuple[IndecLabel, ...]:
+    # the sorted label tuple of (position, multiplicity) items in position order
+    labels = _label_positions(n).labels
+    return tuple(labels[k] for k, m in items for _ in range(m))
 
 
 def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
+    # mult = B h, summed over the columns of B at the nonzero entries of h
     h = _profile_raw(n, p, raw)
-    rows, _ = _c_inverse(n)
-    return _module_count(n, [sum(b * h[j] for j, b in row) for row in rows], raw[0])
+    _, cols = _c_inverse(n)
+    mult = [0] * len(h)
+    for j, hj in enumerate(h):
+        if hj:
+            for i, b in cols[j]:
+                mult[i] += b * hj
+    labels = _label_positions(n).labels
+    return DecompositionMultiset(tuple((labels[k], m) for k, m in _module_count(n, mult, raw[0])))
 
 
 def decompose(m: Representation) -> DecompositionMultiset:
     """Krull-Schmidt decomposition from the hom profile.
 
     Solves C . mult = h exactly, where h is the hom profile of m and C holds
-    hom counts between indecomposables (C[L][Y] = dim Hom(L, Y)), then
-    checks that the multiplicities are nonnegative and add up to the
-    dimension vector of m.
+    hom counts between indecomposables (C[L][Y] = dim Hom(L, Y)), as
+    mult = B h over the columns of B = C^-1 (_c_inverse) at the nonzero
+    entries of h. mult is a vector over the label positions of
+    _label_positions; _module_count checks that the multiplicities are
+    nonnegative and that the positions' dimension vectors add up to that of
+    m, and its items, in position order, are the result in canonical order.
 
     The module R rebuilt from the multiplicities has hom profile h, so
     comparing the two, as a round trip, would test nothing for any
@@ -323,7 +378,8 @@ def decompose(m: Representation) -> DecompositionMultiset:
       vertex dimension minus the rank of a block-diagonal matrix, one block
       per summand, so profile(R) = sum of mult_Y profile(Y) over labels Y;
     - profile(Y) is column Y of C for every label Y, by construction:
-      hom_table reads its columns off _profile_raw.
+      _label_positions reads the columns of the hom matrix, which
+      hom_table views, off _profile_raw.
     Together, profile(R)_L = sum over Y of C[L][Y] mult_Y = h_L. What is
     left to check is h itself: a negative multiplicity means h is not the
     profile of any module, and the dimension check catches a profile that
@@ -335,17 +391,18 @@ def decompose(m: Representation) -> DecompositionMultiset:
 # --- Hall numbers from extensions -------------------------------------------
 
 
-def _aut_shape(labels: tuple[IndecLabel, ...], n: int) -> tuple[int, tuple[int, ...]]:
-    # |Aut M| for M = sum of L_i^{m_i}: End(L) is local with residue field
-    # F_p for every label L, so End M / rad End M is the product of the
-    # matrix rings M_{m_i}(F_p), and Aut M is its unit group times the
-    # radical, of order p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|; the
-    # exponent and the m_i are the same for every p. The walk keeps the
-    # shape of each side (_Side) and of each middle term, once per call
-    # (riedtmann_hall_numbers)
-    items = DecompositionMultiset.from_labels(labels).items
-    table = hom_table(n)
-    end = sum(a * b * table[(k, l)] for k, a in items for l, b in items)
+def _aut_shape(n: int, items) -> tuple[int, tuple[int, ...]]:
+    # |Aut M| for M = sum of L_i^{m_i}, given as its (position, m_i) items
+    # (_label_positions): End(L) is local with residue field F_p for every
+    # label L, so End M / rad End M is the product of the matrix rings
+    # M_{m_i}(F_p), and Aut M is its unit group times the radical, of order
+    # p^{dim End M - sum m_i^2} prod |GL_{m_i}(p)|, where
+    # dim End M = sum_{k,l} m_k m_l dim Hom(L_k, L_l) is read off the rows
+    # of the hom matrix; the exponent and the m_i are the same for every p.
+    # The walk keeps the shape of each side (_Side), of X + Y and of each
+    # middle term, once per call (riedtmann_hall_numbers)
+    hom = _label_positions(n).hom
+    end = sum(a * b * hom[k][l] for k, a in items for l, b in items)
     return end - sum(m * m for _, m in items), tuple(m for _, m in items)
 
 
@@ -473,10 +530,11 @@ def _then(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Side:
     """One side of the Ext^1 walk, X or Y, by itself: its raw sum, its
-    |Aut| shape and, built when a walk first meets a nonzero class, what its
-    connecting matrices (_connecting_patterns) read of it. It depends on n
-    and the sorted labels only, so every plan with the same X or Y shares
-    it (_side).
+    summands as (position, multiplicity) items in position order
+    (_label_positions), its |Aut| shape and, built when a walk first meets
+    a nonzero class, what its connecting matrices (_connecting_patterns)
+    read of it. It depends on n and the sorted labels only, so every plan
+    with the same X or Y shares it (_side).
 
     maps holds the path maps A_{s->t} and the loop tops L A_{s->n} as
     column maps (_column_maps). Every arrow and loop matrix of a canonical
@@ -499,7 +557,13 @@ class _Side:
     def __init__(self, n: int, labels: tuple[IndecLabel, ...]) -> None:
         self.n, self.labels = n, labels
         self.raw = raw_sum(labels, n)
-        self.aut = _aut_shape(labels, n)
+        index = _label_positions(n).index
+        counts: dict[int, int] = {}
+        for l in labels:
+            k = index[l]
+            counts[k] = counts.get(k, 0) + 1
+        self.items = tuple(sorted(counts.items()))
+        self.aut = _aut_shape(n, self.items)
 
     @cached_property
     def maps(self) -> tuple[list, list]:
@@ -553,18 +617,6 @@ class _Side:
 # build up to n = 16 makes each side once
 SIDE_CACHE_SIZE = 512
 _side = lru_cache(maxsize=SIDE_CACHE_SIZE)(_Side)
-
-
-@lru_cache(maxsize=None)
-def _label_positions(n: int):
-    # {label: position in all_labels(n)}, and the positions of W(v+1, w)
-    # for w > v, of V(v+1), and of U(i+1, j+1)
-    index = {l: i for i, l in enumerate(all_labels(n))}
-    fwd = tuple(
-        tuple(index[IndecLabel("W", v + 1, w)] for w in range(v + 1, n)) for v in range(n)
-    )
-    pair = tuple(tuple(index[IndecLabel("U", i + 1, j + 1)] for j in range(n)) for i in range(n))
-    return index, fwd, tuple(index[IndecLabel("V", v + 1)] for v in range(n)), pair
 
 
 def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
@@ -642,7 +694,8 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
     as has every label with dim Hom(L, X) = dim ker A_L(X) = 0.
     """
     n, top = x.n, x.n - 1
-    _, fwd_pos, loop_pos, pair_pos = _label_positions(n)
+    pos = _label_positions(n)
+    fwd_pos, loop_pos, pair_pos = pos.fwd, pos.loop, pos.pair
     (px, lx), (py, ly) = x.maps, y.maps
     back, loop_back = x.inverse
     path_img, loop_img, pair_img = y.images
@@ -757,12 +810,16 @@ class _WalkPlan:
     matrices), the cocycle layout, the Ext^1 basis over the integers
     (ext_basis, from _ext_basis; _ext_classes reduces it mod p, and
     e = dim Ext^1(X, Y) is its length at every p, known before any class is
-    visited) and dim Hom(X, Y). With e > 0, where every prime meets a
-    nonzero class, it also holds their classifier (_middle_labels): base,
-    mult(X + Y) over all labels, and connecting, per distinct pattern of
-    _connecting_patterns, the sum of its labels' columns of _c_inverse, by
-    its nonzeros (label index, value): equal patterns, equal ranks. With
-    e = 0 both are ().
+    visited), dim Hom(X, Y), summed over the two sides' (position,
+    multiplicity) items from the rows of the hom matrix (_label_positions),
+    and the split extension X + Y: its items, merged from the sides' in
+    position order, as a sorted label tuple with its |Aut| shape, and its
+    dimension vector. With e > 0, where every prime meets a nonzero class,
+    it also holds their classifier (_middle_labels): base, mult(X + Y) as a
+    vector over the label positions, and connecting, per distinct pattern
+    of _connecting_patterns, the sum of its labels' columns of _c_inverse,
+    by its nonzeros (label position, value): equal patterns, equal ranks.
+    With e = 0 both are ().
 
     A pattern holds R_L(b_t) for the rows b_t of ext_basis. The walk ranks
     R_L(c) for c = sum_t a_t b_t mod p as the rank of sum_t a_t R_L(b_t)
@@ -779,17 +836,19 @@ class _WalkPlan:
     changes no rank vector's middle term.
 
     The coboundary rank must be sum_v dim X_v dim Y_v - dim Hom(X, Y), for
-    dim Hom(X, Y) summed from hom_table, since ker delta = Hom(X, Y). So
-    every side pair walked checks the path-rank table against the cocycle
-    system (hom_dim_raw) at run time.
+    dim Hom(X, Y) summed from the hom matrix, since ker delta = Hom(X, Y).
+    So every side pair walked checks the path-rank table (hom_table) against
+    the cocycle system (hom_dim_raw) at run time.
     """
 
     def __init__(self, n: int, xs: tuple[IndecLabel, ...], ys: tuple[IndecLabel, ...]) -> None:
-        table = hom_table(n)
+        pos = _label_positions(n)
         self.n = n
         self.xside, self.yside = _side(n, xs), _side(n, ys)
         self.x, self.y = self.xside.raw, self.yside.raw
-        self.hom_xy = sum(table[(a, b)] for a in xs for b in ys)
+        self.hom_xy = sum(
+            a * b * pos.hom[k][l] for k, a in self.xside.items for l, b in self.yside.items
+        )
         self.blocks, loop_eqs, coboundaries = _cocycle_system(n, self.x, self.y)
         b_rank = sum(map(mul, self.x[0], self.y[0])) - self.hom_xy
         try:
@@ -798,14 +857,17 @@ class _WalkPlan:
             raise InternalInvariantError(
                 f"Ext^1({multiset_to_str(xs)}, {multiset_to_str(ys)}): {err}"
             ) from err
-        self.split = tuple(sorted(xs + ys, key=IndecLabel.sort_key))
-        self.split_aut = _aut_shape(self.split, n)
+        merged = dict(self.xside.items)
+        for k, m in self.yside.items:
+            merged[k] = merged.get(k, 0) + m
+        split = tuple(sorted(merged.items()))
+        self.split, self.split_aut = _labels_of(n, split), _aut_shape(n, split)
+        self.dims = tuple(map(add, self.x[0], self.y[0]))
         self.base = self.connecting = ()
         if self.ext_basis:
-            index = _label_positions(n)[0]
-            base = [0] * len(index)
-            for label in self.split:
-                base[index[label]] += 1
+            base = [0] * len(pos.labels)
+            for k, m in split:
+                base[k] = m
             self.base = tuple(base)
             _, cols = _c_inverse(n)
             patterns = _connecting_patterns(self.xside, self.yside, self.blocks, self.ext_basis)
@@ -857,23 +919,33 @@ def _nonzero_classes(e: int, p: int):
 
 def _connecting_ranks(plan: _WalkPlan, p: int, a) -> tuple[int, ...]:
     # rk R(c) over F_p for the class c = sum_t a_t b_t, as the rank of
-    # sum_t a_t R(b_t), for each pattern R of plan.connecting
-    return tuple(
-        matrix_rank([[sum(map(mul, a, v)) % p for v in row] for row in pattern], p)
-        for pattern, _ in plan.connecting
-    )
+    # sum_t a_t R(b_t), for each pattern R of plan.connecting; a pattern of
+    # one row has rank 1 exactly when some entry is nonzero mod p
+    ranks = []
+    for pattern, _ in plan.connecting:
+        if len(pattern) == 1:
+            ranks.append(int(any(sum(map(mul, a, v)) % p for v in pattern[0])))
+        else:
+            ranks.append(
+                matrix_rank([[sum(map(mul, a, v)) % p for v in row] for row in pattern], p)
+            )
+    return tuple(ranks)
 
 
-def _middle_labels(plan: _WalkPlan, ranks: tuple[int, ...]) -> tuple[IndecLabel, ...]:
-    # mult(M) = mult(X + Y) - B r(c): the profile of M is that of X + Y
-    # less r(c) (_connecting_patterns), and B inverts profiles
+def _middle_labels(
+    plan: _WalkPlan, ranks: tuple[int, ...]
+) -> tuple[tuple[IndecLabel, ...], tuple]:
+    # the middle term M of the classes with connecting ranks r(c), as a
+    # sorted label tuple, and its |Aut| shape. mult(M) = mult(X + Y) - B r(c),
+    # over the label positions: the profile of M is that of X + Y less r(c)
+    # (_connecting_patterns), and B inverts profiles
     mult = list(plan.base)
     for r, (_, col) in zip(ranks, plan.connecting):
         if r:
             for i, b in col:
                 mult[i] -= r * b
-    dims = tuple(map(add, plan.x[0], plan.y[0]))
-    return _module_count(plan.n, mult, dims).as_labels()
+    items = _module_count(plan.n, mult, plan.dims)
+    return _labels_of(plan.n, items), _aut_shape(plan.n, items)
 
 
 def _middle_term(n: int, x: RawRep, y: RawRep, blocks, c) -> RawRep:
@@ -893,11 +965,11 @@ def _middle_term(n: int, x: RawRep, y: RawRep, blocks, c) -> RawRep:
     return dims, arrows, glue(n - 1, ly, lx)
 
 
-# the most classes one Ext^1 walk may visit. A class costs 68-86 us on a
-# 2-vCPU VM (Python 3.11), so the bound is about 7-9 s of walking. It keeps
+# the most classes one Ext^1 walk may visit. A class costs about 52 us on a
+# 2-vCPU VM (Python 3.11.7), so the bound is about 5 s of walking. It keeps
 # every indecomposable pair (e <= 2 for n <= 9: at most 99 classes for
 # primes up to 97) and W1,1+W1,1+W1,1 by V2+U2,2+U2,2 at n = 2, p = 2
-# (e = 15, 32,768 classes, 2.5 s), and refuses that pair at p = 3
+# (e = 15, 32,768 classes, 1.7 s), and refuses that pair at p = 3
 # (7,174,454 classes)
 MAX_WALK_CLASSES = 10**5
 
@@ -964,8 +1036,7 @@ def riedtmann_hall_numbers(
         for ranks, size in per_ranks.items():
             middle = middles.get(ranks)
             if middle is None:
-                m = _middle_labels(plan, ranks)
-                middle = middles[ranks] = (m, _aut_shape(m, n))
+                middle = middles[ranks] = _middle_labels(plan, ranks)
             sizes[middle] = sizes.get(middle, 0) + size
         denom = _aut_order(plan.xside.aut, p) * _aut_order(plan.yside.aut, p) * p**plan.hom_xy
         counts = {}

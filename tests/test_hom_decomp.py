@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add, mul
 
 import pytest
@@ -7,11 +7,13 @@ from hallq import hom_decomp
 from hallq.errors import CeilingError, InternalInvariantError
 from hallq import gf
 from hallq.gf import first_primes, mat_mul, matrix_rank, null_space, reduce_vector, row_reduce
-from hallq.hall_core import enumerate_submodules, hall_number
+from hallq.hall_core import enumerate_submodules, hall_number, hall_product
 from hallq.lie import build_bracket_table
 from hallq.hom_decomp import (
     SIDE_CACHE_SIZE,
     DecompositionMultiset,
+    _aut_order,
+    _aut_shape,
     _c_inverse,
     _cocycle_system,
     _connecting_ranks,
@@ -388,7 +390,7 @@ def test_walk_classification_matches_glued_middle_terms(rng):
                 for a in _nonzero_classes(len(reps), p):
                     c = [sum(map(mul, a, col)) % p for col in zip(*reps)]
                     want = _decompose_raw(n, p, _middle_term(n, plan.x, plan.y, plan.blocks, c))
-                    got = _middle_labels(plan, _connecting_ranks(plan, p, a))
+                    got, _ = _middle_labels(plan, _connecting_ranks(plan, p, a))
                     assert got == want.as_labels(), (n, p, xs, ys, a)
                     compared += 1
     assert compared >= 500
@@ -807,6 +809,23 @@ def test_decompose_direct_sum_pair():
 
 
 def test_decompose_round_trip(rng):
+    # every multiset of at most three labels at n = 2 and 3, handed to
+    # rep_of_multiset in reverse: decompose builds its result in label
+    # position order, which must be canonical order; then seeded draws of
+    # up to four labels at n = 2..4
+    checked = 0
+    for n in (2, 3):
+        labels = all_labels(n)
+        assert labels == tuple(sorted(labels, key=IndecLabel.sort_key))
+        for p in (2, 3):
+            ctx = AlgebraContext(n, p)
+            for k in (1, 2, 3):
+                for picked in combinations_with_replacement(labels, k):
+                    got = decompose(rep_of_multiset(picked[::-1], ctx))
+                    assert got.as_labels() == picked, (ctx, picked)
+                    assert got == DecompositionMultiset.from_labels(picked), (ctx, picked)
+                    checked += 1
+    assert checked == 2 * (119 + 815)
     for _ in range(12):
         n = rng.choice([2, 3, 4])
         p = rng.choice([2, 3])
@@ -905,32 +924,79 @@ def test_riedtmann_counts_agree_with_brute_force(rng):
         checked += 1
 
 
+def _end_units(n, p, raw):
+    # (dim End M, the number of invertible endomorphisms of M) by brute
+    # force. End(M) = ker delta: the null space of the transposed matrix of
+    # delta, whose rows are the coboundaries, one per coordinate of h; an
+    # endomorphism is invertible when its matrix at every vertex is
+    blocks, _, coboundaries = _cocycle_system(n, raw, raw)
+    lr, lc, loff = blocks[-1]
+    total = len(coboundaries)
+    delta_t = [[0] * total for _ in range(loff + lr * lc)]
+    for k, cob in enumerate(coboundaries):
+        for c, e in cob:
+            delta_t[c][k] = e % p
+    basis = null_space(delta_t, p, total)
+    units = 0
+    for coeffs in product(range(p), repeat=len(basis)):
+        f = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(total)]
+        off = 0
+        invertible = True
+        for d in raw[0]:
+            block = [f[off + a * d : off + (a + 1) * d] for a in range(d)]
+            off += d * d
+            invertible = invertible and matrix_rank(block, p) == d
+        units += invertible
+    return len(basis), units
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_endomorphism_rings_are_local(n):
     # End(L) is local with residue field F_p exactly when its units number
     # (p - 1) p^(dim End L - 1); the |Aut| of Riedtmann's formula rests on it
     for p in (2, 3):
         for label in all_labels(n):
-            raw = raw_sum((label,), n)
-            # End(L) = ker delta: the null space of the transposed matrix of
-            # delta, whose rows are the coboundaries, one per coordinate of h
-            blocks, _, coboundaries = _cocycle_system(n, raw, raw)
-            lr, lc, loff = blocks[-1]
-            total = len(coboundaries)
-            delta_t = [[0] * total for _ in range(loff + lr * lc)]
-            for k, cob in enumerate(coboundaries):
-                for c, e in cob:
-                    delta_t[c][k] = e % p
-            basis = null_space(delta_t, p, total)
-            assert len(basis) == hom_table(n)[(label, label)]
-            units = 0
-            for coeffs in product(range(p), repeat=len(basis)):
-                f = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(total)]
-                off = 0
-                invertible = True
-                for d in raw[0]:
-                    block = [f[off + a * d : off + (a + 1) * d] for a in range(d)]
-                    off += d * d
-                    invertible = invertible and matrix_rank(block, p) == d
-                units += invertible
-            assert units == (p - 1) * p ** (len(basis) - 1), (p, label)
+            dim_end, units = _end_units(n, p, raw_sum((label,), n))
+            assert dim_end == hom_table(n)[(label, label)]
+            assert units == (p - 1) * p ** (dim_end - 1), (p, label)
+
+
+def test_aut_order_counts_the_invertible_endomorphisms():
+    # |Aut M| as the walk computes it, from the (position, multiplicity)
+    # items of M and the hom matrix, against the units of End(M) counted by
+    # brute force, for every module of one or two summands at n = 2, p = 2,
+    # repeated summands (W1,1+W1,1, U2,2+U2,2) included
+    n, p = 2, 2
+    labels = all_labels(n)
+    sums = [ms for k in (1, 2) for ms in combinations_with_replacement(labels, k)]
+    assert len(sums) == 35
+    for ms in sums:
+        items = tuple(
+            (labels.index(l), m) for l, m in DecompositionMultiset.from_labels(ms).items
+        )
+        exp, mults = shape = _aut_shape(n, items)
+        dim_end, units = _end_units(n, p, raw_sum(ms, n))
+        assert exp + sum(m * m for m in mults) == dim_end, ms
+        assert _aut_order(shape, p) == units, ms
+
+
+def test_walk_keys_and_product_terms_come_in_canonical_order(rng):
+    # riedtmann_hall_numbers keys each middle term by its labels sorted by
+    # IndecLabel.sort_key, and hall_product lists its terms in
+    # DecompositionMultiset.sort_key order, the order the verify-identities
+    # reports print: every pair of labels at n = 2 and 3, then seeded sums
+    def check(n, xs, ys):
+        for p, counts in zip((2, 3), riedtmann_hall_numbers(xs, ys, n, (2, 3))):
+            for m in counts:
+                assert m == tuple(sorted(m, key=IndecLabel.sort_key)), (n, p, xs, ys, m)
+            keys = [ms.sort_key() for ms, _ in hall_product(xs, ys, AlgebraContext(n, p)).terms]
+            assert keys == sorted(set(keys)), (n, p, xs, ys)
+            assert len(keys) == len(counts), (n, p, xs, ys)
+
+    for n in (2, 3):
+        for x in all_labels(n):
+            for y in all_labels(n):
+                check(n, (x,), (y,))
+    for n in (2, 3, 4):
+        for xs, ys in _side_pairs(rng, n, 10):
+            check(n, xs[::-1], ys[::-1])
