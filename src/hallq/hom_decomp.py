@@ -165,47 +165,68 @@ def _profile_raw(n: int, p: int, raw: RawRep) -> tuple[int, ...]:
     where the sign of the second block, -L A_{j->n}, drops out of the rank.
 
     Two branches, chosen by the input alone. When every column of every
-    arrow and of the loop is 0 or a unit vector e_r (_column_maps), as for
-    canonical raw sums (raw_sum, rep_of_multiset), the path maps are
-    composed as column maps and each rank is the number of distinct rows
-    the block's columns hit. Any other input, such as a Representation
-    read from a file (rep_from_json), the brute-force oracle's sub and
-    quotient modules or a glued middle term, takes the dense branch: the
-    path maps are multiplied out mod p (gf.mat_mul) and each rank is a
-    gf.matrix_rank elimination.
+    arrow and of the loop is 0 or a unit vector e_r (_column_steps), as for
+    canonical raw sums (raw_sum, rep_of_multiset), each arrow and the loop
+    is read once as a column map, the images of the path maps and loop tops
+    are pushed forward as row bit masks (_image_masks), and each rank is a
+    mask's bit count, read for every label through a per-n recipe
+    (_rank_recipe). Any other input, such as a Representation read from a
+    file (rep_from_json), the brute-force oracle's sub and quotient modules
+    or a glued middle term, takes the dense branch: the path maps are
+    multiplied out mod p (gf.mat_mul) and each rank is a gf.matrix_rank
+    elimination.
 
-    Field independence, and why the count is the rank: every arrow and
-    loop matrix of a canonical indecomposable has at most one nonzero
-    entry in each column, and that entry is 1, so every product of them,
-    and each block matrix above, does too (entry (r, c) of G F is G[r, f]
-    for f the row that column c of F hits, which is what composing the
-    column maps gives). The column space of such a matrix is spanned by the unit
-    vectors of its nonzero rows, so each rank is a count of nonzero rows,
-    the rows the columns hit, and the same over every F_p. This holds for
-    any input that passes the check, canonical or not. Hence hom_table,
-    whose columns are these profiles of the labels, does not depend on p,
-    and nor does _c_inverse.
+    Why the bit count is the rank, over every F_p. Call a matrix a column
+    map when each of its columns is 0 or a unit vector e_r (entry 1). It
+    sends the span of the unit vectors e_c, c in a set S of its columns, to
+    the span of the e_r for the rows r that the columns in S hit; two
+    columns that hit one row give that row once. So if im F is the span of
+    the unit vectors of the rows in a mask, so is im(G F) = G(im F), with
+    the mask pushed through G. The identity A_{s->s} has all of M_s as its
+    image, so by induction over the arrows, then the loop, every im A_{s->t}
+    and im(L A_{s->n}) is the span of the unit vectors of its mask, and its
+    dimension, the rank, is the mask's bit count. The column space of
+    [A_{i->n} | L A_{j->n}] is the sum of the two images, so its rank is the
+    bit count of the union of their masks. Nothing here reduces mod p or
+    assumes that the rows hit are distinct, so the ranks are the same over
+    every F_p for any input that passes the check, canonical or not. Hence
+    hom_table, whose columns are these profiles of the labels, does not
+    depend on p, and nor does _c_inverse.
     """
     dims = raw[0]
-    maps = _column_maps(n, raw)
-    if maps is not None:
-        paths, loop_top = maps
-
-        def rank(*blocks) -> int:
-            return len({r for m in blocks for r in m if r >= 0})
-
-    else:
-        paths, loop = _path_matrices(n, p, raw), raw[2]
-        loop_top = [mat_mul(loop, row[n - 1], p, ncols=dims[s]) for s, row in enumerate(paths)]
-
-        def rank(*blocks) -> int:
-            return matrix_rank([sum(rows, ()) for rows in zip(*blocks)], p)
-
+    steps = _column_steps(n, raw)
+    if steps is not None:
+        masks = _image_masks(n, dims, steps)
+        ext = (*dims, 0)
+        return tuple(
+            ext[a] + ext[b] - (masks[x] | masks[y]).bit_count() for a, b, x, y in _rank_recipe(n)
+        )
+    paths, loop = _path_matrices(n, p, raw), raw[2]
+    loop_top = [mat_mul(loop, row[n - 1], p, ncols=dims[s]) for s, row in enumerate(paths)]
     out = []
     for label in all_labels(n):
         _, blocks = _label_blocks(n, label, paths, loop_top)
         source = dims[label.i - 1] + (dims[label.j - 1] if label.kind == "U" else 0)
-        out.append(source - rank(*blocks))
+        out.append(source - matrix_rank([sum(rows, ()) for rows in zip(*blocks)], p))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _rank_recipe(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    # per label in canonical order, (a, b, x, y): dim M_src is
+    # dims[a] + dims[b], with b = n naming a 0 appended to dims for W and V,
+    # and rk A_L is the bit count of masks[x] | masks[y] in the layout of
+    # _image_masks: A_{i->j+1} (W) and L A_{i->n} (V) with x = y, and
+    # [A_{i->n} | L A_{j->n}] (U), whose image is the union of the two
+    out = []
+    for label in all_labels(n):
+        i = label.i - 1
+        if label.kind == "W":
+            out.append((i, n, i * n + label.j, i * n + label.j))
+        elif label.kind == "V":
+            out.append((i, n, n * n + i, n * n + i))
+        else:
+            out.append((i, label.j - 1, i * n + n - 1, n * n + label.j - 1))
     return tuple(out)
 
 
@@ -492,35 +513,53 @@ def _coboundaries(n: int, x: RawRep, y: RawRep, blocks) -> tuple[tuple, ...]:
     return tuple(coboundaries)
 
 
-def _column_maps(n: int, raw: RawRep):
-    # the path maps A_{s->t} (paths[s][t], s <= t) and the loop tops
-    # L A_{s->n} (loop_top[s]) of a raw module as column maps: each column's
-    # one nonzero entry, a 1, as its row, or -1 for a zero column; composing
-    # the maps composes the matrices. None when some column of an arrow or
-    # the loop is neither 0 nor a unit vector
+def _column_steps(n: int, raw: RawRep) -> list | None:
+    # each arrow's column map, then the loop's, read column by column: the
+    # row of each column's one nonzero entry, a 1, or -1 for a zero column;
+    # composing the maps composes the matrices (_then). None when some
+    # column of an arrow or the loop is neither 0 nor a unit vector
     dims, arrows, loop = raw
+    steps = []
+    for v, mat in enumerate((*arrows, loop)):
+        if not mat:
+            # no rows: every column of the map is 0
+            steps.append((-1,) * dims[v])
+            continue
+        step = []
+        for col in zip(*mat):
+            zeros = col.count(0)
+            if zeros == len(col):
+                step.append(-1)
+            elif zeros == len(col) - 1 and 1 in col:
+                step.append(col.index(1))
+            else:
+                return None
+        steps.append(tuple(step))
+    return steps
 
-    def as_map(mat, ncols: int) -> tuple[int, ...] | None:
-        img = [-1] * ncols
-        for r, row in enumerate(mat):
-            for col, e in enumerate(row):
-                if e:
-                    if e != 1 or img[col] >= 0:
-                        return None
-                    img[col] = r
-        return tuple(img)
 
-    steps = [as_map(a, dims[v]) for v, a in enumerate(arrows)]
-    loop_map = as_map(loop, dims[n - 1])
-    if loop_map is None or None in steps:
-        return None
-    paths = []
+def _image_masks(n: int, dims, steps) -> list[int]:
+    # the rows that each path map A_{s->t} hits, at s * n + t (0 for t < s),
+    # then those that each loop top L A_{s->n} hits, at n * n + s, as bit
+    # masks (bit r for row r), from the column maps of _column_steps. Each
+    # image is pushed forward from the last one, im(g f) = g(im f): the
+    # identity's image is all of M_s, and g sends the rows of a mask to the
+    # rows its columns there hit, so two columns on one row give one bit
+    bits = [[1 << r if r >= 0 else 0 for r in step] for step in steps]
+    masks = [0] * (n * n + n)
     for s in range(n):
-        row = [()] * s + [tuple(range(dims[s]))]
-        for t in range(s + 1, n):
-            row.append(_then(row[-1], steps[t - 1]))
-        paths.append(row)
-    return paths, [_then(row[n - 1], loop_map) for row in paths]
+        m = (1 << dims[s]) - 1
+        for t in range(s, n):
+            masks[s * n + t] = m
+            # push through arrow t, or through the loop at t = n - 1
+            img = 0
+            for bit in bits[t]:
+                if m & 1:
+                    img |= bit
+                m >>= 1
+            m = img
+        masks[n * n + s] = m
+    return masks
 
 
 def _then(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
@@ -536,22 +575,26 @@ class _Side:
     read of it. It depends on n and the sorted labels only, so every plan
     with the same X or Y shares it (_side).
 
-    maps holds the path maps A_{s->t} and the loop tops L A_{s->n} as
-    column maps (_column_maps). Every arrow and loop matrix of a canonical
-    raw sum has at most one nonzero entry, a 1, in each column, and no two
-    of its columns hit the same row: each arrow and the loop send the basis
-    vectors of each summand to distinct basis vectors or to 0 (make_indec),
-    and a direct sum keeps the summands apart. Both are checked here: a side
-    whose _column_maps is None, or one of whose arrows or loop sends two
+    steps holds the column maps of the arrows and the loop (_column_steps),
+    read once. Every arrow and loop matrix of a canonical raw sum has at
+    most one nonzero entry, a 1, in each column, and no two of its columns
+    hit the same row: each arrow and the loop send the basis vectors of
+    each summand to distinct basis vectors or to 0 (make_indec), and a
+    direct sum keeps the summands apart. Both are checked here: a side
+    whose _column_steps is None, or one of whose arrows or loop sends two
     columns to one row, raises InternalInvariantError naming its labels.
-    Composites keep both properties, so every path map and loop top does.
+    maps holds the path maps A_{s->t} and the loop tops L A_{s->n},
+    composed from the steps as column maps (_then). Composites keep both
+    properties, so every path map and loop top does.
 
     As the X of an extension the side gives inverse: back[t][r], the
     (s, col) that A_{s->t} sends to row r, for every s <= t (s = t is the
     identity), and loop_back[r], the (j, col) that L A_{j->n} sends to row
     r of X_n. As the Y it gives images: the rows that each A_{s->t} and
     each L A_{s->n} hit, and for each pair (i, j) those that A_{i->n} and
-    L A_{j->n} hit together, as bit masks.
+    L A_{j->n} hit together, as bit masks. They are pushed forward from
+    the steps (_image_masks), im(g f) = g(im f), and are the masks of the
+    rows that the composed maps hit (proof in _profile_raw).
     """
 
     def __init__(self, n: int, labels: tuple[IndecLabel, ...]) -> None:
@@ -566,21 +609,30 @@ class _Side:
         self.aut = _aut_shape(n, self.items)
 
     @cached_property
-    def maps(self) -> tuple[list, list]:
-        # the path maps and the loop tops, as column maps (_column_maps)
-        n = self.n
-        maps = _column_maps(n, self.raw)
-        if maps is None:
+    def steps(self) -> list:
+        # the column maps of the arrows and the loop (_column_steps), read
+        # once and checked; maps and images are both built from them
+        steps = _column_steps(self.n, self.raw)
+        if steps is None:
             problem = "a canonical matrix column is neither 0 nor a unit vector"
         else:
-            # the arrows, then the loop: paths[n - 1][n - 1] is the identity
-            paths, loop_top = maps
-            steps = [paths[v][v + 1] for v in range(n - 1)] + [loop_top[n - 1]]
             hits = [[r for r in m if r >= 0] for m in steps]
             if all(len(h) == len(set(h)) for h in hits):
-                return maps
+                return steps
             problem = "two columns of a canonical matrix hit the same row"
         raise InternalInvariantError(f"side {multiset_to_str(self.labels)}: {problem}")
+
+    @cached_property
+    def maps(self) -> tuple[list, list]:
+        # the path maps and the loop tops, composed from the steps
+        n, dims, steps = self.n, self.raw[0], self.steps
+        paths = []
+        for s in range(n):
+            row = [()] * s + [tuple(range(dims[s]))]
+            for t in range(s + 1, n):
+                row.append(_then(row[-1], steps[t - 1]))
+            paths.append(row)
+        return paths, [_then(row[n - 1], steps[n - 1]) for row in paths]
 
     @cached_property
     def inverse(self) -> tuple[list, list]:
@@ -601,14 +653,12 @@ class _Side:
 
     @cached_property
     def images(self) -> tuple[list, list, list]:
-        # (path, loop, pair) image masks of the class docstring
-        paths, loop_top = self.maps
-
-        def mask(m) -> int:
-            return sum(1 << r for r in m if r >= 0)
-
-        path_img = [[mask(m) for m in row] for row in paths]
-        loop_img = [mask(m) for m in loop_top]
+        # (path, loop, pair) image masks of the class docstring, pushed
+        # forward from the steps (_image_masks)
+        n = self.n
+        masks = _image_masks(n, self.raw[0], self.steps)
+        path_img = [masks[s * n : (s + 1) * n] for s in range(n)]
+        loop_img = masks[n * n :]
         pair_img = [[row[-1] | img for img in loop_img] for row in path_img]
         return path_img, loop_img, pair_img
 
@@ -780,6 +830,17 @@ def _ext_basis(blocks, loop_eqs, coboundaries, b_rank: int):
     2. B^1 in RREF, whose rank is checked against b_rank;
     3. the cocycles reduced against B^1, then put in RREF.
     Raises ArithmeticError where an elimination finds no +-1 pivot.
+
+    When dim Z^1 = rk B^1 it returns () after step 2, without step 3.
+    Proof that step 3 would return () too: B^1 lies in Z^1, since the loop
+    block of a coboundary, L_Y h - h L_X, meets the loop equation,
+    L_Y (L_Y h - h L_X) + (L_Y h - h L_X) L_X = L_Y^2 h - h L_X^2 = 0, as
+    L^2 = 0 on both sides, and the arrow blocks are free. Over the
+    rationals a subspace of equal dimension is the whole space, so every
+    cocycle lies in the span of B^1; reduced against the RREF of B^1 it is
+    0 at every pivot of B^1, so it is 0. Step 3 would then eliminate zero
+    rows, which can neither raise nor give a row. The +-1 pivots keep both
+    dimensions at every p, so e = 0 at every prime.
     """
     lr, lc, loff = blocks[-1]
     total = loff + lr * lc
@@ -792,6 +853,9 @@ def _ext_basis(blocks, loop_eqs, coboundaries, b_rank: int):
     brows, bpivs = unit_pivot_rref(coboundaries)
     if len(bpivs) != b_rank:
         raise InternalInvariantError(f"coboundary rank {len(bpivs)} disagrees with dim Hom(X, Y)")
+    if len(cocycles) == b_rank:
+        # dim Z^1 = rk B^1: e = 0 (proof above)
+        return ()
     for z in cocycles.values():
         for row, piv in zip(brows, bpivs):
             f = z.get(piv)
@@ -899,7 +963,9 @@ def _ext_classes(plan: _WalkPlan, p: int):
     against B^1 commutes with reduction mod p, so the reduced cocycles are
     the per-prime ones mod p, and the integer RREF of them, with its +1
     pivots, reduces mod p to a matrix in RREF with the same row space.
-    RREF is unique, so that is the per-prime result, row for row.
+    RREF is unique, so that is the per-prime result, row for row. Where
+    _ext_basis stops after step 2, at dim Z^1 = rk B^1, Z^1 = B^1 mod every
+    p as well, and the per-prime result is empty too.
 
     The walk does not build these vectors: it names the class
     sum_t a_t b_t by its coefficients a (_nonzero_classes) and ranks its

@@ -224,8 +224,13 @@ def _block_diag(blocks, widths) -> tuple[tuple[int, ...], ...]:
 
 def raw_sum(labels: Iterable[IndecLabel], n: int) -> RawRep:
     """The direct sum of canonical indecomposables, summed in canonical
-    label order, as raw entry tuples: the same over every F_p."""
-    raws = [_indec_raw(l, n) for l in sorted(labels, key=IndecLabel.sort_key)]
+    label order, as raw entry tuples: the same over every F_p. The sum of
+    one label is that label's own tuples, not a copy."""
+    labels = sorted(labels, key=IndecLabel.sort_key)
+    if len(labels) == 1:
+        # the direct sum of one module is that module
+        return _indec_raw(labels[0], n)
+    raws = [_indec_raw(l, n) for l in labels]
     dims = tuple(map(sum, zip((0,) * n, *(r[0] for r in raws))))
     arrows = tuple(
         _block_diag([r[1][v] for r in raws], [r[0][v] for r in raws]) for v in range(n - 1)

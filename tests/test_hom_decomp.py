@@ -203,6 +203,50 @@ def test_path_profile_of_a_rescaled_sum_takes_the_dense_branch(monkeypatch, p):
     assert _decompose_raw(n, p, scaled) == DecompositionMultiset.from_labels(labels)
 
 
+def _unit_column_module(rng, n):
+    # a raw module whose arrows and loop have only 0 and unit-vector
+    # columns, drawn so that columns collide: each column of an arrow hits
+    # a random row of the next vertex or none; the loop sends each column
+    # outside a random set of target rows to a target or to 0, and each
+    # target to 0, so loop^2 = 0
+    dims = tuple(rng.randint(0, 4 if v < n - 1 else 5) for v in range(n))
+
+    def matrix(step, rows):
+        return tuple(tuple(int(r == s) for s in step) for r in range(rows))
+
+    steps = [[rng.randrange(-1, dims[v + 1]) for _ in range(dims[v])] for v in range(n - 1)]
+    d = dims[-1]
+    targets = rng.sample(range(d), rng.randint(0, d // 2))
+    steps.append([-1 if c in targets else rng.choice([-1, *targets, *targets]) for c in range(d)])
+    arrows = tuple(matrix(step, dims[v + 1]) for v, step in enumerate(steps[:-1]))
+    return (dims, arrows, matrix(steps[-1], d)), steps
+
+
+def test_path_profile_counts_distinct_rows_when_columns_collide(rng, monkeypatch):
+    # raw sums never send two columns of one arrow, or of the loop, to one
+    # row; here they do, and some columns are 0: the column branch must
+    # count the distinct rows an image hits, which hom_dim_raw checks for
+    # every label
+    dense = _dense_calls(monkeypatch)
+    seen = {"arrow": 0, "loop": 0, "zero": 0}
+    for n in range(2, 6):
+        probes = [raw_sum((l,), n) for l in all_labels(n)]
+        for p in (2, 3):
+            for _ in range(15):
+                m, steps = _unit_column_module(rng, n)
+                loop = m[2]
+                assert not any(map(any, mat_mul(loop, loop, p, ncols=len(loop)))), m
+                for kind, step in [*(("arrow", s) for s in steps[:-1]), ("loop", steps[-1])]:
+                    hit = [r for r in step if r >= 0]
+                    seen[kind] += len(hit) > len(set(hit))
+                    seen["zero"] += -1 in step
+                got = _profile_raw(n, p, m)
+                want = tuple(hom_dim_raw(n, p, *probe, *m) for probe in probes)
+                assert got == want, (n, p, m)
+    assert dense == []
+    assert min(seen.values()) >= 10, seen
+
+
 def _module_maps(n, p, x, m):
     # the number of tuples of vertex maps x_v -> m_v, every one enumerated,
     # that commute with the arrows and the loop
@@ -353,6 +397,30 @@ def test_decompose_rejects_a_profile_of_other_dims(monkeypatch):
     monkeypatch.setattr(hom_decomp, "_profile_raw", lambda n, p, raw: h)
     with pytest.raises(InternalInvariantError, match="dimensions"):
         _decompose_raw(n, 2, raw_sum((IndecLabel("V", 3),), n))
+
+
+def test_side_images_are_the_masks_of_its_maps(rng):
+    # the images pushed forward as masks (_image_masks) against masks read
+    # off the composed column maps: every one-label side, and seeded sides
+    # of two and three summands
+    def mask(m):
+        return sum(1 << r for r in set(m) if r >= 0)
+
+    for n in range(2, 6):
+        labels = all_labels(n)
+        sides = [(l,) for l in labels]
+        sides += [
+            tuple(sorted(rng.choices(labels, k=k), key=IndecLabel.sort_key))
+            for k in (2, 3)
+            for _ in range(15)
+        ]
+        for side_labels in sides:
+            side = hom_decomp._Side(n, side_labels)
+            paths, loop_top = side.maps
+            path_img, loop_img, pair_img = side.images
+            assert path_img == [[mask(m) for m in row] for row in paths], side_labels
+            assert loop_img == [mask(m) for m in loop_top], side_labels
+            assert pair_img == [[row[-1] | img for img in loop_img] for row in path_img]
 
 
 def _side_pairs(rng, n, count):
@@ -670,10 +738,14 @@ def test_ext_classes_match_the_per_prime_elimination(rng):
             for _ in range(2)
         )
         pairs.append((n, xs, ys))
+    dims_e = set()
     for n, xs, ys in pairs:
         plan = _WalkPlan(n, xs, ys)
+        dims_e.add(len(plan.ext_basis))
         for p in first_primes(6):
             assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p), (n, xs, ys, p)
+    # pairs with e = 0, which stop after the coboundary rank, and e > 0
+    assert {0, 1, 2} <= dims_e
 
 
 def test_ext_basis_is_built_once_per_plan(monkeypatch):
@@ -690,6 +762,25 @@ def test_ext_basis_is_built_once_per_plan(monkeypatch):
     calls.clear()
     riedtmann_hall_numbers(xs, ys, 2, first_primes(6))
     assert len(calls) == 3
+
+
+def test_ext_basis_stops_after_the_coboundary_rank_at_e_0(monkeypatch):
+    # W1,1 by V1 at n = 2: dim Z^1 = rk B^1 = 1, so e = 0. The loop
+    # equations and the coboundaries are eliminated, the cocycles are not,
+    # and the coboundary rank is still checked
+    calls = []
+    real = gf.unit_pivot_rref
+    monkeypatch.setattr(hom_decomp, "unit_pivot_rref", lambda rows: calls.append(1) or real(rows))
+    xs, ys = (IndecLabel("W", 1, 1),), (IndecLabel("V", 1),)
+    plan = _WalkPlan(2, xs, ys)
+    assert len(calls) == 2
+    assert plan.ext_basis == () and plan.connecting == ()
+    for p in first_primes(6):
+        assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p) == ()
+    system = _cocycle_system
+    monkeypatch.setattr(hom_decomp, "_cocycle_system", lambda n, x, y: system(n, x, y)[:2] + ((),))
+    with pytest.raises(InternalInvariantError, match=r"W1,1, V1\): coboundary rank 0 disagrees"):
+        _WalkPlan(2, xs, ys)
 
 
 def test_walk_plan_names_the_pair_without_a_unit_pivot(monkeypatch):
