@@ -417,9 +417,7 @@ def hall_product(n1: LabelSet, n2: LabelSet, ctx: AlgebraContext) -> IsoClassCom
     """
     n = ctx.n
     counts = riedtmann_hall_numbers(as_multiset(n1, n), as_multiset(n2, n), n, (ctx.p,))[0]
-    return IsoClassCombo.from_dict(
-        {DecompositionMultiset.from_labels(m): c for m, c in counts.items()}
-    )
+    return IsoClassCombo.from_dict({DecompositionMultiset(m): c for m, c in counts.items()})
 
 
 class ExpansionCheck(NamedTuple):
@@ -467,7 +465,7 @@ def verify_hall_identity(
     ys = as_multiset(y, n)
     norm = [(c, as_multiset(left, n), as_multiset(right, n)) for c, left, right in terms if c]
     stated = _combine((c, hall_product(left, right, ctx)) for c, left, right in norm)
-    if stated != IsoClassCombo.from_dict({DecompositionMultiset.from_labels(xs): 1}):
+    if stated != IsoClassCombo.from_dict({DecompositionMultiset(xs): 1}):
         raise HypothesisError(
             f"[{multiset_to_str(xs)}] does not equal the stated combination "
             f"of products at p={ctx.p}"

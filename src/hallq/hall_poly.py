@@ -352,10 +352,7 @@ class ProductIdentityCheck(NamedTuple):
 
 def _combo(n: int, *pairs) -> IsoClassCombo:
     return IsoClassCombo.from_dict(
-        {
-            DecompositionMultiset.from_labels(as_multiset(ms, n)): coeff
-            for ms, coeff in pairs
-        }
+        {DecompositionMultiset(as_multiset(ms, n)): coeff for ms, coeff in pairs}
     )
 
 

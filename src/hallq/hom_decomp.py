@@ -5,9 +5,9 @@ middle terms of extensions."""
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import groupby, product
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CeilingError, InternalInvariantError
 from .frozen import Frozen, set_field
@@ -256,66 +256,52 @@ def _path_matrices(n: int, p: int, raw: RawRep) -> list:
 
 
 class DecompositionMultiset(Frozen):
-    """Multiset of indecomposable summands, stored in canonical label order."""
+    """Multiset of indecomposable summands, as its labels in canonical order."""
 
-    __slots__ = _fields = ("items",)
+    __slots__ = _fields = ("labels",)
 
-    def __init__(self, items: tuple[tuple[IndecLabel, int], ...]) -> None:
-        set_field(self, "items", items)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[IndecLabel, int]]) -> DecompositionMultiset:
-        kept = [(l, m) for l, m in pairs if m]
-        for _, m in kept:
-            if m < 0:
-                raise ValueError("multiplicities must be positive")
-        kept.sort(key=lambda lm: lm[0].sort_key())
-        return cls(tuple(kept))
+    def __init__(self, labels: tuple[IndecLabel, ...]) -> None:
+        set_field(self, "labels", labels)
 
     @classmethod
     def from_labels(cls, labels: Iterable[IndecLabel]) -> DecompositionMultiset:
-        counts: dict[IndecLabel, int] = {}
-        for l in labels:
-            counts[l] = counts.get(l, 0) + 1
-        return cls.from_pairs(counts.items())
-
-    @property
-    def multiplicities(self) -> Mapping[IndecLabel, int]:
-        return dict(self.items)
+        return cls(tuple(sorted(labels, key=IndecLabel.sort_key)))
 
     def as_labels(self) -> tuple[IndecLabel, ...]:
-        out: list[IndecLabel] = []
-        for l, m in self.items:
-            out.extend([l] * m)
-        return tuple(out)
+        return self.labels
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(t for l, m in self.items for t in (*l.sort_key(), m))
+        # each distinct label's key followed by its multiplicity, so {A: 2}
+        # sorts after {A: 1, B: 1} for A < B: the order of the reports
+        key: list[int] = []
+        for l, run in groupby(self.labels):
+            key += l.sort_key()
+            key.append(len(list(run)))
+        return tuple(key)
 
     def __len__(self) -> int:
-        return sum(m for _, m in self.items)
+        return len(self.labels)
 
     def __str__(self) -> str:
-        return f"[{multiset_to_str(self.as_labels())}]"
+        return f"[{multiset_to_str(self.labels)}]"
 
 
 @lru_cache(maxsize=None)
 def _c_inverse(n: int) -> tuple[tuple, tuple]:
-    # inverse B of the hom-count matrix C[X][Y] = hom_dim(X, Y), as its
-    # (rows, columns), each by its nonzero entries (index, value) in index
-    # order: B has at most 4 nonzeros per column for n = 2..10, so products
-    # with B cost its nonzeros, not k^2 for k labels. The invertibility of C
-    # is what makes hom profiles decide isomorphism classes. B is integral
+    # inverse B of the hom-count matrix C[X][Y] = hom_dim(X, Y), the hom
+    # matrix of _label_positions, as its (rows, columns), each by its
+    # nonzero entries (index, value) in index order: B has at most 4
+    # nonzeros per column for n = 2..10, so products with B cost its
+    # nonzeros, not k^2 for k labels. The invertibility of C is what makes
+    # hom profiles decide isomorphism classes. B is integral
     # for every n the tests build (2..8), with entries in {-1, 0, 1}. It is
     # the right half of the RREF of [C | I] over the integers
     # (gf.unit_pivot_rref), accepted only if C . B = I, checked column by
     # column through the few nonzeros of each column of B; a fractional
     # inverse, or one whose elimination needs a pivot other than +-1, is an
     # invariant breach
-    labels = all_labels(n)
-    table = hom_table(n)
-    k = len(labels)
-    c_rows = [[table[(x, y)] for y in labels] for x in labels]
+    c_rows = _label_positions(n).hom
+    k = len(c_rows)
     try:
         red, pivots = unit_pivot_rref(
             [*((c, e) for c, e in enumerate(row) if e), (k + r, 1)] for r, row in enumerate(c_rows)
@@ -375,8 +361,7 @@ def _decompose_raw(n: int, p: int, raw: RawRep) -> DecompositionMultiset:
         if hj:
             for i, b in cols[j]:
                 mult[i] += b * hj
-    labels = _label_positions(n).labels
-    return DecompositionMultiset(tuple((labels[k], m) for k, m in _module_count(n, mult, raw[0])))
+    return DecompositionMultiset(_labels_of(n, _module_count(n, mult, raw[0])))
 
 
 def decompose(m: Representation) -> DecompositionMultiset:
@@ -388,7 +373,8 @@ def decompose(m: Representation) -> DecompositionMultiset:
     entries of h. mult is a vector over the label positions of
     _label_positions; _module_count checks that the multiplicities are
     nonnegative and that the positions' dimension vectors add up to that of
-    m, and its items, in position order, are the result in canonical order.
+    m, and its items, in position order, give the result's labels in
+    canonical order (_labels_of).
 
     The module R rebuilt from the multiplicities has hom profile h, so
     comparing the two, as a round trip, would test nothing for any

@@ -33,10 +33,10 @@ CASES = [
     ),
     pytest.param(
         lambda: DecompositionMultiset.from_labels((U21, V3, U21)),
-        ("items",),
-        ("items",),
-        "DecompositionMultiset(items=((IndecLabel(kind='V', i=3, j=0), 1), "
-        "(IndecLabel(kind='U', i=2, j=1), 2)))",
+        ("labels",),
+        ("labels",),
+        "DecompositionMultiset(labels=(IndecLabel(kind='V', i=3, j=0), "
+        "IndecLabel(kind='U', i=2, j=1), IndecLabel(kind='U', i=2, j=1)))",
         id="DecompositionMultiset",
     ),
     pytest.param(
