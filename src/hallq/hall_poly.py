@@ -21,7 +21,6 @@ from .hall_core import (
     hall_number,
     hall_product,
     signed_sum,
-    triple_str,
 )
 from .hom_decomp import DecompositionMultiset, hom_table, riedtmann_hall_numbers
 from .quiver_rep import (
@@ -30,6 +29,7 @@ from .quiver_rep import (
     all_labels,
     check_label,
     degree_table,
+    multiset_to_str,
 )
 
 
@@ -92,20 +92,27 @@ def scheduled_primes(bound: int) -> tuple[int, ...]:
     return first_primes(bound + 2)
 
 
-def fit_primes(xs, ys, n: int, primes: Sequence[int] | None, where: str) -> tuple[int, ...]:
+def _where_str(where: tuple) -> str:
+    # what names a fit in its InterpolationError: the label tuples (X, Y) or
+    # (X, Y, M), rendered "(X; Y)" or "(X; Y; M)" as triple_str renders a triple
+    return f"({'; '.join(map(multiset_to_str, where))})"
+
+
+def fit_primes(xs, ys, n: int, primes: Sequence[int] | None, where: tuple) -> tuple[int, ...]:
     """The primes a fit of F^M_{X,Y} evaluates, the last one certifying it.
 
     By default this is the schedule of hom_degree_bound: dim Hom(Y, X) + 1
     primes for the fit and one more to certify it; a bound that needs more
-    primes than are supported raises InterpolationError, naming where. An
-    explicit list is validated and used as given, and then the degree bound
-    is len(primes) - 2.
+    primes than are supported raises InterpolationError, naming where
+    (rendered by _where_str only then). An explicit list is validated and
+    used as given, and then the degree bound is len(primes) - 2; a repeated
+    prime is refused here, before any fit.
     """
     if primes is None:
         bound = hom_degree_bound(xs, ys, n)
         if bound + 2 > len(SUPPORTED_PRIMES):
             raise InterpolationError(
-                f"degree bound {bound} for {where} needs "
+                f"degree bound {bound} for {_where_str(where)} needs "
                 f"{bound + 2} primes; {len(SUPPORTED_PRIMES)} are supported"
             )
         return scheduled_primes(bound)
@@ -120,14 +127,22 @@ def fit_primes(xs, ys, n: int, primes: Sequence[int] | None, where: str) -> tupl
     return plist
 
 
-def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> HallPolynomial:
+def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: tuple) -> HallPolynomial:
     """Fit counts at primes as an integer polynomial in the field size.
 
     The fit runs through the counts at all primes but the last, by Newton
     divided differences in integer arithmetic; the last prime certifies the
     result. A division that is not exact, or a failed certification point,
     raises InterpolationError, naming where, rather than returning a wrong
-    polynomial.
+    polynomial. where holds labels, not text: _where_str renders it only
+    when the error is raised, so a fit that succeeds formats no name.
+
+    Counts that are 0 at every prime fit to ZERO_POLY before any
+    arithmetic. On distinct primes, which fit_primes ensures before any fit,
+    this is what the general path returns: every divided difference of
+    zeros is 0 over a nonzero node difference, so every division is exact,
+    Horner's rule builds the zero polynomial, and certification compares 0
+    with 0.
 
     Every division is exact if and only if the interpolant has integer
     coefficients. If it has, each divided difference of the counts is one
@@ -138,6 +153,8 @@ def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> H
     sum_k f[x_0..x_k] (T - x_0)...(T - x_{k-1}) is a sum of integer
     multiples of monic integer polynomials.
     """
+    if not any(values):
+        return ZERO_POLY
     nodes = primes[:-1]
     # after pass k, diffs[i] = f[x_{i-k}..x_i] for i >= k
     diffs = list(values[:-1])
@@ -148,7 +165,7 @@ def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> H
                 g = gcd(num, den) if den > 0 else -gcd(num, den)
                 raise InterpolationError(
                     f"non-integer Newton divided difference {num // g}/{den // g} "
-                    f"(order {k}) fitting {where}"
+                    f"(order {k}) fitting {_where_str(where)}"
                 )
             diffs[i] = num // den
     # Horner's rule on the Newton form: coeffs <- coeffs * (T - x_k) + f[x_0..x_k]
@@ -160,17 +177,18 @@ def fit_hall_poly(primes: Sequence[int], values: Sequence[int], where: str) -> H
     held_out = primes[-1]
     if poly.evaluate(held_out) != values[-1]:
         raise InterpolationError(
-            f"certification point p={held_out} disagrees with the fit for {where}: "
+            f"certification point p={held_out} disagrees with the fit for {_where_str(where)}: "
             f"poly gives {poly.evaluate(held_out)}, count is {values[-1]}"
         )
     return poly
 
 
 def product_counts(
-    xs, ys, n: int, primes: Sequence[int] | None, where: str
+    xs, ys, n: int, primes: Sequence[int] | None, where: tuple
 ) -> tuple[tuple[int, ...], list[dict[tuple[IndecLabel, ...], int]]]:
     """The primes of fit_primes for label tuples xs and ys and, at each
-    prime, every nonzero F^M_{X,Y}.
+    prime, every nonzero F^M_{X,Y}. where names the sides if fit_primes
+    fails, and is rendered only then.
 
     One call of riedtmann_hall_numbers builds the side pair's walk plan
     once and walks it at every prime; each walk answers every composite M
@@ -201,7 +219,7 @@ def interpolate_hall_poly(
     xs = as_multiset(x, n)
     ys = as_multiset(y, n)
     ms = as_multiset(m, n)
-    where = triple_str(xs, ys, ms)
+    where = (xs, ys, ms)
     plist = fit_primes(xs, ys, n, primes, where)
     values = {
         p: hall_number(xs, ys, ms, AlgebraContext(n, p))
@@ -305,12 +323,11 @@ def reconcile_poly_table(
             composites = degrees.by_dims.get(tuple(a + b for a, b in zip(dx, dy)), ())
             if not composites:
                 continue
-            where = triple_str((x,), (y,), composites[:1])
-            plist, counts = product_counts((x,), (y,), n, primes, where)
+            plist, counts = product_counts((x,), (y,), n, primes, ((x,), (y,), composites[:1]))
             for m in composites:
                 expected = expected_hall_poly(x, y, m, n)
                 interpolated = fit_hall_poly(
-                    plist, [c.get((m,), 0) for c in counts], triple_str((x,), (y,), (m,))
+                    plist, [c.get((m,), 0) for c in counts], ((x,), (y,), (m,))
                 )
                 reports.append(
                     ReconciliationReport(

@@ -869,11 +869,15 @@ class _WalkPlan:
     vector over the label positions, and connecting, per distinct pattern
     of _connecting_patterns, the sum of its labels' columns of _c_inverse,
     by its nonzeros (label position, value): equal patterns, equal ranks.
-    With e = 0 both are ().
+    The entries of the patterns, flattened row by row in that order, are
+    held once more as e integer vectors over the basis rows: columns[t]
+    holds R(b_t), steps[t] the sum of R(b_s) over s >= t, and shapes
+    gives each pattern's (offset, rows, columns) in them (_class_ranks).
+    With e = 0 all five are ().
 
     A pattern holds R_L(b_t) for the rows b_t of ext_basis. The walk ranks
     R_L(c) for c = sum_t a_t b_t mod p as the rank of sum_t a_t R_L(b_t)
-    mod p (_connecting_ranks). Proof: R_L is Z-linear in c
+    mod p (_class_ranks). Proof: R_L is Z-linear in c
     (_connecting_patterns), so R_L(c) and sum_t a_t R_L(b_t) agree mod p,
     and rank mod p reads the matrix mod p only. These c, as a runs over the
     nonzero vectors of F_p^e with first nonzero entry 1 (_nonzero_classes),
@@ -913,7 +917,7 @@ class _WalkPlan:
         split = tuple(sorted(merged.items()))
         self.split, self.split_aut = _labels_of(n, split), _aut_shape(n, split)
         self.dims = tuple(map(add, self.x[0], self.y[0]))
-        self.base = self.connecting = ()
+        self.base = self.connecting = self.columns = self.steps = self.shapes = ()
         if self.ext_basis:
             base = [0] * len(pos.labels)
             for k, m in split:
@@ -929,6 +933,17 @@ class _WalkPlan:
             self.connecting = tuple(
                 (pat, tuple((i, b) for i, b in col.items() if b)) for pat, col in out.items()
             )
+            shapes, off = [], 0
+            for pat in out:
+                shapes.append((off, len(pat), len(pat[0])))
+                off += len(pat) * len(pat[0])
+            self.shapes = tuple(shapes)
+            flat = [v for pat in out for row in pat for v in row]
+            self.columns = tuple(zip(*flat)) if flat else ((),) * len(self.ext_basis)
+            steps = [self.columns[-1]]
+            for col in reversed(self.columns[:-1]):
+                steps.append(tuple(map(add, col, steps[-1])))
+            self.steps = tuple(reversed(steps))
 
 
 def _ext_classes(plan: _WalkPlan, p: int):
@@ -955,8 +970,8 @@ def _ext_classes(plan: _WalkPlan, p: int):
 
     The walk does not build these vectors: it names the class
     sum_t a_t b_t by its coefficients a (_nonzero_classes) and ranks its
-    connecting matrices from those of the rows (_WalkPlan). The tests glue
-    middle terms from them.
+    connecting matrices from those of the rows (_WalkPlan, _class_ranks).
+    The tests glue middle terms from them.
     """
     return tuple(tuple(e % p for e in row) for row in plan.ext_basis)
 
@@ -969,19 +984,43 @@ def _nonzero_classes(e: int, p: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _connecting_ranks(plan: _WalkPlan, p: int, a) -> tuple[int, ...]:
-    # rk R(c) over F_p for the class c = sum_t a_t b_t, as the rank of
-    # sum_t a_t R(b_t), for each pattern R of plan.connecting; a pattern of
-    # one row has rank 1 exactly when some entry is nonzero mod p
-    ranks = []
-    for pattern, _ in plan.connecting:
-        if len(pattern) == 1:
-            ranks.append(int(any(sum(map(mul, a, v)) % p for v in pattern[0])))
+def _class_ranks(plan: _WalkPlan, p: int):
+    """rk R(c) over F_p for each pattern R of plan.connecting, at each class
+    c = sum_t a_t b_t of _nonzero_classes(e, p), in its order: the rank of
+    E(a) = sum_t a_t R(b_t) mod p, with E(a) held flat as plan.columns lays
+    it out. A pattern of one row has rank 1 exactly when some entry is
+    nonzero mod p.
+
+    E(a) is not summed over all e coefficients at each class but updated
+    from the class before. Proof: within one line block (one lead, the
+    first nonzero coefficient, which is 1) the coefficients after the lead
+    run in odometer order, the last fastest. Let k be the last position
+    where a is nonzero. If k is the lead, a is the block's first class,
+    whose E(a) is R(b_k) (plan.columns[k]). Otherwise the class before a
+    has a_k - 1 at k and p - 1 at every later position, and agrees with a
+    before k, so E(a) is its E plus R(b_k) - (p - 1) sum_{t>k} R(b_t),
+    which is sum_{t>=k} R(b_t) = plan.steps[k] mod p. A new block begins
+    exactly when a is 0 at the lead of the class before.
+    """
+    e = len(plan.ext_basis)
+    lead = -1
+    for a in _nonzero_classes(e, p):
+        k = e - 1
+        while not a[k]:
+            k -= 1
+        if lead < 0 or not a[lead]:
+            lead = k
+            entries = [v % p for v in plan.columns[k]]
         else:
-            ranks.append(
-                matrix_rank([[sum(map(mul, a, v)) % p for v in row] for row in pattern], p)
-            )
-    return tuple(ranks)
+            entries = [(v + w) % p for v, w in zip(entries, plan.steps[k])]
+        ranks = []
+        for off, rows, cols in plan.shapes:
+            if rows == 1:
+                ranks.append(int(any(entries[off : off + cols])))
+            else:
+                end = off + rows * cols
+                ranks.append(matrix_rank([entries[r : r + cols] for r in range(off, end, cols)], p))
+        yield tuple(ranks)
 
 
 def _middle_labels(
@@ -1080,8 +1119,7 @@ def riedtmann_hall_numbers(
     out = []
     for p in primes:
         per_ranks: dict[tuple[int, ...], int] = {}
-        for a in _nonzero_classes(e, p):
-            ranks = _connecting_ranks(plan, p, a)
+        for ranks in _class_ranks(plan, p):
             per_ranks[ranks] = per_ranks.get(ranks, 0) + p - 1
         # class counts per middle term, keyed by (middle term, its |Aut| shape)
         sizes = {(plan.split, plan.split_aut): 1}

@@ -20,12 +20,7 @@ from typing import NamedTuple, Sequence
 from .errors import InternalInvariantError
 from .frozen import Frozen, set_field
 from .hall_core import IsoClassCombo, signed_sum
-from .hall_poly import (
-    fit_hall_poly,
-    product_counts,
-    scheduled_primes,
-    triple_str,
-)
+from .hall_poly import fit_hall_poly, product_counts, scheduled_primes
 from .hom_decomp import hom_table
 from .quiver_rep import IndecLabel, all_labels, check_label, degree_table, multiset_to_str
 
@@ -76,22 +71,23 @@ def _walked_bracket(
     fitted; off them both polynomials are zero. The counts come from
     product_counts (the schedule unless primes are given; each walk bounded
     by its class count), and fit_hall_poly fits and certifies each, so a
-    prime list too short for some composite raises InterpolationError. Any
-    nonzero coefficient on a decomposable composite is a fatal invariant
-    breach, not a result.
+    prime list too short for some composite raises InterpolationError,
+    naming (x; y; M) or (y; x; M); the names are passed as labels and
+    rendered only then. A composite met in one orientation only is 0 at
+    every prime of the other, which fit_hall_poly answers with ZERO_POLY
+    without fitting. Any nonzero coefficient on a decomposable composite is
+    a fatal invariant breach, not a result: it is checked on every
+    composite of the support, whichever side carried it.
     """
-    primes_xy, counts_xy = product_counts((x,), (y,), n, primes, f"({x}; {y})")
-    primes_yx, counts_yx = product_counts((y,), (x,), n, primes, f"({y}; {x})")
+    xs, ys = (x,), (y,)
+    primes_xy, counts_xy = product_counts(xs, ys, n, primes, (xs, ys))
+    primes_yx, counts_yx = product_counts(ys, xs, n, primes, (ys, xs))
     support = set().union(*counts_xy, *counts_yx)
     out: dict[IndecLabel, int] = {}
     # in the order of multisets_with_dims, so the first failing fit is too
     for ms in sorted(support, key=lambda ms: [l.sort_key() for l in ms]):
-        pxy = fit_hall_poly(
-            primes_xy, [c.get(ms, 0) for c in counts_xy], triple_str((x,), (y,), ms)
-        )
-        pyx = fit_hall_poly(
-            primes_yx, [c.get(ms, 0) for c in counts_yx], triple_str((y,), (x,), ms)
-        )
+        pxy = fit_hall_poly(primes_xy, [c.get(ms, 0) for c in counts_xy], (xs, ys, ms))
+        pyx = fit_hall_poly(primes_yx, [c.get(ms, 0) for c in counts_yx], (ys, xs, ms))
         c = pxy.evaluate(1) - pyx.evaluate(1)
         if len(ms) != 1:
             if c != 0:

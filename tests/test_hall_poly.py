@@ -7,6 +7,7 @@ from hallq.errors import InterpolationError, LabelError
 from hallq.gf import first_primes
 from hallq.hall_core import IsoClassCombo, hall_number, hall_product
 from hallq.hall_poly import (
+    ZERO_POLY,
     HallPolynomial,
     expected_hall_poly,
     fit_hall_poly,
@@ -51,22 +52,46 @@ def test_polynomial_normalization():
     assert str(HallPolynomial(())) == "0"
 
 
+# what a fit is named by in its errors: the label tuples of X, Y and M
+XYM = ((W(1, 1),), (V(2),), (V(1),))
+
+
 def test_fit_hall_poly_recovers_integer_polynomials():
     # unsorted primes, the last one held out to certify
     primes = (5, 2, 11, 3, 7)
     for coeffs in [(-1, 1), (0, 0, 1), (), (4,), (3, -2, 0, 1)]:
         poly = HallPolynomial(coeffs)
         values = [poly.evaluate(p) for p in primes]
-        assert fit_hall_poly(primes, values, "here").coefficients == coeffs
+        assert fit_hall_poly(primes, values, XYM).coefficients == coeffs
 
 
 def test_fit_hall_poly_rejects_non_integer_and_uncertified_fits():
     # 0, 1, 0 at 2, 3, 5 lie on -(T - 2)(T - 5)/2, and f[3, 5] = -1/2
-    with pytest.raises(InterpolationError, match=r"divided difference -1/2 .*\(x; y; m\)"):
-        fit_hall_poly((2, 3, 5, 7), (0, 1, 0, 0), "(x; y; m)")
+    with pytest.raises(InterpolationError, match=r"divided difference -1/2 .*\(W1,1; V2; V1\)$"):
+        fit_hall_poly((2, 3, 5, 7), (0, 1, 0, 0), XYM)
     # T^2 through 2, 3 is fitted as a line, and p = 5 refutes it
-    with pytest.raises(InterpolationError, match=r"certification point p=5 .*\(x; y; m\)"):
-        fit_hall_poly((2, 3, 5), (4, 9, 25), "(x; y; m)")
+    with pytest.raises(InterpolationError, match=r"certification point p=5 .*\(W1,1; V2; V1\):"):
+        fit_hall_poly((2, 3, 5), (4, 9, 25), XYM)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_all_zero_counts_fit_to_the_zero_polynomial(k):
+    # every divided difference of zeros is 0 and the certification compares
+    # 0 with 0, so the early answer is what the general path returns, on
+    # distinct nodes in any order
+    for primes in (first_primes(k), first_primes(k)[::-1], first_primes(6)[6 - k :]):
+        assert fit_hall_poly(primes, [0] * k, XYM) == ZERO_POLY
+
+
+def test_reconciliation_renders_no_label_when_every_fit_succeeds(monkeypatch):
+    # a fit's name is rendered only when it fails
+    want = [(r.triple, r.interpolated, r.verdict) for r in reconcile_poly_table(3)]
+
+    def refuse(label):
+        raise AssertionError(f"rendered {label!r}")
+
+    monkeypatch.setattr(IndecLabel, "__str__", refuse)
+    assert [(r.triple, r.interpolated, r.verdict) for r in reconcile_poly_table(3)] == want
 
 
 def test_interpolate_known_values():

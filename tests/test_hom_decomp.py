@@ -17,7 +17,7 @@ from hallq.hom_decomp import (
     _aut_shape,
     _c_inverse,
     _cocycle_system,
-    _connecting_ranks,
+    _class_ranks,
     _decompose_raw,
     _ext_classes,
     _middle_labels,
@@ -456,13 +456,43 @@ def test_walk_classification_matches_glued_middle_terms(rng):
                 reps = _ext_classes(plan, p)
                 if (p ** len(reps) - 1) // (p - 1) > 60:
                     continue
-                for a in _nonzero_classes(len(reps), p):
+                for a, ranks in zip(_nonzero_classes(len(reps), p), _class_ranks(plan, p)):
                     c = [sum(map(mul, a, col)) % p for col in zip(*reps)]
                     want = _decompose_raw(n, p, _middle_term(n, plan.x, plan.y, plan.blocks, c))
-                    got, _ = _middle_labels(plan, _connecting_ranks(plan, p, a))
+                    got, _ = _middle_labels(plan, ranks)
                     assert got == want.as_labels(), (n, p, xs, ys, a)
                     compared += 1
     assert compared >= 500
+
+
+def _per_class_ranks(plan, p, a):
+    # the rank of sum_t a_t R(b_t) mod p for each pattern R, summed afresh
+    # over all e coefficients
+    return tuple(
+        matrix_rank([[sum(map(mul, a, v)) % p for v in row] for row in pattern], p)
+        for pattern, _ in plan.connecting
+    )
+
+
+def test_class_ranks_match_the_per_class_sum(rng):
+    # _class_ranks updates the entries from the class before; the reference
+    # sums them at every class. Seeded pairs at n <= 5, and one fixed pair
+    # with e = 6 and patterns of up to three rows
+    w, v, u = IndecLabel("W", 1, 1), IndecLabel("V", 2), IndecLabel("U", 2, 2)
+    cases = [(2, (w, w), (v, u))]
+    cases += [(n, xs, ys) for n in range(2, 6) for xs, ys in _side_pairs(rng, n, 12)]
+    compared = wide = 0
+    for p in (2, 3, 5):
+        for n, xs, ys in cases:
+            plan = _WalkPlan(n, xs, ys)
+            e = len(plan.ext_basis)
+            want = [_per_class_ranks(plan, p, a) for a in _nonzero_classes(e, p)]
+            assert list(_class_ranks(plan, p)) == want, (n, p, xs, ys)
+            compared += len(want)
+            if e >= 2 and any(len(pattern) > 1 for pattern, _ in plan.connecting):
+                wide += len(want)
+    assert len(_WalkPlan(2, (w, w), (v, u)).ext_basis) == 6
+    assert compared >= 4000 and wide >= 4000
 
 
 def test_walk_plan_is_built_once_per_side_pair(monkeypatch):
@@ -687,7 +717,7 @@ def test_walk_refuses_before_it_walks_any_prime(monkeypatch):
     # W1,1+W1,1+W1,1 by V2+U2,2+U2,2 at n = 2 has e = 15: 32,768 classes at
     # p = 2, within the bound, and 7,174,454 at p = 3, above it. Every
     # prime is checked before the first is walked
-    monkeypatch.setattr(hom_decomp, "_connecting_ranks", lambda *a: pytest.fail("walked Ext^1"))
+    monkeypatch.setattr(hom_decomp, "_class_ranks", lambda *a: pytest.fail("walked Ext^1"))
     w, v, u = IndecLabel("W", 1, 1), IndecLabel("V", 2), IndecLabel("U", 2, 2)
     with pytest.raises(
         CeilingError, match=r"has dimension 15, so the walk at p=3 would visit 7174454 classes"
@@ -854,9 +884,11 @@ def test_side_cache_keeps_every_label_up_to_n16():
 
 def test_walk_rejects_a_negative_multiplicity(monkeypatch):
     # doubled ranks take V1 twice out of W1,1 + V2
-    real = _connecting_ranks
+    real = _class_ranks
     monkeypatch.setattr(
-        hom_decomp, "_connecting_ranks", lambda plan, p, c: tuple(2 * r for r in real(plan, p, c))
+        hom_decomp,
+        "_class_ranks",
+        lambda plan, p: (tuple(2 * r for r in ranks) for ranks in real(plan, p)),
     )
     with pytest.raises(InternalInvariantError, match="multiplicity -1"):
         riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), 2, (3,))

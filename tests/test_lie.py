@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
-from hallq.errors import LabelError
+from hallq.cli import main
+from hallq.errors import InternalInvariantError, InterpolationError, LabelError
 from hallq.hall_core import IsoClassCombo
 from hallq.hall_poly import expected_hall_poly
 import hallq.lie
@@ -358,3 +360,57 @@ def test_table_build_walks_only_graded_pairs(monkeypatch):
 def test_short_list_unused_by_skipped_pairs():
     # 2,3,5 is too short only for pairs that bracket to 0 by the grading
     assert build_bracket_table(3, (2, 3, 5)).entries == build_bracket_table(3).entries
+
+
+def _with_extra_count(monkeypatch, sides, ms, extra):
+    # the walk of sides counts ms extra(p) more at each of its primes p
+    real = hallq.lie.product_counts
+
+    def patched(xs, ys, n, primes, where):
+        plist, counts = real(xs, ys, n, primes, where)
+        if (xs, ys) == sides:
+            counts = [{**c, ms: c.get(ms, 0) + extra(p)} for p, c in zip(plist, counts)]
+        return plist, counts
+
+    monkeypatch.setattr(hallq.lie, "product_counts", patched)
+
+
+@pytest.mark.parametrize(
+    "sides, ms, want",
+    [
+        # the split term, which both orientations count, one more in x.y
+        (((W(1, 1),), (V(2),)), (W(1, 1), V(2)), "W1,1 + V2 carries coefficient 1"),
+        # a composite neither orientation counts, added to y.x: x.y fits it
+        # through the all-zero list
+        (((V(2),), (W(1, 1),)), (W(1, 2), V(3)), "W1,2 + V3 carries coefficient -1"),
+    ],
+)
+def test_decomposable_coefficient_is_an_invariant_breach(monkeypatch, capsys, sides, ms, want):
+    _with_extra_count(monkeypatch, sides, ms, lambda p: 1)
+    message = f"decomposable class {want} in the bracket of W1,1 and V2"
+    with pytest.raises(InternalInvariantError, match=f"^{re.escape(message)}$"):
+        bracket(W(1, 1), V(2), 3, (2, 3, 5, 7))
+    assert main(["lie-verify", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"internal invariant breach: {message}\n")
+
+
+def test_bracket_names_a_non_integer_fit_by_its_triple(monkeypatch):
+    # 0, 1, 0 at 2, 3, 5 is no integer polynomial: f[3, 5] = -1/2
+    _with_extra_count(monkeypatch, ((W(1, 1),), (W(2, 2),)), (W(1, 2),), lambda p: -(p != 3))
+    with pytest.raises(InterpolationError) as err:
+        bracket(W(1, 1), W(2, 2), 3, (2, 3, 5, 7))
+    assert str(err.value) == (
+        "non-integer Newton divided difference -1/2 (order 1) fitting (W1,1; W2,2; W1,2)"
+    )
+
+
+def test_table_build_renders_no_label_when_every_fit_succeeds(monkeypatch):
+    # a fit's name is rendered only when it fails
+    want = build_bracket_table(3, (2, 3, 5, 7))
+
+    def refuse(label):
+        raise AssertionError(f"rendered {label!r}")
+
+    monkeypatch.setattr(IndecLabel, "__str__", refuse)
+    assert build_bracket_table(3, (2, 3, 5, 7)) == want
