@@ -4,7 +4,7 @@ middle terms of extensions."""
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby, product
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -16,6 +16,7 @@ from .quiver_rep import (
     IndecLabel,
     RawRep,
     Representation,
+    _indec_raw,
     all_labels,
     multiset_to_str,
     raw_sum,
@@ -422,7 +423,7 @@ def _aut_order(shape: tuple[int, tuple[int, ...]], p: int) -> int:
     return order
 
 
-def _cocycle_system(n: int, x: RawRep, y: RawRep):
+def _cocycle_system(n: int, x: _Side, y: _Side):
     """The block layout of the cocycles, and the loop equations and
     coboundaries over the integers, for extensions of X by Y.
 
@@ -438,18 +439,71 @@ def _cocycle_system(n: int, x: RawRep, y: RawRep):
     The coboundaries are the matrix of delta: one row per coordinate
     (v, r, s) of h, entry (r, s) of h_v, in that order, zero rows
     included, so ker delta = Hom(X, Y) (hom_dim).
+
+    The rows are read off the sides' column maps (_Side), not off dense
+    matrices. Entry (a, b) of a side's arrow v, or of its loop, is 1
+    exactly when fwd[v][b] = a, that is bwd[v][a] = b, and 0 otherwise. So
+    row r of a map has its one nonzero entry at column bwd[v][r], and
+    column b at row fwd[v][b], each absent at -1. Loop equation (r, s) is
+    (L_Y c + c L_X)[r][s] = c[bwd^Y_L(r)][s] + c[r][fwd^X_L(s)], with L
+    the loop's maps. The coefficient of h_v[r][s] in the coboundary is -1
+    at c_{v-1}[r][bwd^X_{v-1}(s)] for v > 0, from h_v A^X_{v-1}; +1 at
+    c_v[fwd^Y_v(r)][s] for v < n - 1, from A^Y_v h_v; and at v = n - 1, +1
+    at (fwd^Y_L(r), s) and -1 at (r, bwd^X_L(s)) of the loop block. So a
+    loop equation has at most 2 entries and a coboundary at most 3.
+    _loop_entries places and orders the loop block's two terms as the
+    dense _loop_row does, and sums them where both land on (r, s), so
+    every row is the dense reading's (_loop_row, _coboundaries), entry for
+    entry, in the same order; hom_dim_raw keeps the dense reading.
     """
-    blocks = _cocycle_blocks(n, x[0], y[0])
-    loop = blocks[n - 1]
-    lr, lc, _ = loop
-    ly, lx_cols = y[2], tuple(zip(*x[2]))
+    top = n - 1
+    blocks = _cocycle_blocks(n, x.dims, y.dims)
+    lr, lc, loff = blocks[top]
+    xl_fwd, xl_bwd, yl_fwd, yl_bwd = x.fwd[top], x.bwd[top], y.fwd[top], y.bwd[top]
     loop_eqs = []
     for r in range(lr):
+        kl = yl_bwd[r]
         for s in range(lc):
-            eq = _loop_row(loop, r, s, ly[r], lx_cols[s])
+            eq = _loop_entries(loff, lc, r, s, kl, 1, xl_fwd[s], 1)
             if eq:
-                loop_eqs.append(tuple(eq))
-    return blocks, tuple(loop_eqs), _coboundaries(n, x, y, blocks)
+                loop_eqs.append(eq)
+    coboundaries = []
+    for v in range(n):
+        if v > 0:
+            _, pcols, poff = blocks[v - 1]
+            xb = x.bwd[v - 1]
+        if v < top:
+            _, cols, off = blocks[v]
+            yf = y.fwd[v]
+        for r in range(y.dims[v]):
+            for s in range(x.dims[v]):
+                row: tuple = ()
+                if v > 0 and xb[s] >= 0:
+                    row = ((poff + r * pcols + xb[s], -1),)
+                if v < top:
+                    if yf[r] >= 0:
+                        row += ((off + yf[r] * cols + s, 1),)
+                else:
+                    row += _loop_entries(loff, lc, r, s, yl_fwd[r], 1, xl_bwd[s], -1)
+                coboundaries.append(row)
+    return blocks, tuple(loop_eqs), tuple(coboundaries)
+
+
+def _loop_entries(loff: int, lc: int, r: int, s: int, kl: int, u: int, kr: int, w: int) -> tuple:
+    # _loop_row for the vectors left = u e_kl and right = w e_kr, each 0 at
+    # -1: u at (kl, s) and w at (r, kr) of the loop block, in coordinate
+    # order, summed where both land on (r, s)
+    row = loff + r * lc
+    if kl == r:
+        mid = {s: u}
+        if kr >= 0:
+            mid[kr] = mid.get(kr, 0) + w
+        return tuple((row + k, e) for k, e in sorted(mid.items()) if e)
+    mid = ((row + kr, w),) if kr >= 0 else ()
+    if kl < 0:
+        return mid
+    left = ((loff + kl * lc + s, u),)
+    return left + mid if kl < r else mid + left
 
 
 def _cocycle_blocks(n: int, dx, dy) -> tuple[tuple[int, int, int], ...]:
@@ -502,8 +556,9 @@ def _coboundaries(n: int, x: RawRep, y: RawRep, blocks) -> tuple[tuple, ...]:
 def _column_steps(n: int, raw: RawRep) -> list | None:
     # each arrow's column map, then the loop's, read column by column: the
     # row of each column's one nonzero entry, a 1, or -1 for a zero column;
-    # composing the maps composes the matrices (_then). None when some
-    # column of an arrow or the loop is neither 0 nor a unit vector
+    # the map of g f sends c to g[f[c]], or to -1 where either gives -1.
+    # None when some column of an arrow or the loop is neither 0 nor a unit
+    # vector
     dims, arrows, loop = raw
     steps = []
     for v, mat in enumerate((*arrows, loop)):
@@ -548,44 +603,112 @@ def _image_masks(n: int, dims, steps) -> list[int]:
     return masks
 
 
-def _then(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    # the column map of g f
-    return tuple(g[r] if r >= 0 else -1 for r in f)
+@lru_cache(maxsize=None)
+def _label_maps(label: IndecLabel, n: int) -> tuple:
+    """The column maps of a label's canonical matrices (_indec_raw), read
+    once per label, with their inverses and the depth of each row, as
+    (dims, fwd, bwd, depth).
+
+    fwd[v] is the column map of arrow v (vertex v to v + 1) for v < n - 1,
+    and of the loop for v = n - 1 (_column_steps): the row that each
+    column hits, or -1 for a zero column. bwd[v] is its inverse: the
+    column that hits each row, or -1. depth[t][r] is the least s with r in
+    im A_{s->t}, for each vertex t < n, and depth[n][r] the least j with r
+    in im(L A_{j->n}), or n where there is none.
+
+    Every arrow and loop matrix of a label has at most one nonzero entry,
+    a 1, in each column, and no two of its columns hit the same row: each
+    arrow and the loop send the basis vectors to distinct basis vectors
+    or to 0 (make_indec). Both are checked here, and a breach raises
+    InternalInvariantError naming the label; so every side, a direct sum
+    of labels, has both properties (_Side).
+
+    Why depth reads images. im A_{s->t} is the span of the unit vectors of
+    the rows it hits (_profile_raw). Row r of vertex t has at most one
+    preimage under arrow t - 1, c = bwd[t-1][r], since the rows of its
+    columns are distinct. So for s < t, r is in im A_{s->t} =
+    A_{t-1}(im A_{s->t-1}) exactly when c >= 0 and c is in im A_{s->t-1}:
+    depth[t][r] = depth[t-1][c], or t when c = -1 (A_{t->t} = 1 hits every
+    row). Likewise r is in im(L A_{j->n}) = L(im A_{j->n}) exactly when
+    c = bwd[n-1][r] >= 0 and c is in im A_{j->n}: depth[n][r] =
+    depth[n-1][c], or n when c = -1. Images grow with s, as
+    im A_{s->t} = A_{s+1->t}(im A_s) lies in im A_{s+1->t}, so r is in
+    im A_{s->t} exactly when depth[t][r] <= s, and in im(L A_{j->n})
+    exactly when depth[n][r] <= j.
+    """
+    raw = _indec_raw(label, n)
+    dims, fwd = raw[0], _column_steps(n, raw)
+    if fwd is None:
+        problem = "a canonical matrix column is neither 0 nor a unit vector"
+    elif any(len(hit) != len(set(hit)) for hit in ([r for r in m if r >= 0] for m in fwd)):
+        problem = "two columns of a canonical matrix hit the same row"
+    else:
+        bwd = []
+        for v, step in enumerate(fwd):
+            back = [-1] * dims[min(v + 1, n - 1)]
+            for c, r in enumerate(step):
+                if r >= 0:
+                    back[r] = c
+            bwd.append(tuple(back))
+        depth = [(0,) * dims[0]]
+        for t in range(1, n + 1):
+            prev = depth[-1]
+            depth.append(tuple(prev[c] if c >= 0 else t for c in bwd[t - 1]))
+        return dims, tuple(fwd), tuple(bwd), tuple(depth)
+    raise InternalInvariantError(f"side {label}: {problem}")
+
+
+def _joined(n: int, parts: Sequence[tuple]) -> tuple:
+    # the (dims, fwd, bwd, depth) of the direct sum of parts, each laid
+    # out as _label_maps returns them, summed in the order given: the basis
+    # of part m at vertex v follows those of the parts before it, at an
+    # offset o_m(v) that sums their dimensions there, so
+    # column o_m(v) + c of step v hits row o_m(w) + fwd_m[v][c] (w = v + 1,
+    # or n - 1 for the loop) and row o_m(w) + r is hit by column
+    # o_m(v) + bwd_m[v][r]. Path maps and loop tops are block diagonal, so
+    # each row keeps its depth. One part is returned as it is
+    if len(parts) == 1:
+        return parts[0]
+    dims = tuple(map(sum, zip((0,) * n, *(part[0] for part in parts))))
+    fwd, bwd = [], []
+    for v in range(n):
+        w = min(v + 1, n - 1)
+        f: list[int] = []
+        b: list[int] = []
+        src = dst = 0
+        for pdims, pfwd, pbwd, _ in parts:
+            f += [r + dst if r >= 0 else -1 for r in pfwd[v]]
+            b += [c + src if c >= 0 else -1 for c in pbwd[v]]
+            src += pdims[v]
+            dst += pdims[w]
+        fwd.append(tuple(f))
+        bwd.append(tuple(b))
+    depth = tuple(tuple(d for part in parts for d in part[3][t]) for t in range(n + 1))
+    return dims, tuple(fwd), tuple(bwd), depth
 
 
 class _Side:
-    """One side of the Ext^1 walk, X or Y, by itself: its raw sum, its
-    summands as (position, multiplicity) items in position order
-    (_label_positions), its |Aut| shape and, built when a walk first meets
-    a nonzero class, what its connecting matrices (_connecting_patterns)
-    read of it. It depends on n and the sorted labels only, so every plan
-    with the same X or Y shares it (_side).
+    """One side of the Ext^1 walk, X or Y, by itself: its summands as
+    (position, multiplicity) items in position order (_label_positions),
+    its |Aut| shape, and its column maps dims, fwd, bwd and depth, laid out
+    as a label's (_label_maps) and joined from its labels' in canonical
+    order (_joined). A one-label side holds its label's maps, not a copy.
+    It depends on n and the sorted labels only, so every plan with the
+    same X or Y shares it (_side).
 
-    steps holds the column maps of the arrows and the loop (_column_steps),
-    read once. Every arrow and loop matrix of a canonical raw sum has at
-    most one nonzero entry, a 1, in each column, and no two of its columns
-    hit the same row: each arrow and the loop send the basis vectors of
-    each summand to distinct basis vectors or to 0 (make_indec), and a
-    direct sum keeps the summands apart. Both are checked here: a side
-    whose _column_steps is None, or one of whose arrows or loop sends two
-    columns to one row, raises InternalInvariantError naming its labels.
-    maps holds the path maps A_{s->t} and the loop tops L A_{s->n},
-    composed from the steps as column maps (_then). Composites keep both
-    properties, so every path map and loop top does.
-
-    As the X of an extension the side gives inverse: back[t][r], the
-    (s, col) that A_{s->t} sends to row r, for every s <= t (s = t is the
-    identity), and loop_back[r], the (j, col) that L A_{j->n} sends to row
-    r of X_n. As the Y it gives images: the rows that each A_{s->t} and
-    each L A_{s->n} hit, and for each pair (i, j) those that A_{i->n} and
-    L A_{j->n} hit together, as bit masks. They are pushed forward from
-    the steps (_image_masks), im(g f) = g(im f), and are the masks of the
-    rows that the composed maps hit (proof in _profile_raw).
+    The side is the direct sum of its labels, whose arrow and loop
+    matrices are block diagonal, so each of them is a column map with
+    distinct rows as each label's is (checked once per label), and each
+    row's depth is its depth in its own summand. _cocycle_system reads the
+    cocycle rows off fwd and bwd, and _connecting_patterns reads the path
+    maps and loop tops as forward and backward chains of fwd and bwd, and
+    their images as depths.
     """
+
+    __slots__ = ("n", "labels", "items", "aut", "dims", "fwd", "bwd", "depth")
 
     def __init__(self, n: int, labels: tuple[IndecLabel, ...]) -> None:
         self.n, self.labels = n, labels
-        self.raw = raw_sum(labels, n)
         index = _label_positions(n).index
         counts: dict[int, int] = {}
         for l in labels:
@@ -593,66 +716,26 @@ class _Side:
             counts[k] = counts.get(k, 0) + 1
         self.items = tuple(sorted(counts.items()))
         self.aut = _aut_shape(n, self.items)
-
-    @cached_property
-    def steps(self) -> list:
-        # the column maps of the arrows and the loop (_column_steps), read
-        # once and checked; maps and images are both built from them
-        steps = _column_steps(self.n, self.raw)
-        if steps is None:
-            problem = "a canonical matrix column is neither 0 nor a unit vector"
-        else:
-            hits = [[r for r in m if r >= 0] for m in steps]
-            if all(len(h) == len(set(h)) for h in hits):
-                return steps
-            problem = "two columns of a canonical matrix hit the same row"
-        raise InternalInvariantError(f"side {multiset_to_str(self.labels)}: {problem}")
-
-    @cached_property
-    def maps(self) -> tuple[list, list]:
-        # the path maps and the loop tops, composed from the steps
-        n, dims, steps = self.n, self.raw[0], self.steps
-        paths = []
-        for s in range(n):
-            row = [()] * s + [tuple(range(dims[s]))]
-            for t in range(s + 1, n):
-                row.append(_then(row[-1], steps[t - 1]))
-            paths.append(row)
-        return paths, [_then(row[n - 1], steps[n - 1]) for row in paths]
-
-    @cached_property
-    def inverse(self) -> tuple[list, list]:
-        # (back, loop_back) of the class docstring
-        dims, (paths, loop_top) = self.raw[0], self.maps
-        back: list[list[list]] = [[[] for _ in range(d)] for d in dims]
-        for s, row in enumerate(paths):
-            for t in range(s, self.n):
-                for col, r in enumerate(row[t]):
-                    if r >= 0:
-                        back[t][r].append((s, col))
-        loop_back: list[list] = [[] for _ in range(dims[-1])]
-        for j, m in enumerate(loop_top):
-            for col, r in enumerate(m):
-                if r >= 0:
-                    loop_back[r].append((j, col))
-        return back, loop_back
-
-    @cached_property
-    def images(self) -> tuple[list, list, list]:
-        # (path, loop, pair) image masks of the class docstring, pushed
-        # forward from the steps (_image_masks)
-        n = self.n
-        masks = _image_masks(n, self.raw[0], self.steps)
-        path_img = [masks[s * n : (s + 1) * n] for s in range(n)]
-        loop_img = masks[n * n :]
-        pair_img = [[row[-1] | img for img in loop_img] for row in path_img]
-        return path_img, loop_img, pair_img
+        self.dims, self.fwd, self.bwd, self.depth = _joined(n, [_label_maps(l, n) for l in labels])
 
 
 # the most sides _side keeps: more than the 392 labels at n = 16, so a table
-# build up to n = 16 makes each side once
+# build up to n = 16 makes each side once. A side holds its items, its
+# |Aut| shape and its column maps; a one-label side shares its label's maps
 SIDE_CACHE_SIZE = 512
 _side = lru_cache(maxsize=SIDE_CACHE_SIZE)(_Side)
+
+
+def _back_chain(bwd, t: int, c: int) -> list[tuple[int, int]]:
+    # the backward chain of column c at vertex t: (t, c), then (s, col) for
+    # s = t - 1, t - 2, ... while bwd gives a column, so A_{s->t}(col) = c
+    # exactly for the (s, col) listed (_connecting_patterns)
+    chain = []
+    while c >= 0:
+        chain.append((t, c))
+        t -= 1
+        c = bwd[t][c] if t >= 0 else -1
+    return chain
 
 
 def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
@@ -686,56 +769,74 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
     With B = _c_inverse(n), which inverts profiles,
     mult(M) = mult(X + Y) - B r(c) for r_L(c) = rk R_L(c).
 
-    Q_L and K_L without elimination. Each column of A_L(Y) and A_L(X) is 0
-    or a unit vector (_Side), so the column space of A_L(Y) is spanned by
-    the unit vectors of the rows it hits, and Q_L keeps the other rows:
-    row r is in the cokernel when the images mask of A_L(Y) misses r. The
-    kernel of A_L(X) is spanned by the unit vectors of its zero columns and
-    by e_k - e_k' for each two columns k < k' that hit the same row:
-    grouped by row, the nonzero columns are equal unit vectors, and
-    distinct rows give independent ones. Within one path map or loop top
-    no two columns hit the same row (_Side), so for W(i,j) and V(i), whose
-    A_L is one map, the kernel vectors are the zero columns. For U(i,j),
-    with d = dim X_i columns of A_{i->n} before those of L A_{j->n}, a
-    column col < d that A_{i->n} sends to a row r1 pairs with the column
-    d + c2 of L A_{j->n} that also hits r1, if any (loop_back[r1]); a
-    column d + col that L A_{j->n} sends to r2 pairs with the column of
-    A_{i->n} that hits r2, if any (back[n][r2]). Each vector is named by
-    the column of its last nonzero entry: col for a zero column, d + c2 for
-    a pair, +1 on col and -1 on d + c2. No two vectors share a name, so the
-    pattern's columns, sorted by name, are the kernel vectors numbered in
-    column order at that column.
+    Chains. Every arrow and the loop of each side is a column map whose
+    columns hit distinct rows (_Side), so each row has at most one
+    preimage per arrow, bwd. Hence the (s, col) with A_{s->k}(col) = b
+    are exactly the backward chain of (k, b) (_back_chain): (k, b), then
+    (k - 1, bwd[k-1][b]) and so on while a preimage exists. For each
+    (s, col) on it A_{s->t}(col) = A_{k->t}(b) for t >= k, the forward
+    chain of (k, b) through fwd, whatever s is; and L A_{s->n}(col) is
+    the loop's fwd of its end. Path maps and loop tops are column maps
+    with distinct rows too, and their images are read off depth (proof in
+    _label_maps): r is in im A_{s->t} exactly when depth[t][r] <= s, and
+    in im(L A_{j->n}) exactly when depth[n][r] <= j.
+
+    Q_L and K_L without elimination. The column space of A_L(Y) is
+    spanned by the unit vectors of the rows it hits, so Q_L keeps the
+    other rows: for W(s+1, t) row r when depth^Y[t][r] > s, for V(s+1)
+    when depth^Y[n][r] > s, and for U(i+1, j+1), whose image is that of
+    A_{i->n} plus that of L A_{j->n}, when depth^Y[n-1][r] > i and
+    depth^Y[n][r] > j. The kernel of A_L(X) is spanned by the unit vectors
+    of its zero columns and by e_k - e_k' for each two columns k < k' that
+    hit the same row: grouped by row, the nonzero columns are equal unit
+    vectors, and distinct rows give independent ones. Within one path map
+    or loop top no two columns hit the same row, so for W(i,j) and V(i),
+    whose A_L is one map, the kernel vectors are the zero columns. For
+    U(i,j), with d = dim X_i columns of A_{i->n} before those of
+    L A_{j->n}, a column col < d that A_{i->n} sends to a row r1 pairs with
+    the column d + c2 of L A_{j->n} that also hits r1, if any: c2 is the
+    column at j of the backward chain of (n, bwd_L(r1)), with bwd_L the
+    loop's. A column d + col that L A_{j->n} sends to r2 pairs with the
+    column of A_{i->n} that hits r2, which exists exactly when
+    depth^X[n-1][r2] <= i. Each vector is named by the column of its last
+    nonzero entry: col for a zero column, d + c2 for a pair, +1 on col and
+    -1 on d + c2. No two vectors share a name, so the pattern's columns,
+    sorted by name, are the kernel vectors numbered in column order at
+    that column.
 
     Which labels a coordinate reaches. A coordinate (k, a, b) of the
     cocycles is entry (a, b) of block k: c_k = E_ab: X_k -> Y_{k+1} for
     k < n - 1, or of the loop block, E_ab: X_n -> Y_n. Then
     A^Y_{k+1->t} E_ab A^X_{s->k} = e_r row_b(A^X_{s->k}), with r the row
-    that A^Y_{k+1->t} sends a to, and row b of A^X_{s->k} has its 1s at the
-    columns col with A^X_{s->k}(col) = b, the (s, col) of back[k][b]. So
-    the coordinate adds its value, and nothing else, to entry (r, col) of
-    C_{s->t} for each such (s, col) and each t > k that the path from a
-    reaches (r >= 0), and to entry (r, col) of the loop part of source s,
-    where r is L_Y A^Y_{k+1->n}(a) for k < n - 1 and r = a for the loop
-    block, which enters L A_{s->n} only through c A^X_{s->n}. The labels
-    that read these blocks are W(s+1, t) (C_{s->t}, t counted from 0),
-    U(s+1, j) for every j (C_{s->n}, the first d columns), V(s+1) (the
-    loop part of s) and U(i, s+1) for every i (the loop part of s, after
-    the dim X_i columns of A_{i->n}). Entry (r, v) of Q_L C_L K_L is the
-    sum over columns col of C_L[r][col] K_L[col][v] for r in the cokernel,
-    so the coordinate adds value times the sign of v at col to entry
-    (r, v) of R_L for each kernel vector v nonzero at col, and nothing to
-    any other entry or label. Summing these contributions over the
-    coordinates where some basis row is nonzero gives every R_L(b) at
-    once; a label that no contribution reaches has R_L(b) = 0 for every b,
-    as has every label with dim Hom(L, X) = dim ker A_L(X) = 0.
+    that A^Y_{k+1->t} sends a to, the forward chain of (k + 1, a) in Y,
+    and row b of A^X_{s->k} has its 1 at the column col of the backward
+    chain of (k, b) at s, if it reaches s. So the coordinate adds its
+    value, and nothing else, to entry (r, col) of C_{s->t} for each such
+    (s, col) and each t > k that the chain from a reaches (r >= 0), and to
+    entry (r, col) of the loop part of source s, where r is
+    L_Y A^Y_{k+1->n}(a) for k < n - 1 and r = a for the loop block, which
+    enters L A_{s->n} only through c A^X_{s->n}. The labels that read
+    these blocks are W(s+1, t) (C_{s->t}, t counted from 0), U(s+1, j) for
+    every j (C_{s->n}, the first d columns), V(s+1) (the loop part of s)
+    and U(i, s+1) for every i (the loop part of s, after the dim X_i
+    columns of A_{i->n}). Entry (r, v) of Q_L C_L K_L is the sum over
+    columns col of C_L[r][col] K_L[col][v] for r in the cokernel, so the
+    coordinate adds value times the sign of v at col to entry (r, v) of
+    R_L for each kernel vector v nonzero at col, and nothing to any other
+    entry or label. Column col of A^X_{s->t} is zero exactly when the
+    forward chain of (k, b) dies at or before t, and column col of
+    L A^X_{s->n} when that chain, followed by the loop, dies. Summing these
+    contributions over the coordinates where some basis row is nonzero
+    gives every R_L(b) at once; a label that no contribution reaches has
+    R_L(b) = 0 for every b, as has every label with
+    dim Hom(L, X) = dim ker A_L(X) = 0.
     """
     n, top = x.n, x.n - 1
     pos = _label_positions(n)
     fwd_pos, loop_pos, pair_pos = pos.fwd, pos.loop, pos.pair
-    (px, lx), (py, ly) = x.maps, y.maps
-    back, loop_back = x.inverse
-    path_img, loop_img, pair_img = y.images
-    dx = x.raw[0]
+    xfwd, xbwd, xtop, dx = x.fwd, x.bwd, x.depth[top], x.dims
+    yfwd, ydepth = y.fwd, y.depth
+    ytop, yloop = ydepth[top], ydepth[n]
     coords = tuple(zip(*basis))
     # per label index, entry (r, v) of R_L at the basis as its e-tuple: row
     # r of the cokernel, kernel vector v by its name
@@ -750,50 +851,67 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
             entries[(r, v)] = vec if old is None else tuple(map(add, old, vec))
 
     for k, (rows, cols, off) in enumerate(blocks):
+        # per column b of X_k: its backward chain; dead, the first t > k at
+        # which its forward chain is 0 (n if none); r1 = A^X_{k->n}(b) and
+        # r2 = L A^X_{k->n}(b), -1 for 0; and the backward chain of the
+        # column of L that hits r1, as the (j, c2) of L A^X_{j->n}(c2) = r1
+        xcols = []
+        for b in range(cols):
+            r1, dead = b, n
+            for t in range(k, top):
+                r1 = xfwd[t][r1]
+                if r1 < 0:
+                    dead = t + 1
+                    break
+            lchain = _back_chain(xbwd, top, xbwd[top][r1]) if r1 >= 0 else []
+            r2 = xfwd[top][r1] if r1 >= 0 else -1
+            xcols.append((_back_chain(xbwd, k, b), dead - k - 1, r1, lchain, r2))
         for a in range(rows):
-            # (t, the row of Y_t that a reaches) while the path from k + 1
-            # lives, the row it reaches at n (top_r) and the row of the
-            # loop part (loop_r), each -1 where there is none
+            # the forward chain of (k + 1, a) in Y, as (t, row, its depth),
+            # the row it reaches at n (top_r) and that of the loop part
+            # (loop_r), each -1 where there is none
             reach, top_r, loop_r = [], -1, a
             if k < top:
-                for t in range(k + 1, n):
-                    r = py[k + 1][t][a]
-                    if r < 0:
+                t, r = k + 1, a
+                while r >= 0:
+                    reach.append((t, r, ydepth[t][r]))
+                    if t == top:
+                        top_r = r
                         break
-                    reach.append((t, r))
-                top_r, loop_r = py[k + 1][top][a], ly[k + 1][a]
+                    r = yfwd[t][r]
+                    t += 1
+                loop_r = yfwd[top][top_r] if top_r >= 0 else -1
+            if top_r >= 0:
+                top_d, top_l = ytop[top_r], yloop[top_r]
+            if loop_r >= 0:
+                loop_d, loop_l = ytop[loop_r], yloop[loop_r]
             for b in range(cols):
                 vec = coords[off + a * cols + b]
                 if not any(vec):
                     continue
-                for s, col in back[k][b]:
-                    for t, r in reach:
-                        if px[s][t][col] < 0 and not path_img[s][t] >> r & 1:
+                chain, dead, r1, lchain, r2 = xcols[b]
+                for s, col in chain:
+                    for t, r, d in reach[dead:]:
+                        if d > s:
                             put(fwd_pos[s][t - s - 1], r, col, vec)
-                    if top_r >= 0:
-                        r1 = px[s][top][col]
+                    if top_r >= 0 and top_d > s:
                         if r1 < 0:
-                            for j, img in enumerate(pair_img[s]):
-                                if not img >> top_r & 1:
-                                    put(pair_pos[s][j], top_r, col, vec)
+                            for j in range(top_l):
+                                put(pair_pos[s][j], top_r, col, vec)
                         else:
-                            for j, c2 in loop_back[r1]:
-                                if not pair_img[s][j] >> top_r & 1:
+                            for j, c2 in lchain:
+                                if j < top_l:
                                     put(pair_pos[s][j], top_r, dx[s] + c2, vec)
-                    if loop_r < 0:
+                    if loop_r < 0 or loop_l <= s:
                         continue
-                    r2 = lx[s][col]
                     if r2 < 0:
-                        if not loop_img[s] >> loop_r & 1:
-                            put(loop_pos[s], loop_r, col, vec)
-                        for i in range(n):
-                            if not pair_img[i][s] >> loop_r & 1:
-                                put(pair_pos[i][s], loop_r, dx[i] + col, vec)
+                        put(loop_pos[s], loop_r, col, vec)
+                        for i in range(loop_d):
+                            put(pair_pos[i][s], loop_r, dx[i] + col, vec)
                     else:
                         neg = tuple(-e for e in vec)
-                        for i, _ in back[top][r2]:
-                            if not pair_img[i][s] >> loop_r & 1:
-                                put(pair_pos[i][s], loop_r, dx[i] + col, neg)
+                        for i in range(xtop[r2], loop_d):
+                            put(pair_pos[i][s], loop_r, dx[i] + col, neg)
     zero = (0,) * len(basis)
     patterns = {}
     for label in sorted(hits):
@@ -856,15 +974,16 @@ class _WalkPlan:
     """What the Ext^1 walk of one side pair needs that no prime changes,
     built once per riedtmann_hall_numbers call and walked at each of its
     primes: the two sides (_side, shared with every plan that has the same
-    X or Y: raw sums, |Aut| shapes and the data of the connecting
-    matrices), the cocycle layout, the Ext^1 basis over the integers
-    (ext_basis, from _ext_basis; _ext_classes reduces it mod p, and
-    e = dim Ext^1(X, Y) is its length at every p, known before any class is
-    visited), dim Hom(X, Y), summed over the two sides' (position,
-    multiplicity) items from the rows of the hom matrix (_label_positions),
-    and the split extension X + Y: its items, merged from the sides' in
-    position order, as a sorted label tuple with its |Aut| shape, and its
-    dimension vector. With e > 0, where every prime meets a nonzero class,
+    X or Y: their items, |Aut| shapes and column maps; the plan builds no
+    raw sum and no dense matrix), the cocycle layout, the Ext^1 basis over
+    the integers (ext_basis, from _ext_basis on the rows that
+    _cocycle_system writes off the sides' column maps; _ext_classes
+    reduces it mod p, and e = dim Ext^1(X, Y) is its length at every p,
+    known before any class is visited), dim Hom(X, Y), summed over the two
+    sides' (position, multiplicity) items from the rows of the hom matrix
+    (_label_positions), and the split extension X + Y: its items, merged
+    from the sides' in position order, as a sorted label tuple with its
+    |Aut| shape, and its dimension vector. With e > 0, where every prime meets a nonzero class,
     it also holds their classifier (_middle_labels): base, mult(X + Y) as a
     vector over the label positions, and connecting, per distinct pattern
     of _connecting_patterns, the sum of its labels' columns of _c_inverse,
@@ -891,20 +1010,21 @@ class _WalkPlan:
 
     The coboundary rank must be sum_v dim X_v dim Y_v - dim Hom(X, Y), for
     dim Hom(X, Y) summed from the hom matrix, since ker delta = Hom(X, Y).
-    So every side pair walked checks the path-rank table (hom_table) against
-    the cocycle system (hom_dim_raw) at run time.
+    The coboundaries that _cocycle_system reads off the column maps are the
+    dense rows of hom_dim_raw entry for entry (proof there), so every side
+    pair walked checks the path-rank table (hom_table) against the cocycle
+    system of the tests' Hom oracle at run time.
     """
 
     def __init__(self, n: int, xs: tuple[IndecLabel, ...], ys: tuple[IndecLabel, ...]) -> None:
         pos = _label_positions(n)
         self.n = n
-        self.xside, self.yside = _side(n, xs), _side(n, ys)
-        self.x, self.y = self.xside.raw, self.yside.raw
+        self.xside, self.yside = x, y = _side(n, xs), _side(n, ys)
         self.hom_xy = sum(
-            a * b * pos.hom[k][l] for k, a in self.xside.items for l, b in self.yside.items
+            a * b * pos.hom[k][l] for k, a in x.items for l, b in y.items
         )
-        self.blocks, loop_eqs, coboundaries = _cocycle_system(n, self.x, self.y)
-        b_rank = sum(map(mul, self.x[0], self.y[0])) - self.hom_xy
+        self.blocks, loop_eqs, coboundaries = _cocycle_system(n, x, y)
+        b_rank = sum(map(mul, x.dims, y.dims)) - self.hom_xy
         try:
             self.ext_basis = _ext_basis(self.blocks, loop_eqs, coboundaries, b_rank)
         except (ArithmeticError, InternalInvariantError) as err:
@@ -916,7 +1036,7 @@ class _WalkPlan:
             merged[k] = merged.get(k, 0) + m
         split = tuple(sorted(merged.items()))
         self.split, self.split_aut = _labels_of(n, split), _aut_shape(n, split)
-        self.dims = tuple(map(add, self.x[0], self.y[0]))
+        self.dims = tuple(map(add, x.dims, y.dims))
         self.base = self.connecting = self.columns = self.steps = self.shapes = ()
         if self.ext_basis:
             base = [0] * len(pos.labels)
@@ -1092,10 +1212,10 @@ def riedtmann_hall_numbers(
     per call and walked at every prime: the Ext^1 basis (eliminated over
     the integers, reduced mod p by _ext_classes), the connecting matrices,
     and the middle term of each r(c) with its |Aut| shape, kept for the
-    call. What depends on one side alone, its raw sum, |Aut| shape and the
-    column maps of its path maps and loop tops with their inverses and
-    images, comes from _side, built once per side and shared by the plans
-    that have it.
+    call. What depends on one side alone, its |Aut| shape and the column
+    maps of its arrows and loop with their inverses and row depths, joined
+    from its labels' (_label_maps), comes from _side, built once per side
+    and shared by the plans that have it.
 
     The plan knows e, so the walk's size at every prime is known before any
     class is visited: above MAX_WALK_CLASSES classes at some prime, it

@@ -216,8 +216,9 @@ def _block_diag(blocks, widths) -> tuple[tuple[int, ...], ...]:
     rows = []
     left = 0
     for block, width in zip(blocks, widths):
-        right = total - left - width
-        rows.extend((0,) * left + tuple(r) + (0,) * right for r in block)
+        # the zero padding on either side, built once per block
+        lpad, rpad = (0,) * left, (0,) * (total - left - width)
+        rows += [lpad + tuple(r) + rpad for r in block]
         left += width
     return tuple(rows)
 

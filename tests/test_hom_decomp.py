@@ -16,10 +16,16 @@ from hallq.hom_decomp import (
     _aut_order,
     _aut_shape,
     _c_inverse,
-    _cocycle_system,
     _class_ranks,
+    _coboundaries,
+    _cocycle_blocks,
+    _cocycle_system,
+    _column_steps,
     _decompose_raw,
     _ext_classes,
+    _image_masks,
+    _label_maps,
+    _loop_row,
     _middle_labels,
     _middle_term,
     _nonzero_classes,
@@ -133,7 +139,7 @@ def _random_modules(rng, n, p, extensions, sums):
         coeffs = [rng.randrange(p) for _ in reps]
         if any(coeffs):
             c = [sum(map(mul, coeffs, col)) % p for col in zip(*reps)]
-            out.append(_middle_term(n, plan.x, plan.y, plan.blocks, c))
+            out.append(_middle_term(n, raw_sum(xs, n), raw_sum(ys, n), plan.blocks, c))
     assert len(out) == extensions
     for _ in range(sums):
         out.append(raw_rep(rep_of_multiset(rng.choices(labels, k=rng.randint(1, 3)), ctx)))
@@ -400,16 +406,15 @@ def test_decompose_rejects_a_profile_of_other_dims(monkeypatch):
         _decompose_raw(n, 2, raw_sum((IndecLabel("V", 3),), n))
 
 
-def test_side_images_are_the_masks_of_its_maps(rng):
-    # the images pushed forward as masks (_image_masks) against masks read
-    # off the composed column maps: every one-label side, and seeded sides
-    # of two and three summands
-    def mask(m):
-        return sum(1 << r for r in set(m) if r >= 0)
-
+def test_side_maps_match_the_dense_reading(rng):
+    # fwd is the column maps read off the side's raw sum (_column_steps),
+    # bwd their inverse, and depth[t][r] <= s exactly when bit r of the
+    # s -> t mask of _image_masks is set; likewise depth[n] for the loop
+    # tops, and the pair masks from the two. Every one-label side, and
+    # seeded sides of two and three summands, repeats included
     for n in range(2, 6):
         labels = all_labels(n)
-        sides = [(l,) for l in labels]
+        sides = [(l,) for l in labels] + [(l, l) for l in rng.sample(labels, 3)]
         sides += [
             tuple(sorted(rng.choices(labels, k=k), key=IndecLabel.sort_key))
             for k in (2, 3)
@@ -417,11 +422,57 @@ def test_side_images_are_the_masks_of_its_maps(rng):
         ]
         for side_labels in sides:
             side = hom_decomp._Side(n, side_labels)
-            paths, loop_top = side.maps
-            path_img, loop_img, pair_img = side.images
-            assert path_img == [[mask(m) for m in row] for row in paths], side_labels
-            assert loop_img == [mask(m) for m in loop_top], side_labels
-            assert pair_img == [[row[-1] | img for img in loop_img] for row in path_img]
+            raw = raw_sum(side_labels, n)
+            steps = _column_steps(n, raw)
+            assert side.dims == raw[0] and list(side.fwd) == steps, side_labels
+            for v, (f, b) in enumerate(zip(side.fwd, side.bwd)):
+                assert len(b) == raw[0][min(v + 1, n - 1)], side_labels
+                assert b == tuple(f.index(r) if r in f else -1 for r in range(len(b))), side_labels
+            masks = _image_masks(n, raw[0], steps)
+            top, loop = side.depth[n - 1], side.depth[n]
+
+            def rows(depths, s):
+                return sum(1 << r for r, d in enumerate(depths) if d <= s)
+
+            for s in range(n):
+                for t in range(s, n):
+                    assert masks[s * n + t] == rows(side.depth[t], s), (side_labels, s, t)
+                assert masks[n * n + s] == rows(loop, s), (side_labels, s)
+                for j in range(n):
+                    pair = sum(1 << r for r in range(len(top)) if top[r] <= s or loop[r] <= j)
+                    assert masks[s * n + n - 1] | masks[n * n + j] == pair, (side_labels, s, j)
+        # a one-label side holds its label's maps, not a copy
+        x = labels[-1]
+        assert hom_decomp._Side(n, (x,)).bwd is _label_maps(x, n)[2]
+
+
+def _dense_cocycle_system(n, x, y):
+    # _cocycle_system read off the dense matrices of raw sums x and y: the
+    # loop equations from _loop_row, the coboundaries from _coboundaries
+    blocks = _cocycle_blocks(n, x[0], y[0])
+    loop = lr, lc, _ = blocks[-1]
+    lx_cols = tuple(zip(*x[2]))
+    loop_eqs = []
+    for r in range(lr):
+        for s in range(lc):
+            eq = _loop_row(loop, r, s, y[2][r], lx_cols[s])
+            if eq:
+                loop_eqs.append(tuple(eq))
+    return blocks, tuple(loop_eqs), _coboundaries(n, x, y, blocks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cocycle_rows_match_the_dense_reading(rng, n):
+    # the rows _cocycle_system reads off the sides' column maps against the
+    # dense reading of the raw sums: every ordered label pair, then seeded
+    # side pairs of one or two summands; each loop equation has at most 2
+    # entries and each coboundary at most 3
+    labels = all_labels(n)
+    pairs = [((x,), (y,)) for x in labels for y in labels] + list(_side_pairs(rng, n, 40))
+    for xs, ys in pairs:
+        got = _cocycle_system(n, _side(n, xs), _side(n, ys))
+        assert got == _dense_cocycle_system(n, raw_sum(xs, n), raw_sum(ys, n)), (xs, ys)
+        assert all(len(eq) <= 2 for eq in got[1]) and all(len(row) <= 3 for row in got[2])
 
 
 def _side_pairs(rng, n, count):
@@ -458,7 +509,8 @@ def test_walk_classification_matches_glued_middle_terms(rng):
                     continue
                 for a, ranks in zip(_nonzero_classes(len(reps), p), _class_ranks(plan, p)):
                     c = [sum(map(mul, a, col)) % p for col in zip(*reps)]
-                    want = _decompose_raw(n, p, _middle_term(n, plan.x, plan.y, plan.blocks, c))
+                    middle = _middle_term(n, raw_sum(xs, n), raw_sum(ys, n), plan.blocks, c)
+                    want = _decompose_raw(n, p, middle)
                     got, _ = _middle_labels(plan, ranks)
                     assert got == want.as_labels(), (n, p, xs, ys, a)
                     compared += 1
@@ -550,12 +602,31 @@ def test_no_stored_pattern_is_zero_on_every_basis_vector(n):
     assert stored > 0
 
 
-def _reference_roles(side):
+def _column_paths(n, raw):
+    # the path maps A_{s->t} and the loop tops L A_{s->n} of a raw sum as
+    # column maps (the row each column hits, -1 for 0), composed from the
+    # column maps of its arrows and loop (_column_steps)
+    steps = _column_steps(n, raw)
+
+    def then(f, g):
+        return tuple(g[r] if r >= 0 else -1 for r in f)
+
+    paths = []
+    for s in range(n):
+        row = [()] * s + [tuple(range(raw[0][s]))]
+        for t in range(s + 1, n):
+            row.append(then(row[-1], steps[t - 1]))
+        paths.append(row)
+    return paths, [then(row[n - 1], steps[n - 1]) for row in paths]
+
+
+def _reference_roles(n, raw):
     # per label L: the cokernel rows of A_L as a bit mask, and its kernel
     # vectors, numbered in column order and held by column (for each column
     # of A_L, the (vector, sign) of the vectors nonzero there), or () when
-    # the kernel is 0; A_L and its blocks as _profile_raw reads them
-    n, (paths, loop_top) = side.n, side.maps
+    # the kernel is 0; A_L and its blocks as _profile_raw reads them, from
+    # the raw sum's own path maps
+    paths, loop_top = _column_paths(n, raw)
     cokers, kernels = [], []
     for label in all_labels(n):
         i = label.i - 1
@@ -566,7 +637,7 @@ def _reference_roles(side):
         else:
             t, blocks = n - 1, (paths[i][n - 1], loop_top[label.j - 1])
         cols = [r for m in blocks for r in m]
-        cokers.append(sum(1 << r for r in set(range(side.raw[0][t])).difference(cols)))
+        cokers.append(sum(1 << r for r in set(range(raw[0][t])).difference(cols)))
         kernel = [[] for _ in cols]
         first = {}
         vectors = 0
@@ -584,18 +655,20 @@ def _reference_roles(side):
     return cokers, kernels
 
 
-def _reference_connecting(plan):
+def _reference_connecting(plan, xs, ys):
     # plan.connecting from one pattern per label with dim Hom(L, X) > 0,
     # each built by reading the upper blocks of its A_L(M) entry by entry
     # and projecting them (_connecting_patterns' claim), then merged: equal
     # patterns share one entry, the sum of their labels' columns of
-    # _c_inverse, in the order the labels first give them
-    x, y, basis = plan.xside, plan.yside, plan.ext_basis
+    # _c_inverse, in the order the labels first give them. X and Y are
+    # read from their raw sums, not from the walk's sides
+    basis = plan.ext_basis
     if not basis:
         return ()
     n, top, zero = plan.n, plan.n - 1, (0,) * len(basis)
-    (px, _), (py, ly_top) = x.maps, y.maps
-    cokers, kernels = _reference_roles(y)[0], _reference_roles(x)[1]
+    x, y = raw_sum(xs, n), raw_sum(ys, n)
+    (px, _), (py, ly_top) = _column_paths(n, x), _column_paths(n, y)
+    cokers, kernels = _reference_roles(n, y)[0], _reference_roles(n, x)[1]
     coords = tuple(zip(*basis))
     terms = [
         (k, a, b, coords[off + a * cols + b])
@@ -636,7 +709,7 @@ def _reference_connecting(plan):
         elif label.kind == "V":
             c = list(upper(i, top, True).items())
         else:
-            shift = x.raw[0][i]
+            shift = x[0][i]
             c = list(upper(i, top, False).items()) + [
                 ((r, col + shift), vec) for (r, col), vec in upper(label.j - 1, top, True).items()
             ]
@@ -671,7 +744,7 @@ def test_connecting_patterns_match_the_per_label_builder_on_walked_pairs(n):
             if x == y or dims not in degrees.by_dims:
                 continue
             plan = _WalkPlan(n, (x,), (y,))
-            assert plan.connecting == _reference_connecting(plan), (x, y)
+            assert plan.connecting == _reference_connecting(plan, (x,), (y,)), (x, y)
             compared += len(plan.connecting)
     assert compared >= 2 * n * n
 
@@ -682,7 +755,7 @@ def test_connecting_patterns_match_the_per_label_builder_on_sums(rng):
     for n in (3, 4):
         for xs, ys in _side_pairs(rng, n, 60):
             plan = _WalkPlan(n, xs, ys)
-            assert plan.connecting == _reference_connecting(plan), (n, xs, ys)
+            assert plan.connecting == _reference_connecting(plan, xs, ys), (n, xs, ys)
             compared += len(plan.connecting)
     assert compared >= 80
 
@@ -735,10 +808,12 @@ def test_one_walk_at_several_primes_equals_one_walk_per_prime(n):
             assert riedtmann_hall_numbers((x,), (y,), n, primes) == want, (x, y)
 
 
-def _per_prime_ext_classes(plan, p):
-    # the reference: the cocycle system eliminated over F_p, as the walk
-    # did at every prime before its basis moved into the plan
-    blocks, loop_eqs, coboundaries = _cocycle_system(plan.n, plan.x, plan.y)
+def _per_prime_ext_classes(plan, xs, ys, p):
+    # the reference: the cocycle system, read off the raw sums of X and Y,
+    # eliminated over F_p, as the walk did at every prime before its basis
+    # moved into the plan
+    x, y = raw_sum(xs, plan.n), raw_sum(ys, plan.n)
+    blocks, loop_eqs, coboundaries = _dense_cocycle_system(plan.n, x, y)
     lr, lc, loff = blocks[-1]
     total = loff + lr * lc
 
@@ -753,7 +828,7 @@ def _per_prime_ext_classes(plan, p):
 
     cocycles = null_space(dense(loop_eqs), p, total)
     brows, brank, bpivs = row_reduce(dense(coboundaries), p, ncols=total)
-    assert brank == sum(map(mul, plan.x[0], plan.y[0])) - plan.hom_xy
+    assert brank == sum(map(mul, x[0], y[0])) - plan.hom_xy
     reps, _, _ = row_reduce([reduce_vector(z, brows, bpivs, p) for z in cocycles], p, ncols=total)
     return reps
 
@@ -774,7 +849,7 @@ def test_ext_classes_match_the_per_prime_elimination(rng):
         plan = _WalkPlan(n, xs, ys)
         dims_e.add(len(plan.ext_basis))
         for p in first_primes(6):
-            assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p), (n, xs, ys, p)
+            assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, xs, ys, p), (n, xs, ys, p)
     # pairs with e = 0, which stop after the coboundary rank, and e > 0
     assert {0, 1, 2} <= dims_e
 
@@ -789,7 +864,7 @@ def test_ext_basis_is_built_once_per_plan(monkeypatch):
     assert len(calls) == 3
     assert len(plan.ext_basis) == 3
     for p in first_primes(6):
-        assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p)
+        assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, xs, ys, p)
     calls.clear()
     riedtmann_hall_numbers(xs, ys, 2, first_primes(6))
     assert len(calls) == 3
@@ -807,7 +882,7 @@ def test_ext_basis_stops_after_the_coboundary_rank_at_e_0(monkeypatch):
     assert len(calls) == 2
     assert plan.ext_basis == () and plan.connecting == ()
     for p in first_primes(6):
-        assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, p) == ()
+        assert _ext_classes(plan, p) == _per_prime_ext_classes(plan, xs, ys, p) == ()
     system = _cocycle_system
     monkeypatch.setattr(hom_decomp, "_cocycle_system", lambda n, x, y: system(n, x, y)[:2] + ((),))
     with pytest.raises(InternalInvariantError, match=r"W1,1, V1\): coboundary rank 0 disagrees"):
@@ -837,28 +912,31 @@ def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
 
 
 def _plan_with_bent_arrow(monkeypatch, arrow, message):
-    # X = U1,1 by V2 at n = 2 (e = 1), with the arrow of X, the identity,
-    # replaced by arrow: the plan must refuse the side, by its labels, with
-    # message when it builds the connecting matrices. hom_table is filled
-    # before raw_sum is bent
+    # X = U1,1 by V2 at n = 2 (e = 1), with the arrow of U1,1's canonical
+    # matrices (_indec_raw), the identity, replaced by arrow: the plan must
+    # refuse the side, by its label, with message when it reads the label's
+    # column maps (_label_maps). hom_table is filled before _indec_raw is
+    # bent
     n, xs, ys = 2, (IndecLabel("U", 1, 1),), (IndecLabel("V", 2),)
     hom_table(n)
-    real = hom_decomp.raw_sum
+    real = hom_decomp._indec_raw
 
-    def bent(labels, n):
-        dims, arrows, loop = real(labels, n)
-        if tuple(labels) == xs:
+    def bent(label, n):
+        dims, arrows, loop = real(label, n)
+        if label == xs[0]:
             assert arrows == (((1, 0), (0, 1)),)
             arrows = (arrow,)
         return dims, arrows, loop
 
-    monkeypatch.setattr(hom_decomp, "raw_sum", bent)
+    monkeypatch.setattr(hom_decomp, "_indec_raw", bent)
     _side.cache_clear()
+    _label_maps.cache_clear()
     try:
         with pytest.raises(InternalInvariantError, match=rf"^side U1,1: {message}$"):
             _WalkPlan(n, xs, ys)
     finally:
         _side.cache_clear()
+        _label_maps.cache_clear()
 
 
 def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
@@ -1049,7 +1127,8 @@ def _end_units(n, p, raw):
     # force. End(M) = ker delta: the null space of the transposed matrix of
     # delta, whose rows are the coboundaries, one per coordinate of h; an
     # endomorphism is invertible when its matrix at every vertex is
-    blocks, _, coboundaries = _cocycle_system(n, raw, raw)
+    blocks = _cocycle_blocks(n, raw[0], raw[0])
+    coboundaries = _coboundaries(n, raw, raw, blocks)
     lr, lc, loff = blocks[-1]
     total = len(coboundaries)
     delta_t = [[0] * total for _ in range(loff + lr * lc)]
