@@ -452,9 +452,9 @@ def _cocycle_system(n: int, x: _Side, y: _Side):
     at (fwd^Y_L(r), s) and -1 at (r, bwd^X_L(s)) of the loop block. So a
     loop equation has at most 2 entries and a coboundary at most 3.
     _loop_entries places and orders the loop block's two terms as the
-    dense _loop_row does, and sums them where both land on (r, s), so
-    every row is the dense reading's (_loop_row, _coboundaries), entry for
-    entry, in the same order; hom_dim_raw keeps the dense reading.
+    dense _loop_row does, so every row is the dense reading's (_loop_row,
+    _coboundaries), entry for entry, in the same order; hom_dim_raw keeps
+    the dense reading.
     """
     top = n - 1
     blocks = _cocycle_blocks(n, x.dims, y.dims)
@@ -492,14 +492,10 @@ def _cocycle_system(n: int, x: _Side, y: _Side):
 def _loop_entries(loff: int, lc: int, r: int, s: int, kl: int, u: int, kr: int, w: int) -> tuple:
     # _loop_row for the vectors left = u e_kl and right = w e_kr, each 0 at
     # -1: u at (kl, s) and w at (r, kr) of the loop block, in coordinate
-    # order, summed where both land on (r, s)
-    row = loff + r * lc
-    if kl == r:
-        mid = {s: u}
-        if kr >= 0:
-            mid[kr] = mid.get(kr, 0) + w
-        return tuple((row + k, e) for k, e in sorted(mid.items()) if e)
-    mid = ((row + kr, w),) if kr >= 0 else ()
+    # order. kl is the column of L_Y that hits row r, or the row that column
+    # r hits, so kl != r: kl = r would give L_Y e_r = e_r, and L_Y^2 = 0
+    # (_label_maps). The two terms never share a row
+    mid = ((loff + r * lc + kr, w),) if kr >= 0 else ()
     if kl < 0:
         return mid
     left = ((loff + kl * lc + s, u),)
@@ -619,9 +615,11 @@ def _label_maps(label: IndecLabel, n: int) -> tuple:
     Every arrow and loop matrix of a label has at most one nonzero entry,
     a 1, in each column, and no two of its columns hit the same row: each
     arrow and the loop send the basis vectors to distinct basis vectors
-    or to 0 (make_indec). Both are checked here, and a breach raises
+    or to 0 (make_indec). The loop squares to 0, so no column's loop image
+    is a row that the loop moves again, fwd[n-1][r] = -1 for every row r
+    it hits. All three are checked here, and a breach raises
     InternalInvariantError naming the label; so every side, a direct sum
-    of labels, has both properties (_Side).
+    of labels, has all three properties (_Side).
 
     Why depth reads images. im A_{s->t} is the span of the unit vectors of
     the rows it hits (_profile_raw). Row r of vertex t has at most one
@@ -642,6 +640,8 @@ def _label_maps(label: IndecLabel, n: int) -> tuple:
         problem = "a canonical matrix column is neither 0 nor a unit vector"
     elif any(len(hit) != len(set(hit)) for hit in ([r for r in m if r >= 0] for m in fwd)):
         problem = "two columns of a canonical matrix hit the same row"
+    elif any(r >= 0 and fwd[-1][r] >= 0 for r in fwd[-1]):
+        problem = "the canonical loop does not square to 0"
     else:
         bwd = []
         for v, step in enumerate(fwd):
@@ -698,17 +698,17 @@ class _Side:
 
     The side is the direct sum of its labels, whose arrow and loop
     matrices are block diagonal, so each of them is a column map with
-    distinct rows as each label's is (checked once per label), and each
-    row's depth is its depth in its own summand. _cocycle_system reads the
-    cocycle rows off fwd and bwd, and _connecting_patterns reads the path
-    maps and loop tops as forward and backward chains of fwd and bwd, and
-    their images as depths.
+    distinct rows and the loop squares to 0, as for each label (checked
+    once per label), and each row's depth is its depth in its own summand.
+    _cocycle_system reads the cocycle rows off fwd and bwd, and
+    _connecting_patterns reads backward chains of bwd in X, forward chains
+    of fwd in Y, and images as depths.
     """
 
-    __slots__ = ("n", "labels", "items", "aut", "dims", "fwd", "bwd", "depth")
+    __slots__ = ("n", "items", "aut", "dims", "fwd", "bwd", "depth")
 
     def __init__(self, n: int, labels: tuple[IndecLabel, ...]) -> None:
-        self.n, self.labels = n, labels
+        self.n = n
         index = _label_positions(n).index
         counts: dict[int, int] = {}
         for l in labels:
@@ -773,13 +773,11 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
     columns hit distinct rows (_Side), so each row has at most one
     preimage per arrow, bwd. Hence the (s, col) with A_{s->k}(col) = b
     are exactly the backward chain of (k, b) (_back_chain): (k, b), then
-    (k - 1, bwd[k-1][b]) and so on while a preimage exists. For each
-    (s, col) on it A_{s->t}(col) = A_{k->t}(b) for t >= k, the forward
-    chain of (k, b) through fwd, whatever s is; and L A_{s->n}(col) is
-    the loop's fwd of its end. Path maps and loop tops are column maps
-    with distinct rows too, and their images are read off depth (proof in
-    _label_maps): r is in im A_{s->t} exactly when depth[t][r] <= s, and
-    in im(L A_{j->n}) exactly when depth[n][r] <= j.
+    (k - 1, bwd[k-1][b]) and so on while a preimage exists. Path maps and
+    loop tops are column maps with distinct rows too, and their images
+    are read off depth (proof in _label_maps): r is in im A_{s->t} exactly
+    when depth[t][r] <= s, and in im(L A_{j->n}) exactly when
+    depth[n][r] <= j.
 
     Q_L and K_L without elimination. The column space of A_L(Y) is
     spanned by the unit vectors of the rows it hits, so Q_L keeps the
@@ -793,16 +791,26 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
     or loop top no two columns hit the same row, so for W(i,j) and V(i),
     whose A_L is one map, the kernel vectors are the zero columns. For
     U(i,j), with d = dim X_i columns of A_{i->n} before those of
-    L A_{j->n}, a column col < d that A_{i->n} sends to a row r1 pairs with
-    the column d + c2 of L A_{j->n} that also hits r1, if any: c2 is the
-    column at j of the backward chain of (n, bwd_L(r1)), with bwd_L the
-    loop's. A column d + col that L A_{j->n} sends to r2 pairs with the
-    column of A_{i->n} that hits r2, which exists exactly when
-    depth^X[n-1][r2] <= i. Each vector is named by the column of its last
-    nonzero entry: col for a zero column, d + c2 for a pair, +1 on col and
-    -1 on d + c2. No two vectors share a name, so the pattern's columns,
-    sorted by name, are the kernel vectors numbered in column order at
-    that column.
+    L A_{j->n}, the pairs are a column of A_{i->n} and the column d + col
+    of L A_{j->n} that hit one row: a column that L A_{j->n} sends to r2
+    pairs with the column of A_{i->n} that hits r2, which exists exactly
+    when depth^X[n-1][r2] <= i. Each vector is named by the column of its
+    last nonzero entry: col for a zero column, d + col for a pair, -1 on
+    d + col and +1 on its partner. No two vectors share a name, so the
+    pattern's columns, sorted by name, are the kernel vectors numbered in
+    column order at that column.
+
+    No basis row reaches a live arrow column. Take a coordinate c_k[a][b]
+    of an arrow block (k < n - 1) whose X column is live, r = fwd^X_k(b)
+    >= 0. The coboundary row of h_{k+1}[a][r] (_cocycle_system) has -1 at
+    c_k[a][bwd^X_k(r)] = c_k[a][b], and its other entry, if any, lies in
+    block k + 1 or in the loop block, later in coordinate order. So
+    c_k[a][b] is the row's leading column, which no combination of earlier
+    columns of B^1 gives, so it is a pivot column of the RREF of B^1.
+    _ext_basis reduces every cocycle against that RREF, which makes it 0
+    at every pivot, and row operations on the reduced cocycles keep those
+    zeros: every basis row is 0 at c_k[a][b]. A nonzero entry there breaks
+    that proof and raises InternalInvariantError.
 
     Which labels a coordinate reaches. A coordinate (k, a, b) of the
     cocycles is entry (a, b) of block k: c_k = E_ab: X_k -> Y_{k+1} for
@@ -823,13 +831,17 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
     columns col of C_L[r][col] K_L[col][v] for r in the cokernel, so the
     coordinate adds value times the sign of v at col to entry (r, v) of
     R_L for each kernel vector v nonzero at col, and nothing to any other
-    entry or label. Column col of A^X_{s->t} is zero exactly when the
-    forward chain of (k, b) dies at or before t, and column col of
-    L A^X_{s->n} when that chain, followed by the loop, dies. Summing these
-    contributions over the coordinates where some basis row is nonzero
-    gives every R_L(b) at once; a label that no contribution reaches has
-    R_L(b) = 0 for every b, as has every label with
-    dim Hom(L, X) = dim ker A_L(X) = 0.
+    entry or label. An arrow coordinate that a basis row reaches has
+    fwd^X_k(b) = -1 (above), so A^X_{s->t}(col) = A^X_{k->t}(b) = 0 for
+    every t > k, and L A^X_{s->n}(col) = 0: col is a zero column of every
+    A_L(X) that reads it, its own kernel vector with sign +1. A loop
+    coordinate's col has L A^X_{s->n}(col) = r2 = fwd^X_L(b): a zero
+    column where r2 = -1, and otherwise the pair d + col of U(i, s+1),
+    sign -1, for each i with depth^X[n-1][r2] <= i, and in no kernel
+    vector of V(s+1). Summing these contributions over the coordinates
+    where some basis row is nonzero gives every R_L(b) at once; a label
+    that no contribution reaches has R_L(b) = 0 for every b, as has every
+    label with dim Hom(L, X) = dim ker A_L(X) = 0.
     """
     n, top = x.n, x.n - 1
     pos = _label_positions(n)
@@ -851,21 +863,11 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
             entries[(r, v)] = vec if old is None else tuple(map(add, old, vec))
 
     for k, (rows, cols, off) in enumerate(blocks):
-        # per column b of X_k: its backward chain; dead, the first t > k at
-        # which its forward chain is 0 (n if none); r1 = A^X_{k->n}(b) and
-        # r2 = L A^X_{k->n}(b), -1 for 0; and the backward chain of the
-        # column of L that hits r1, as the (j, c2) of L A^X_{j->n}(c2) = r1
-        xcols = []
-        for b in range(cols):
-            r1, dead = b, n
-            for t in range(k, top):
-                r1 = xfwd[t][r1]
-                if r1 < 0:
-                    dead = t + 1
-                    break
-            lchain = _back_chain(xbwd, top, xbwd[top][r1]) if r1 >= 0 else []
-            r2 = xfwd[top][r1] if r1 >= 0 else -1
-            xcols.append((_back_chain(xbwd, k, b), dead - k - 1, r1, lchain, r2))
+        # per column b of X_k: its backward chain, and where X's map at k
+        # sends it (-1 for 0): arrow k, whose live columns no basis row
+        # reaches, or for the loop block r2 = L A^X_{s->n}(col) along the chain
+        chains = [_back_chain(xbwd, k, b) for b in range(cols)]
+        step = xfwd[k]
         for a in range(rows):
             # the forward chain of (k + 1, a) in Y, as (t, row, its depth),
             # the row it reaches at n (top_r) and that of the loop part
@@ -889,19 +891,19 @@ def _connecting_patterns(x: _Side, y: _Side, blocks, basis) -> dict[int, tuple]:
                 vec = coords[off + a * cols + b]
                 if not any(vec):
                     continue
-                chain, dead, r1, lchain, r2 = xcols[b]
-                for s, col in chain:
-                    for t, r, d in reach[dead:]:
+                r2 = step[b]
+                if k < top and r2 >= 0:
+                    raise InternalInvariantError(
+                        f"a basis row is nonzero at c_{k}[{a}][{b}], "
+                        "a pivot of B^1 on a live X column"
+                    )
+                for s, col in chains[b]:
+                    for t, r, d in reach:
                         if d > s:
                             put(fwd_pos[s][t - s - 1], r, col, vec)
                     if top_r >= 0 and top_d > s:
-                        if r1 < 0:
-                            for j in range(top_l):
-                                put(pair_pos[s][j], top_r, col, vec)
-                        else:
-                            for j, c2 in lchain:
-                                if j < top_l:
-                                    put(pair_pos[s][j], top_r, dx[s] + c2, vec)
+                        for j in range(top_l):
+                            put(pair_pos[s][j], top_r, col, vec)
                     if loop_r < 0 or loop_l <= s:
                         continue
                     if r2 < 0:
@@ -1026,7 +1028,8 @@ class _WalkPlan:
         self.blocks, loop_eqs, coboundaries = _cocycle_system(n, x, y)
         b_rank = sum(map(mul, x.dims, y.dims)) - self.hom_xy
         try:
-            self.ext_basis = _ext_basis(self.blocks, loop_eqs, coboundaries, b_rank)
+            self.ext_basis = basis = _ext_basis(self.blocks, loop_eqs, coboundaries, b_rank)
+            patterns = _connecting_patterns(x, y, self.blocks, basis) if basis else {}
         except (ArithmeticError, InternalInvariantError) as err:
             raise InternalInvariantError(
                 f"Ext^1({multiset_to_str(xs)}, {multiset_to_str(ys)}): {err}"
@@ -1044,7 +1047,6 @@ class _WalkPlan:
                 base[k] = m
             self.base = tuple(base)
             _, cols = _c_inverse(n)
-            patterns = _connecting_patterns(self.xside, self.yside, self.blocks, self.ext_basis)
             out: dict = {}
             for k, pat in patterns.items():
                 col = out.setdefault(pat, {})
@@ -1176,12 +1178,12 @@ def _middle_term(n: int, x: RawRep, y: RawRep, blocks, c) -> RawRep:
     return dims, arrows, glue(n - 1, ly, lx)
 
 
-# the most classes one Ext^1 walk may visit. A class costs about 52 us on a
-# 2-vCPU VM (Python 3.11.7), so the bound is about 5 s of walking. It keeps
-# every indecomposable pair (e <= 2 for n <= 9: at most 99 classes for
-# primes up to 97) and W1,1+W1,1+W1,1 by V2+U2,2+U2,2 at n = 2, p = 2
-# (e = 15, 32,768 classes, 1.7 s), and refuses that pair at p = 3
-# (7,174,454 classes)
+# the most classes one Ext^1 walk may visit. A class costs about 25-30 us
+# on a 2-vCPU Intel Xeon VM (Python 3.11.7), so the bound is about 3 s of
+# walking. It keeps every indecomposable pair (e <= 2 for n <= 9: at most
+# 99 classes for primes up to 97) and W1,1+W1,1+W1,1 by V2+U2,2+U2,2 at
+# n = 2, p = 2 (e = 15, 32,768 classes, 0.8-1.0 s), and refuses that pair
+# at p = 3 (7,174,454 classes)
 MAX_WALK_CLASSES = 10**5
 
 

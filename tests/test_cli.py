@@ -1,13 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from hallq import hall_poly, hom_decomp, lie
 from hallq.cli import COMMANDS, build_parser, main
-from hallq.hall_poly import ProductIdentityCheck, verify_product_identities
+from hallq.errors import InternalInvariantError
+from hallq.hall_core import IsoClassCombo
+from hallq.hall_poly import ONE_POLY, ZERO_POLY, ProductIdentityCheck, verify_product_identities
 from hallq.quiver_rep import (
     AlgebraContext,
     IndecLabel,
@@ -153,6 +157,51 @@ def test_internal_invariant_breach_exits_3(capsys, monkeypatch, tmp_path):
     assert err == (
         "internal invariant breach: decomposition does not have the module's dimensions\n"
     )
+
+
+def test_riedtmann_count_off_the_integers_exits_3(capsys, monkeypatch):
+    # |Aut| of an indecomposable, p - 1, taken p times over: the split term
+    # of W1,1 by V2 at n = 2 then counts (p-1)^2 / (p(p-1))^2, first at p = 2
+    real = hom_decomp._aut_order
+    monkeypatch.setattr(
+        hom_decomp, "_aut_order", lambda shape, p: real(shape, p) * (p if shape == (0, (1,)) else 1)
+    )
+    message = "Riedtmann count 1/4 for W1,1 + V2 is not an integer"
+    with pytest.raises(InternalInvariantError, match=f"^{re.escape(message)}$"):
+        hom_decomp.riedtmann_hall_numbers((IndecLabel("W", 1, 1),), (IndecLabel("V", 2),), 2, (2,))
+    code, out, err = run(capsys, "lie-verify", "--n", "2")
+    assert (code, out, err) == (3, "", f"internal invariant breach: {message}\n")
+
+
+def test_a_wrong_closed_form_is_a_mismatch(capsys, monkeypatch):
+    # the coefficient of W1,2 in [W1,1, W2,2] flipped in the closed-form
+    # brackets, then the polynomial of (W1,1, W2,2, W1,2), 1, tabulated as
+    # 0: each is the one mismatch of its report
+    pair = (IndecLabel("W", 1, 1), IndecLabel("W", 2, 2))
+    real_bracket = lie.expected_bracket
+
+    def flipped(x, y, n):
+        combo = real_bracket(x, y, n)
+        if (x, y) != pair:
+            return combo
+        (key, c), *rest = combo.terms
+        return IsoClassCombo(((key, -c), *rest))
+
+    monkeypatch.setattr(lie, "expected_bracket", flipped)
+    code, _, err = run(capsys, "lie-table", "--n", "3")
+    assert (code, err) == (1, "105 pairs: 1 closed-form mismatches\n")
+    code, out, _ = run(capsys, "lie-verify", "--n", "3")
+    assert code == 1 and "closed_form_mismatches\t1" in out.split("\n")
+    real_poly = hall_poly.expected_hall_poly
+    triple = (*pair, IndecLabel("W", 1, 2))
+    assert real_poly(*triple, 3) == ONE_POLY
+    monkeypatch.setattr(
+        hall_poly,
+        "expected_hall_poly",
+        lambda x, y, m, n: ZERO_POLY if (x, y, m) == triple else real_poly(x, y, m, n),
+    )
+    code, _, err = run(capsys, "verify-prop", "--n", "3")
+    assert (code, err) == (1, "71 triples: 58 match, 12 ambiguous, 1 mismatch\n")
 
 
 @pytest.mark.parametrize("command", ["indec-list", "lie-verify"])

@@ -760,6 +760,51 @@ def test_connecting_patterns_match_the_per_label_builder_on_sums(rng):
     assert compared >= 80
 
 
+def test_no_basis_row_reaches_a_live_arrow_column(rng):
+    # a coordinate c_k[a][b] of an arrow block whose X column is live,
+    # fwd^X_k(b) >= 0, leads a coboundary row, so it is a pivot of B^1 and
+    # every row of the Ext^1 basis is 0 there (_connecting_patterns). Every
+    # ordered label pair at n = 2..6, then seeded side pairs
+    checked = 0
+    for n in range(2, 7):
+        labels = all_labels(n)
+        pairs = [((x,), (y,)) for x in labels for y in labels] + list(_side_pairs(rng, n, 40))
+        for xs, ys in pairs:
+            plan = _WalkPlan(n, xs, ys)
+            if not plan.ext_basis:
+                continue
+            for k, (rows, cols, off) in enumerate(plan.blocks[:-1]):
+                for b, r in enumerate(plan.xside.fwd[k]):
+                    if r >= 0:
+                        for a in range(rows):
+                            assert all(row[off + a * cols + b] == 0 for row in plan.ext_basis)
+                            checked += 1
+    assert checked > 1000
+
+
+def test_walk_plan_rejects_a_basis_row_at_a_b1_pivot(monkeypatch):
+    # U1,1 by V2 at n = 2 (e = 1): the coboundary of h_1[0][0] leads with
+    # -1 at c_0[0][0], whose X column 0 goes to row 0. Adding it to the
+    # basis row keeps the class but leaves the row nonzero at that pivot
+    real = hom_decomp._ext_basis
+
+    def shifted(blocks, loop_eqs, coboundaries, b_rank):
+        basis = real(blocks, loop_eqs, coboundaries, b_rank)
+        assert len(basis) == 1 and coboundaries[0][0] == (0, -1)
+        row = list(basis[0])
+        for c, e in coboundaries[0]:
+            row[c] += e
+        return (tuple(row),)
+
+    monkeypatch.setattr(hom_decomp, "_ext_basis", shifted)
+    with pytest.raises(
+        InternalInvariantError,
+        match=r"^Ext\^1\(U1,1, V2\): a basis row is nonzero at c_0\[0\]\[0\], "
+        r"a pivot of B\^1 on a live X column$",
+    ):
+        _WalkPlan(2, (IndecLabel("U", 1, 1),), (IndecLabel("V", 2),))
+
+
 def test_walk_refuses_above_its_class_bound(monkeypatch):
     # W1,1 by U2,2 at n = 2 has e = 2, so 1 + (3^2 - 1)/2 = 5 classes at
     # p = 3: the split class and 4 nonzero lines
@@ -911,22 +956,23 @@ def test_walk_plan_rejects_a_coboundary_rank_off_hom(monkeypatch):
         riedtmann_hall_numbers((IndecLabel("V", 1),), (IndecLabel("V", 2),), 2, (3,))
 
 
-def _plan_with_bent_arrow(monkeypatch, arrow, message):
+def _plan_with_bent_matrix(monkeypatch, message, arrow=None, loop=None):
     # X = U1,1 by V2 at n = 2 (e = 1), with the arrow of U1,1's canonical
-    # matrices (_indec_raw), the identity, replaced by arrow: the plan must
-    # refuse the side, by its label, with message when it reads the label's
-    # column maps (_label_maps). hom_table is filled before _indec_raw is
-    # bent
+    # matrices (_indec_raw), the identity, or its loop, e1 -> e2, replaced
+    # by arrow or loop: the plan must refuse the side, by its label, with
+    # message when it reads the label's column maps (_label_maps).
+    # hom_table is filled before _indec_raw is bent
     n, xs, ys = 2, (IndecLabel("U", 1, 1),), (IndecLabel("V", 2),)
     hom_table(n)
     real = hom_decomp._indec_raw
 
     def bent(label, n):
-        dims, arrows, loop = real(label, n)
+        dims, arrows, canonical = real(label, n)
         if label == xs[0]:
-            assert arrows == (((1, 0), (0, 1)),)
-            arrows = (arrow,)
-        return dims, arrows, loop
+            assert arrows == (((1, 0), (0, 1)),) and canonical == ((0, 0), (1, 0))
+            arrows = (arrow,) if arrow else arrows
+            canonical = loop or canonical
+        return dims, arrows, canonical
 
     monkeypatch.setattr(hom_decomp, "_indec_raw", bent)
     _side.cache_clear()
@@ -942,17 +988,30 @@ def _plan_with_bent_arrow(monkeypatch, arrow, message):
 def test_walk_rejects_an_arrow_entry_off_the_unit_columns(monkeypatch):
     # the first entry bent to -1: the plan's Ext^1 basis still has unit
     # pivots
-    _plan_with_bent_arrow(
-        monkeypatch, ((-1, 0), (0, 1)), "a canonical matrix column is neither 0 nor a unit vector"
+    _plan_with_bent_matrix(
+        monkeypatch,
+        "a canonical matrix column is neither 0 nor a unit vector",
+        arrow=((-1, 0), (0, 1)),
     )
 
 
 def test_walk_rejects_two_columns_on_one_row(monkeypatch):
     # both columns sent to row 0: each column is still a unit vector, but
     # the kernel of a path map is no longer spanned by its zero columns
-    _plan_with_bent_arrow(
-        monkeypatch, ((1, 1), (0, 0)), "two columns of a canonical matrix hit the same row"
+    _plan_with_bent_matrix(
+        monkeypatch, "two columns of a canonical matrix hit the same row", arrow=((1, 1), (0, 0))
     )
+
+
+def test_walk_rejects_a_loop_that_does_not_square_to_0(monkeypatch):
+    # the loop bent to e1 -> e1: a unit column and a zero column on distinct
+    # rows, but L^2 e1 = e1, and loop entries of the cocycle rows would
+    # share a coordinate. Once _indec_raw is restored, no bent map is kept
+    _plan_with_bent_matrix(
+        monkeypatch, "the canonical loop does not square to 0", loop=((1, 0), (0, 0))
+    )
+    monkeypatch.undo()
+    assert _label_maps(IndecLabel("U", 1, 1), 2)[1][-1] == (1, -1)
 
 
 def test_side_cache_keeps_every_label_up_to_n16():
